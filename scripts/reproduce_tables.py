@@ -13,7 +13,7 @@ import pathlib
 import sys
 import time
 
-from recshrink.cli import _write_csv
+from recshrink.cli import write_csv
 from recshrink.minimax import TableCase, generate_tables
 
 CASES = {
@@ -48,7 +48,7 @@ def main() -> int:
                          c.delta_L, c.delta_U])
         path = args.outdir / filename
         with open(path, "w", encoding="utf-8") as fh:
-            _write_csv(rows, fh)
+            write_csv(rows, fh)
         print(f"table {number}: {len(cells)} cells -> {path} ({time.time()-start:.1f}s)")
     return 1 if failed else 0
 

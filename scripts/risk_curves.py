@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from recshrink.cli import _write_csv
+from recshrink.cli import write_csv
 from recshrink.records import DesignPair
 from recshrink.risk import boundary_risks, shrink_risk_grid
 
@@ -50,12 +50,12 @@ def main() -> None:
     alphas = [float(a) for a in args.alphas.split(",")]
     fig1 = args.outdir / f"risk_pt_levels_n{args.n1}_{args.n2}.csv"
     with open(fig1, "w", encoding="utf-8") as fh:
-        _write_csv(curve_rows(design, deltas, [(a, 1.0) for a in alphas]), fh)
+        write_csv(curve_rows(design, deltas, [(a, 1.0) for a in alphas]), fh)
     print(f"pre-test level curves -> {fig1}")
 
     fig2 = args.outdir / f"risk_shrink_k_n{args.n1}_{args.n2}.csv"
     with open(fig2, "w", encoding="utf-8") as fh:
-        _write_csv(curve_rows(design, deltas, [(0.16, 0.0), (0.16, 1.0), (0.16, 0.21)]), fh)
+        write_csv(curve_rows(design, deltas, [(0.16, 0.0), (0.16, 1.0), (0.16, 0.21)]), fh)
     print(f"shrinkage coefficient curves -> {fig2}")
 
 

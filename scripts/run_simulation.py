@@ -13,7 +13,7 @@ import argparse
 import pathlib
 import sys
 
-from recshrink.cli import _write_csv
+from recshrink.cli import write_csv
 from recshrink.minimax import optimal_alpha, optimal_k
 from recshrink.records import DesignPair
 from recshrink.sim import CSV_COLUMNS, SimConfig, mc_compare
@@ -49,7 +49,7 @@ def main() -> int:
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
-        _write_csv(rows, fh)
+        write_csv(rows, fh)
     print(f"simulation table -> {args.out}")
     return 0
 

@@ -36,7 +36,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(rows, out) -> None:
+def write_csv(rows, out) -> None:
+    """Write rows to a text stream as CSV, numbers at 6 significant digits."""
     writer = csv.writer(out, lineterminator="\n")
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
@@ -55,7 +56,7 @@ def _render(args, csv_rows, json_obj) -> None:
         _emit(args, json.dumps(json_obj, indent=2, sort_keys=True) + "\n")
     else:
         buf = io.StringIO()
-        _write_csv(csv_rows, buf)
+        write_csv(csv_rows, buf)
         _emit(args, buf.getvalue())
 
 

@@ -218,6 +218,18 @@ def _equalize(sups, domain_lo=0.01, domain_hi=0.99):
     return t, True
 
 
+def _solve(sups, window) -> RegretSolution:
+    """Equalized solution over the window (delta1, delta2), in plain floats.
+
+    The root and the regrets come out of numpy as np.float64; casting here
+    keeps them out of the solution and of the error messages it raises.
+    """
+    root, fallback = _equalize(sups)
+    d_lo, r_lo, d_hi, r_hi = sups(root)
+    values = (root, *window, d_lo, d_hi, r_lo, r_hi)
+    return RegretSolution(*(float(v) for v in values), fallback)
+
+
 def optimal_alpha(
     design: DesignPair, convention: BoundConvention = DEFAULT_CONVENTION
 ) -> RegretSolution:
@@ -229,10 +241,7 @@ def optimal_alpha(
             cache[a] = sup_regret_pt(design, a, convention)
         return cache[a]
 
-    root, fallback = _equalize(sups)
-    d_lo, r_lo, d_hi, r_hi = sups(root)
-    lo, hi = pooling_region(design)
-    return RegretSolution(root, lo, hi, d_lo, d_hi, r_lo, r_hi, fallback)
+    return _solve(sups, pooling_region(design))
 
 
 def _inf_quadratic(h2: float, h1: float, h0: float) -> tuple[float, float]:
@@ -359,9 +368,7 @@ def optimal_k(
             cache[k] = sup_regret_shrink(design, alpha, k, convention, crossings)
         return cache[k]
 
-    root, fallback = _equalize(sups)
-    d_lo, r_lo, d_hi, r_hi = sups(root)
-    return RegretSolution(root, crossings[0], crossings[1], d_lo, d_hi, r_lo, r_hi, fallback)
+    return _solve(sups, crossings)
 
 
 TABLE_GRID = (2, 3, 4, 5, 7, 10)

@@ -136,6 +136,9 @@ class TestOptimalAlpha:
         sol = optimal_alpha(D56)
         assert not sol.fallback
         assert abs(sol.regret_at_L - sol.regret_at_U) <= 1e-5
+        # exact type: np.float64 subclasses float, so isinstance would pass
+        for value in (sol.tuned_value, sol.regret_at_L, sol.regret_at_U):
+            assert type(value) is float
         assert sol.delta1 < sol.delta2
         assert sol.delta_L < sol.delta2 < sol.delta_U
 
@@ -211,6 +214,8 @@ class TestOptimalK:
         sol = optimal_k(D56, 0.16)
         assert not sol.fallback
         assert abs(sol.regret_at_L - sol.regret_at_U) <= 1e-5
+        for value in (sol.tuned_value, sol.regret_at_L, sol.regret_at_U):
+            assert type(value) is float
         assert 0.0 <= sol.tuned_value <= 1.0
         assert sol.delta_L < sol.delta2 < sol.delta_U
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special as sp
 
@@ -124,11 +124,39 @@ class TestRegIncBeta:
         assert reg_inc_beta(x, a, b) == pytest.approx(float(sp.betainc(a, b, x)), abs=1e-12)
 
     def test_series_branch_tiny_x(self):
-        # small-x path agrees with scipy deep in the lower tail
-        for a, b, x in [(3.0, 4.0, 1e-9), (0.6, 20.0, 1e-6), (12.0, 2.0, 1e-4)]:
+        # small-x path agrees with scipy deep in the lower tail; integer
+        # shapes take the binomial sum, the others the ascending series
+        for a, b, x in [(3.0, 4.0, 1e-9), (0.6, 20.0, 1e-6), (12.0, 2.0, 1e-4),
+                        (3.5, 4.0, 1e-9)]:
             mine = reg_inc_beta(x, a, b)
             ref = float(sp.betainc(a, b, x))
             assert mine == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, 1.0), a=st.integers(1, 200), b=st.integers(1, 200))
+    @example(x=5 / 10, a=5, b=6)  # branch switch x = a/(a+b-1)
+    @example(x=2 / 11, a=2, b=10)
+    @example(x=150 / 300, a=150, b=151)
+    @example(x=152 / 301, a=152, b=150)
+    @example(x=1e-300, a=3, b=4)
+    @example(x=1e-300, a=1, b=200)
+    @example(x=1.0 - 1e-16, a=4, b=3)
+    @example(x=1.0 - 1e-16, a=200, b=1)
+    @example(x=0.49, a=152, b=150)
+    def test_integer_shapes_binomial_sum(self, x, a, b):
+        # integer shapes take the finite binomial sum, as ints or as
+        # integer-valued floats (the F quantiles pass df/2 as a float)
+        ref = float(sp.betainc(a, b, x))
+        scalar = reg_inc_beta(x, a, b)
+        grid = float(reg_inc_beta_grid(np.array([x]), float(a), float(b))[0])
+        assert scalar == pytest.approx(ref, abs=1e-13)
+        assert grid == pytest.approx(ref, abs=1e-13)
+        assert grid == pytest.approx(scalar, abs=1e-13)
+        hi = max(x, 1.0 - x)
+        lo = 1.0 - hi
+        assert reg_inc_beta(lo, a, b) + reg_inc_beta(hi, b, a) == pytest.approx(
+            1.0, abs=1e-13
+        )
 
     def test_grid_matches_scalar(self):
         xs = np.concatenate([[0.0, 1.0], np.geomspace(1e-8, 0.999, 200)])
@@ -194,7 +222,8 @@ class TestFQuantile:
     def test_scipy_oracle(self):
         from scipy.stats import f as fdist
 
-        for p, d1, d2 in [(0.95, 10, 12), (0.08, 10, 12), (0.5, 3, 7), (0.99, 1, 1)]:
+        for p, d1, d2 in [(0.95, 10, 12), (0.08, 10, 12), (0.5, 3, 7), (0.99, 1, 1),
+                          (0.005, 300, 80), (0.995, 300, 300), (0.08, 298, 78)]:
             assert f_quantile(p, d1, d2) == pytest.approx(
                 float(fdist.ppf(p, d1, d2)), rel=1e-9
             )
