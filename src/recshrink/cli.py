@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .estimators import EstimationInput, Target, preliminary_test, shrinkage
+from .estimators import EstimationInput, Target, pooled, preliminary_test, shrinkage
 from .minimax import SearchError, TableCase, generate_tables, optimal_alpha, optimal_k
 from .records import DesignPair, RecordSample, Variant, extract_upper_records, mle_scale
 from .risk import BoundConvention, DEFAULT_CONVENTION, boundary_risks, shrink_risk_grid
@@ -131,8 +131,7 @@ def cmd_estimate(args) -> int:
         "alpha": args.alpha,
         "theta1_hat": inp.theta1_hat,
         "theta2_hat": inp.theta2_hat,
-        "pooled": (design.n1 * inp.theta1_hat + design.n2 * inp.theta2_hat)
-        / (design.n1 + design.n2),
+        "pooled": pooled(inp),
         "c1": decision.c1,
         "c2": decision.c2,
         "ratio": decision.ratio,

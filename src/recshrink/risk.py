@@ -20,8 +20,13 @@ linear map d_j = 1 - n2/(c_j*n1*delta) is kept behind
 run (``sim.convention_validation``, ``recshrink validate``) rejects it and
 selects ``DERIVED_RATIO``, which is the default everywhere.
 
-Every bracketed beta term is evaluated as a single difference of
-regularized values (never expanded) to avoid cancellation.
+The five brackets I_{d2} - I_{d1} sit at the shifted shapes (m1+i, m2+j).
+Each needs only the base values I_d(m1, m2) at the two bounds and the front
+factor t = d^m1 (1-d)^m2 / B(m1, m2) there: by the recurrences
+I_x(a+1, b) = I_x(a, b) - t/a and I_x(a, b+1) = I_x(a, b) + t/b
+(Abramowitz & Stegun 26.5.16), every shift is a multiple of t.  A bracket is
+the base difference plus the difference of its shift terms, so it stays an
+exact 0 when both bounds coincide.
 """
 
 import enum
@@ -32,7 +37,7 @@ import numpy as np
 
 from .estimators import critical_values
 from .records import DesignPair, Variant
-from .special import reg_inc_beta, reg_inc_beta_grid
+from .special import beta_front, reg_inc_beta, reg_inc_beta_grid
 
 
 class BoundConvention(enum.Enum):
@@ -102,27 +107,54 @@ def d_bounds(
     return IntegrationBounds(to_beta(c1), to_beta(c2), convention)
 
 
+def _shift_terms(x, a: float, b: float) -> dict:
+    """I_x(a+i, b+j) - I_x(a, b) for each shift (i, j) in ``_SHIFTS``.
+
+    By A&S 26.5.16 every shift is a multiple of the front factor
+    t = x^a (1-x)^b / B(a, b); x may be a float or an array.
+    """
+    t = beta_front(x, a, b)
+    s = a + b
+    ta = t / a
+    tb = t / b
+    return {
+        (1, 0): -ta,
+        (0, 1): tb,
+        (2, 0): -ta - ta * x * (s / (a + 1)),
+        (0, 2): tb + tb * (1.0 - x) * (s / (b + 1)),
+        (1, 1): -ta + ta * x * (s / b),
+    }
+
+
 def _brackets(design: DesignPair, bounds: IntegrationBounds) -> dict:
-    """I_{d2} - I_{d1} at the five shifted shape pairs, as single differences."""
+    """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j).
+
+    One incomplete beta per bound, at the base shapes (m1, m2); each bracket
+    is that base difference plus the difference of its shift terms.
+    """
     m1, m2 = design.shapes
-    out = {}
-    for i, j in _SHIFTS:
-        a, b = m1 + i, m2 + j
-        out[(i, j)] = reg_inc_beta(bounds.d2, a, b) - reg_inc_beta(bounds.d1, a, b)
-    return out
+    d1, d2 = bounds.d1, bounds.d2
+    base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
+    lo = _shift_terms(d1, m1, m2)
+    hi = _shift_terms(d2, m1, m2)
+    return {ij: base + (hi[ij] - lo[ij]) for ij in _SHIFTS}
 
 
 def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
-    """(h2, h1, h0) of the risk quadratic; delta may be a scalar or an array."""
+    """(h2, h1, h0) of the risk quadratic; delta may be a scalar or an array.
+
+    delta multiplies into a bracket before it is squared, so a bracket that
+    is exactly 0 (both bounds at 1 for huge delta) contributes exactly 0.
+    """
     n1, n2 = design.n1, design.n2
     m1, m2 = design.shapes
     lam = design.lam
     e1 = m1 / n1
     v2 = delta * m2 / n2
     q1 = m1 * (m1 + 1) / n1**2
-    q2 = delta**2 * m2 * (m2 + 1) / n2**2
+    q2 = m2 * (m2 + 1) / n2**2 * delta
     q12 = delta * m1 * m2 / (n1 * n2)
-    h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * br[(1, 1)] + q2 * br[(0, 2)])
+    h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * br[(1, 1)] + q2 * (delta * br[(0, 2)]))
     h1 = 2.0 * lam * (-q1 * br[(2, 0)] + q12 * br[(1, 1)] + e1 * br[(1, 0)] - v2 * br[(0, 1)])
     h0 = q1 - 2.0 * e1 + 1.0
     return h2, h1, h0
@@ -161,13 +193,14 @@ def risk_k_coefficients_grid(
         with np.errstate(divide="ignore"):
             d1 = 1.0 - n2 / (c1 * n1 * dv)
             d2 = 1.0 - n2 / (c2 * n1 * dv)
-    d1 = np.clip(d1, 0.0, 1.0)
-    d2 = np.clip(d2, 0.0, 1.0)
+    # one incomplete beta over both bounds at once, at the base shapes
+    x = np.concatenate((np.clip(d1, 0.0, 1.0).reshape(-1), np.clip(d2, 0.0, 1.0).reshape(-1)))
     m1, m2 = design.shapes
-    br = {}
-    for i, j in _SHIFTS:
-        a, b = m1 + i, m2 + j
-        br[(i, j)] = reg_inc_beta_grid(d2, a, b) - reg_inc_beta_grid(d1, a, b)
+    n = dv.size
+    base = reg_inc_beta_grid(x, m1, m2)
+    base = base[n:] - base[:n]
+    br = {ij: (base + (s[n:] - s[:n])).reshape(dv.shape)
+          for ij, s in _shift_terms(x, m1, m2).items()}
     return _coeffs_from_brackets(design, dv, br)
 
 
@@ -224,7 +257,7 @@ def shrink_moments(params: RiskParams) -> tuple[float, float]:
     e1a = th1 * (m1 / n1) * br[(1, 0)]                       # E[mle1; accept]
     e2a = th2 * (m2 / n2) * br[(0, 1)]                       # E[mle2; accept]
     e11a = th1 * th1 * m1 * (m1 + 1) / n1**2 * br[(2, 0)]    # E[mle1^2; accept]
-    e22a = th2 * th2 * m2 * (m2 + 1) / n2**2 * br[(0, 2)]
+    e22a = th2 * m2 * (m2 + 1) / n2**2 * (th2 * br[(0, 2)])
     e12a = th1 * th2 * m1 * m2 / (n1 * n2) * br[(1, 1)]
 
     mean = mean_mle - k * lam * e1a + k * lam * e2a

@@ -12,7 +12,9 @@ use is one), I_x(a, b) = P(Bin(a+b-1, x) >= a) is a finite binomial sum
 (Abramowitz & Stegun §26.5): the tail beyond the mean is summed from its
 largest term, and the other side is taken as one minus the opposite tail.
 Any other shapes go through the modified-Lentz continued fraction, or the
-ascending series deep in a tail.
+ascending series deep in a tail.  ``beta_front`` is the front factor
+x^a (1-x)^b / B(a, b) both routes start from; the risk module also builds
+its shifted-shape recurrences from it.
 """
 
 import math
@@ -24,6 +26,7 @@ _EPS = 1e-16
 _FPMIN = 1e-300
 _MAX_CF_ITER = 500
 _SERIES_CUTOFF = 0.3  # use the ascending series when x*(a+b+2) < cutoff*(a+1)
+_VEC_CHECK_EVERY = 8  # terms between stop tests in the array binomial sum
 
 
 def _stirling_err(x: float) -> float:
@@ -130,15 +133,35 @@ def _binom_tail(a: int, b: int, t: float, r: float) -> float:
 
 
 def _binom_tail_vec(a: int, b: int, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``_binom_tail`` over arrays of first terms and odds (same shapes a, b)."""
+    """``_binom_tail`` over arrays of first terms and odds (same shapes a, b).
+
+    The stop test is a reduction over the whole array, which costs more than
+    a term, so it runs every ``_VEC_CHECK_EVERY`` terms; the few extra terms
+    are below ``_EPS`` relative to the sum.
+    """
     n = a + b - 1
     total = t.copy()
     for j in range(a, n):
         t = t * ((n - j) / (j + 1) * r)
         total += t
-        if np.all(t <= _EPS * total):
+        if (j - a) % _VEC_CHECK_EVERY == _VEC_CHECK_EVERY - 1 and np.all(t <= _EPS * total):
             break
     return total
+
+
+def beta_front(x, a: float, b: float):
+    """Front factor t = x^a (1-x)^b / B(a, b) of I_x(a, b); x a float or an array.
+
+    t also drives the shape recurrences I_x(a+1, b) = I_x(a, b) - t/a and
+    I_x(a, b+1) = I_x(a, b) + t/b (A&S 26.5.16).  It is 0 at x = 0 and
+    x = 1, without floating-point warnings.
+    """
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta(a, b))
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -151,7 +174,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    front = beta_front(x, a, b)
     if _integer_shapes(a, b):
         if x * (a + b - 1.0) < a:
             return _binom_tail(int(a), int(b), front / (a * (1.0 - x)), x / (1.0 - x))
@@ -203,43 +226,46 @@ def _betacf_vec(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
-    """I_x(a, b) over an array of x values in [0, 1]."""
+    """I_x(a, b) over an array of x values in [0, 1].
+
+    The front factor is 0 at both ends, so x = 0 and x = 1 come out of
+    either branch as exactly 0 and 1 and need no masks of their own.
+    """
     if not (a > 0.0) or not (b > 0.0):
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
     xv = np.asarray(x, dtype=float)
-    if np.any(np.isnan(xv)) or np.any((xv < 0.0) | (xv > 1.0)):
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):  # NaN fails both comparisons
         raise ValueError("x values must lie in [0, 1]")
-    out = np.empty_like(xv)
-    at0 = xv == 0.0
-    at1 = xv == 1.0
-    out[at0] = 0.0
-    out[at1] = 1.0
-    mid = ~(at0 | at1)
-    if np.any(mid):
-        xm = xv[mid]
-        res = np.empty_like(xm)
-        lb = log_beta(a, b)
-        front = np.exp(a * np.log(xm) + b * np.log1p(-xm) - lb)
-        if _integer_shapes(a, b):
-            direct = xm * (a + b - 1.0) < a
-            if np.any(direct):
-                xd = xm[direct]
-                res[direct] = _binom_tail_vec(int(a), int(b), front[direct] / (a * (1.0 - xd)),
-                                              xd / (1.0 - xd))
-            flip = ~direct
-            if np.any(flip):
-                xf = xm[flip]
-                res[flip] = 1.0 - _binom_tail_vec(int(b), int(a), front[flip] / (b * xf),
-                                                  (1.0 - xf) / xf)
-        else:
-            direct = xm < (a + 1.0) / (a + b + 2.0)
-            if np.any(direct):
-                res[direct] = front[direct] * _betacf_vec(a, b, xm[direct]) / a
-            flip = ~direct
-            if np.any(flip):
-                res[flip] = 1.0 - front[flip] * _betacf_vec(b, a, 1.0 - xm[flip]) / b
-        out[mid] = res
-    return out
+    xf = xv.reshape(-1)
+    front = beta_front(xf, a, b)
+    if _integer_shapes(a, b):
+        ia, ib = int(a), int(b)
+        lower = xf * (a + b - 1.0) < a
+
+        def below(xs, fr):
+            return _binom_tail_vec(ia, ib, fr / (a * (1.0 - xs)), xs / (1.0 - xs))
+
+        def above(xs, fr):
+            return 1.0 - _binom_tail_vec(ib, ia, fr / (b * xs), (1.0 - xs) / xs)
+    else:
+        lower = xf < (a + 1.0) / (a + b + 2.0)
+
+        def below(xs, fr):
+            return fr * _betacf_vec(a, b, xs) / a
+
+        def above(xs, fr):
+            return 1.0 - fr * _betacf_vec(b, a, 1.0 - xs) / b
+    n_lower = np.count_nonzero(lower)
+    if n_lower == xf.size:
+        out = below(xf, front)
+    elif n_lower == 0:
+        out = above(xf, front)
+    else:
+        out = np.empty_like(xf)
+        upper = ~lower
+        out[lower] = below(xf[lower], front[lower])
+        out[upper] = above(xf[upper], front[upper])
+    return out.reshape(xv.shape)
 
 
 def inv_reg_inc_beta(p: float, a: float, b: float) -> float:

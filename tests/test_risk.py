@@ -1,22 +1,28 @@
 """Closed-form risk and moments against degeneracies and the Monte Carlo oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from recshrink.records import DesignPair, Variant
 from recshrink.risk import (
+    _SHIFTS,
     BoundConvention,
+    IntegrationBounds,
     RiskParams,
+    _brackets,
     boundary_risks,
     d_bounds,
     pooled_risk_quadratic,
     pt_moments,
     pt_risk,
     risk_k_coefficients,
+    risk_k_coefficients_grid,
     shrink_moments,
     shrink_risk,
     shrink_risk_grid,
@@ -60,6 +66,30 @@ class TestDBounds:
             d_bounds(D56, 0.0, C1, C2)
 
 
+class TestBrackets:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m1=st.integers(1, 200),
+        m2=st.integers(1, 200),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+    )
+    @example(m1=5, m2=6, u=0.0, v=0.4)
+    @example(m1=5, m2=6, u=0.3, v=1.0)
+    @example(m1=200, m2=1, u=0.0, v=1.0)
+    @example(m1=7, m2=3, u=0.37, v=0.37)
+    @example(m1=156, m2=138, u=0.52, v=0.54)  # around the mean 156/294
+    def test_recurrence_matches_scipy(self, m1, m2, u, v):
+        # every shifted-shape bracket comes from one incomplete beta per
+        # bound plus the A&S 26.5.16 shift terms
+        x1, x2 = sorted((u, v))
+        br = _brackets(DesignPair(m1, m2), IntegrationBounds(x1, x2, BoundConvention.DERIVED_RATIO))
+        for i, j in _SHIFTS:
+            a, b = m1 + i, m2 + j
+            ref = float(sp.betainc(a, b, x2) - sp.betainc(a, b, x1))
+            assert br[(i, j)] == pytest.approx(ref, abs=1e-13), (i, j)
+
+
 class TestDegeneracies:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("delta", [0.3, 1.0, 2.5])
@@ -99,6 +129,25 @@ class TestDegeneracies:
     @pytest.mark.parametrize("delta", [1e-4, 1e4])
     def test_extreme_delta_approaches_mle_risk(self, delta):
         assert pt_risk(D56, delta, 0.16) == pytest.approx(0.2, abs=1e-3)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("delta", [1e154, 1e300])
+    def test_huge_delta_is_mle_risk_exactly(self, variant, delta):
+        # both bounds round to 1 and every bracket is 0, so the risk is 1/n1
+        # and the moments are those of the single-sample MLE
+        d = DesignPair(5, 6, variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h2, h1, h0 = risk_k_coefficients(d, delta, 0.16)
+            g2, g1, g0 = risk_k_coefficients_grid(d, np.array([delta]), 0.16)
+            risk = shrink_risk(d, delta, 0.16, 0.5)
+            bias, mse = shrink_moments(RiskParams(d, delta, 0.16, k=0.5, theta1=2.0))
+        assert (h2, h1) == (0.0, 0.0)
+        assert (g2[0], g1[0]) == (0.0, 0.0)
+        assert g0 == h0
+        assert risk == h0 == pytest.approx(0.2, abs=1e-15)
+        assert bias == pytest.approx(2.0 * (d.shapes[0] / d.n1 - 1.0), abs=1e-15)
+        assert mse == pytest.approx(4.0 * h0, abs=1e-14)
 
 
 class TestMomentsAgainstOracle:
@@ -222,6 +271,21 @@ class TestGridPath:
                     [shrink_risk(D56, float(t), 0.16, k, conv) for t in deltas]
                 )
                 np.testing.assert_allclose(grid, scal, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(), (37,), (6, 7)])
+    def test_coefficients_grid_matches_scalar(self, shape):
+        deltas = np.geomspace(0.03, 30.0, max(1, math.prod(shape))).reshape(shape)
+        for variant in Variant:
+            d = DesignPair(5, 6, variant)
+            for conv in BoundConvention:
+                h2, h1, h0 = risk_k_coefficients_grid(d, deltas, 0.16, conv)
+                assert np.shape(h2) == np.shape(h1) == shape
+                scal = np.array(
+                    [risk_k_coefficients(d, float(t), 0.16, conv) for t in deltas.reshape(-1)]
+                )
+                np.testing.assert_allclose(np.reshape(h2, -1), scal[:, 0], rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(np.reshape(h1, -1), scal[:, 1], rtol=0.0, atol=1e-13)
+                assert h0 == pytest.approx(scal[0, 2], abs=1e-15)
 
     def test_grid_rejects_bad_delta(self):
         with pytest.raises(ValueError):
