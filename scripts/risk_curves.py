@@ -14,24 +14,8 @@ import pathlib
 
 import numpy as np
 
-from recshrink.cli import write_csv
+from recshrink.cli import risk_curve_rows, write_csv
 from recshrink.records import DesignPair
-from recshrink.risk import boundary_risks, shrink_risk_grid
-
-HEADER = ["delta", "risk", "family", "alpha", "k"]
-
-
-def curve_rows(design, deltas, alpha_k_pairs):
-    rows = [HEADER]
-    for alpha, k in alpha_k_pairs:
-        family = "pt" if k == 1.0 else "shrink"
-        for d, r in zip(deltas, shrink_risk_grid(design, deltas, alpha, k)):
-            rows.append([float(d), float(r), family, alpha, k])
-    for d in deltas:
-        rows.append([float(d), boundary_risks(design, float(d))[0], "pooled", "", ""])
-    for d in deltas:
-        rows.append([float(d), boundary_risks(design, float(d))[1], "mle", "", ""])
-    return rows
 
 
 def main() -> None:
@@ -50,12 +34,13 @@ def main() -> None:
     alphas = [float(a) for a in args.alphas.split(",")]
     fig1 = args.outdir / f"risk_pt_levels_n{args.n1}_{args.n2}.csv"
     with open(fig1, "w", encoding="utf-8") as fh:
-        write_csv(curve_rows(design, deltas, [(a, 1.0) for a in alphas]), fh)
+        write_csv(risk_curve_rows(design, deltas, [(a, 1.0) for a in alphas]), fh)
     print(f"pre-test level curves -> {fig1}")
 
     fig2 = args.outdir / f"risk_shrink_k_n{args.n1}_{args.n2}.csv"
     with open(fig2, "w", encoding="utf-8") as fh:
-        write_csv(curve_rows(design, deltas, [(0.16, 0.0), (0.16, 1.0), (0.16, 0.21)]), fh)
+        pairs = [(0.16, 0.0), (0.16, 1.0), (0.16, 0.21)]
+        write_csv(risk_curve_rows(design, deltas, pairs), fh)
     print(f"shrinkage coefficient curves -> {fig2}")
 
 

@@ -17,10 +17,11 @@ import numpy as np
 from .estimators import EstimationInput, Target, pooled, preliminary_test, shrinkage
 from .minimax import SearchError, TableCase, generate_tables, optimal_alpha, optimal_k
 from .records import DesignPair, RecordSample, Variant, extract_upper_records, mle_scale
-from .risk import BoundConvention, DEFAULT_CONVENTION, boundary_risks, shrink_risk_grid
+from .risk import boundary_risks, shrink_risk_grid
 from .sim import CSV_COLUMNS, SimConfig, convention_validation, mc_compare
 
 _TABLE_COLUMNS = ("n1", "n2", "alpha_star", "k_star", "regret_level", "delta_L", "delta_U")
+_CURVE_COLUMNS = ("delta", "risk", "family", "alpha", "k")
 
 
 def _fmt(value) -> str:
@@ -147,47 +148,41 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def risk_curve_rows(design: DesignPair, deltas, alpha_k_pairs) -> list[list]:
+    """Header and rows (delta, risk, family, alpha, k) of a risk-curve set.
+
+    One curve per (alpha, k) pair, family "pt" at k = 1 and "shrink"
+    otherwise, then the always-pool ("pooled") and single-sample MLE
+    ("mle") reference curves, whose alpha and k cells are empty.
+    """
+    rows = [list(_CURVE_COLUMNS)]
+    for alpha, k in alpha_k_pairs:
+        family = "pt" if k == 1.0 else "shrink"
+        for d, r in zip(deltas, shrink_risk_grid(design, deltas, alpha, k)):
+            rows.append([float(d), float(r), family, alpha, k])
+    refs = [(float(d), boundary_risks(design, float(d))) for d in deltas]
+    rows += [[d, r0, "pooled", "", ""] for d, (r0, _) in refs]
+    rows += [[d, r1, "mle", "", ""] for d, (_, r1) in refs]
+    return rows
+
+
 def cmd_risk_curve(args) -> int:
-    variant = Variant(args.variant)
-    design = DesignPair(args.n1, args.n2, variant)
-    convention = BoundConvention(args.convention)
+    design = DesignPair(args.n1, args.n2, Variant(args.variant))
     if args.delta_steps < 1:
         raise ValueError("need at least one delta grid point")
     if not (0.0 < args.delta_min <= args.delta_max):
         raise ValueError("need 0 < delta-min <= delta-max")
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_steps)
-    ks = args.k if args.k else []
-    rows = [["delta", "risk", "family", "alpha", "k"]]
-    records = []
-
-    def add(delta, value, family, alpha="", k=""):
-        rows.append([float(delta), float(value), family, alpha, k])
-        records.append({"delta": float(delta), "risk": float(value), "family": family,
-                        "alpha": None if alpha == "" else alpha,
-                        "k": None if k == "" else k})
-
-    if not ks:
-        risks = shrink_risk_grid(design, deltas, args.alpha, 1.0, convention)
-        for d, r in zip(deltas, risks):
-            add(d, r, "pt", args.alpha, 1.0)
-    for k in ks:
-        family = "pt" if k == 1.0 else "shrink"
-        risks = shrink_risk_grid(design, deltas, args.alpha, k, convention)
-        for d, r in zip(deltas, risks):
-            add(d, r, family, args.alpha, k)
-    for d in deltas:
-        r0, _ = boundary_risks(design, d)
-        add(d, r0, "pooled")
-    for d in deltas:
-        _, r1 = boundary_risks(design, d)
-        add(d, r1, "mle")
+    ks = args.k or [1.0]
+    rows = risk_curve_rows(design, deltas, [(args.alpha, k) for k in ks])
+    records = [{col: None if v == "" else v for col, v in zip(rows[0], row)}
+               for row in rows[1:]]
     _render(args, rows, records)
     return 0
 
 
 def cmd_tables(args) -> int:
     variant = Variant(args.variant)
-    convention = BoundConvention(args.convention)
     case = {1: TableCase.ALPHA, 2: TableCase.K_FIXED_ALPHA, 3: TableCase.K_OPTIMAL_ALPHA}[
         args.which
     ]
@@ -195,8 +190,7 @@ def cmd_tables(args) -> int:
     designs = None
     if grid is not None:
         designs = [DesignPair(a, b, variant) for b in grid for a in grid]
-    cells = generate_tables(case, designs=designs, alpha=args.alpha,
-                            variant=variant, convention=convention)
+    cells = generate_tables(case, designs=designs, alpha=args.alpha, variant=variant)
     failed = [c for c in cells if c.error]
     for cell in failed:
         print(f"cell ({cell.n1}, {cell.n2}) failed: {cell.error}", file=sys.stderr)
@@ -232,7 +226,7 @@ def _solution_report(sol, design, extra=None):
 
 def cmd_optimal_alpha(args) -> int:
     design = DesignPair(args.n1, args.n2, Variant(args.variant))
-    sol = optimal_alpha(design, BoundConvention(args.convention))
+    sol = optimal_alpha(design)
     report = _solution_report(sol, design)
     report["alpha_star"] = sol.tuned_value
     csv_rows = [["quantity", "value"]] + [[k, v] for k, v in report.items()]
@@ -242,7 +236,7 @@ def cmd_optimal_alpha(args) -> int:
 
 def cmd_optimal_k(args) -> int:
     design = DesignPair(args.n1, args.n2, Variant(args.variant))
-    sol = optimal_k(design, args.alpha, BoundConvention(args.convention))
+    sol = optimal_k(design, args.alpha)
     report = _solution_report(sol, design, {"alpha": args.alpha})
     report["k_star"] = sol.tuned_value
     csv_rows = [["quantity", "value"]] + [[k, v] for k, v in report.items()]
@@ -324,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=float, default=0.05)
     p.add_argument("--delta-max", type=float, default=4.0)
     p.add_argument("--delta-steps", type=int, default=200)
-    p.add_argument("--convention", choices=("paper", "derived"),
-                   default=DEFAULT_CONVENTION.value)
     _add_common_output(p)
     p.set_defaults(func=cmd_risk_curve)
 
@@ -336,23 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma list of record counts (default 2,3,4,5,7,10)")
     p.add_argument("--variant", choices=("known", "locscale"), default="known")
-    p.add_argument("--convention", choices=("paper", "derived"),
-                   default=DEFAULT_CONVENTION.value)
     _add_common_output(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("optimal-alpha", help="minimax-regret pre-test level")
     _add_design(p)
-    p.add_argument("--convention", choices=("paper", "derived"),
-                   default=DEFAULT_CONVENTION.value)
     _add_common_output(p)
     p.set_defaults(func=cmd_optimal_alpha)
 
     p = sub.add_parser("optimal-k", help="minimax-regret shrinkage coefficient")
     _add_design(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--convention", choices=("paper", "derived"),
-                   default=DEFAULT_CONVENTION.value)
     _add_common_output(p)
     p.set_defaults(func=cmd_optimal_k)
 

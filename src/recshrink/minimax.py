@@ -17,6 +17,9 @@ off by up to 0.05.
 For K*, regret measures the risk at coefficient k against its pointwise
 minimum over k in [0, 1] (an exact quadratic), and delta2 is the upper
 crossing of the pre-test risk with 1/n1.
+
+Every risk here uses the ratio form of the acceptance bounds, the one the
+Monte Carlo validation selects (see ``risk``); tuning has no other.
 """
 
 import math
@@ -28,8 +31,6 @@ import numpy as np
 from .optim import brent_root, golden_section_max
 from .records import DesignPair, Variant
 from .risk import (
-    DEFAULT_CONVENTION,
-    BoundConvention,
     boundary_risks,
     pooled_risk_quadratic,
     pt_risk,
@@ -120,12 +121,7 @@ def pooling_region(design: DesignPair) -> tuple[float, float]:
     return max(d1, 1.0 / d2), d2
 
 
-def regret_pt(
-    design: DesignPair,
-    delta: float,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> float:
+def regret_pt(design: DesignPair, delta: float, alpha: float) -> float:
     """Excess pre-test risk over the better reference rule, floored at zero.
 
     The floor absorbs the few delta where the pre-test rule beats both
@@ -134,12 +130,12 @@ def regret_pt(
     lo, hi = pooling_region(design)
     r0, r1 = boundary_risks(design, delta)
     ref = r0 if lo < delta < hi else r1
-    return max(0.0, pt_risk(design, delta, alpha, convention) - ref)
+    return max(0.0, pt_risk(design, delta, alpha) - ref)
 
 
-def _regret_pt_grid(design, deltas, alpha, convention, region):
+def _regret_pt_grid(design, deltas, alpha, region):
     lo, hi = region
-    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha, convention)
+    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
     risk = h2 + h1 + h0
     a, b, c = pooled_risk_quadratic(design)
     r0 = a * deltas * deltas + b * deltas + c
@@ -178,18 +174,14 @@ def _two_sided_sup(batch, scalar, edge):
     raise SearchError(f"regret still rising at delta={top:g}; no interior maximum above {edge:g}")
 
 
-def sup_regret_pt(
-    design: DesignPair,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> tuple[float, float, float, float]:
+def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float, float]:
     """(delta_L, reg_L, delta_U, reg_U) for the pre-test regret at level alpha."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     region = pooling_region(design)
     return _two_sided_sup(
-        lambda g: _regret_pt_grid(design, g, alpha, convention, region),
-        lambda d: regret_pt(design, d, alpha, convention),
+        lambda g: _regret_pt_grid(design, g, alpha, region),
+        lambda d: regret_pt(design, d, alpha),
         region[1],
     )
 
@@ -218,30 +210,30 @@ def _equalize(sups, domain_lo=0.01, domain_hi=0.99):
     return t, True
 
 
-def _solve(sups, window) -> RegretSolution:
+def _solve(sup, window) -> RegretSolution:
     """Equalized solution over the window (delta1, delta2), in plain floats.
 
+    ``sup`` maps the tuned value to (delta_L, reg_L, delta_U, reg_U); each
+    value is evaluated once, since the final solution revisits the root.
     The root and the regrets come out of numpy as np.float64; casting here
     keeps them out of the solution and of the error messages it raises.
     """
+    cache = {}
+
+    def sups(t):
+        if t not in cache:
+            cache[t] = sup(t)
+        return cache[t]
+
     root, fallback = _equalize(sups)
     d_lo, r_lo, d_hi, r_hi = sups(root)
     values = (root, *window, d_lo, d_hi, r_lo, r_hi)
     return RegretSolution(*(float(v) for v in values), fallback)
 
 
-def optimal_alpha(
-    design: DesignPair, convention: BoundConvention = DEFAULT_CONVENTION
-) -> RegretSolution:
+def optimal_alpha(design: DesignPair) -> RegretSolution:
     """Pre-test level equalizing the two regret maxima."""
-    cache = {}
-
-    def sups(a):
-        if a not in cache:
-            cache[a] = sup_regret_pt(design, a, convention)
-        return cache[a]
-
-    return _solve(sups, pooling_region(design))
+    return _solve(lambda a: sup_regret_pt(design, a), pooling_region(design))
 
 
 def _inf_quadratic(h2: float, h1: float, h0: float) -> tuple[float, float]:
@@ -262,34 +254,23 @@ def _inf_quadratic(h2: float, h1: float, h0: float) -> tuple[float, float]:
     return best_k, best_r
 
 
-def inf_k_risk(
-    design: DesignPair,
-    delta: float,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> tuple[float, float]:
+def inf_k_risk(design: DesignPair, delta: float, alpha: float) -> tuple[float, float]:
     """(k, risk) minimizing the shrinkage risk over k in [0, 1] at this delta."""
-    h2, h1, h0 = risk_k_coefficients(design, delta, alpha, convention)
+    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
     return _inf_quadratic(h2, h1, h0)
 
 
-def regret_shrink(
-    design: DesignPair,
-    delta: float,
-    alpha: float,
-    k: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> float:
+def regret_shrink(design: DesignPair, delta: float, alpha: float, k: float) -> float:
     """Excess risk of shrinkage weight k over the best weight at this delta."""
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"k must lie in [0, 1], got {k}")
-    h2, h1, h0 = risk_k_coefficients(design, delta, alpha, convention)
+    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
     _, rmin = _inf_quadratic(h2, h1, h0)
     return max(0.0, h2 * k * k + h1 * k + h0 - rmin)
 
 
-def _regret_shrink_grid(design, deltas, alpha, k, convention):
-    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha, convention)
+def _regret_shrink_grid(design, deltas, alpha, k):
+    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
     risk = h2 * k * k + h1 * k + h0
     rmin = np.minimum(h0, h2 + h1 + h0)
     pos = h2 > 0.0
@@ -301,11 +282,7 @@ def _regret_shrink_grid(design, deltas, alpha, k, convention):
     return np.maximum(0.0, risk - rmin)
 
 
-def pt_risk_crossings(
-    design: DesignPair,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> tuple[float, float]:
+def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
     """(lo, hi) where the pre-test risk crosses the MLE risk 1/n1.
 
     lo is 0.0 when the risk never rises above 1/n1 below the dip.
@@ -313,7 +290,7 @@ def pt_risk_crossings(
     r1 = 1.0 / design.n1
 
     def f(d):
-        return pt_risk(design, d, alpha, convention) - r1
+        return pt_risk(design, d, alpha) - r1
 
     if not f(1.0) < 0.0:
         raise SearchError(f"no pooling advantage at delta=1 for {design}, alpha={alpha}")
@@ -339,36 +316,24 @@ def sup_regret_shrink(
     design: DesignPair,
     alpha: float,
     k: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
     crossings: tuple[float, float] | None = None,
 ) -> tuple[float, float, float, float]:
     """(delta_L, reg_L, delta_U, reg_U) for the shrinkage regret at weight k."""
     if crossings is None:
-        crossings = pt_risk_crossings(design, alpha, convention)
+        crossings = pt_risk_crossings(design, alpha)
     return _two_sided_sup(
-        lambda g: _regret_shrink_grid(design, g, alpha, k, convention),
-        lambda d: regret_shrink(design, d, alpha, k, convention),
+        lambda g: _regret_shrink_grid(design, g, alpha, k),
+        lambda d: regret_shrink(design, d, alpha, k),
         crossings[1],
     )
 
 
-def optimal_k(
-    design: DesignPair,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> RegretSolution:
+def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
     """Shrinkage weight equalizing the two regret maxima at a fixed level alpha."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    crossings = pt_risk_crossings(design, alpha, convention)
-    cache = {}
-
-    def sups(k):
-        if k not in cache:
-            cache[k] = sup_regret_shrink(design, alpha, k, convention, crossings)
-        return cache[k]
-
-    return _solve(sups, crossings)
+    crossings = pt_risk_crossings(design, alpha)
+    return _solve(lambda k: sup_regret_shrink(design, alpha, k, crossings), crossings)
 
 
 TABLE_GRID = (2, 3, 4, 5, 7, 10)
@@ -379,7 +344,6 @@ def generate_tables(
     designs=None,
     alpha: float = 0.16,
     variant: Variant = Variant.KNOWN_LOCATION,
-    convention: BoundConvention = DEFAULT_CONVENTION,
 ) -> list[TableCell]:
     """Run the relevant optimizer over a design grid, one cell per design.
 
@@ -392,14 +356,14 @@ def generate_tables(
     for design in designs:
         try:
             if case is TableCase.ALPHA:
-                sol = optimal_alpha(design, convention)
+                sol = optimal_alpha(design)
                 a_star, k_star = sol.tuned_value, None
             elif case is TableCase.K_FIXED_ALPHA:
-                sol = optimal_k(design, alpha, convention)
+                sol = optimal_k(design, alpha)
                 a_star, k_star = alpha, sol.tuned_value
             else:
-                sol_a = optimal_alpha(design, convention)
-                sol = optimal_k(design, sol_a.tuned_value, convention)
+                sol_a = optimal_alpha(design)
+                sol = optimal_k(design, sol_a.tuned_value)
                 a_star, k_star = sol_a.tuned_value, sol.tuned_value
             cells.append(
                 TableCell(

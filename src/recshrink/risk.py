@@ -16,9 +16,10 @@ in the coefficient k:
 
 with k = 1 giving the pre-test rule and k = 0 the bare MLE.  An alternative
 linear map d_j = 1 - n2/(c_j*n1*delta) is kept behind
-``BoundConvention.PAPER_LINEAR`` for comparison; the Monte Carlo validation
-run (``sim.convention_validation``, ``recshrink validate``) rejects it and
-selects ``DERIVED_RATIO``, which is the default everywhere.
+``BoundConvention.PAPER_LINEAR`` only for comparison at the level of
+``d_bounds`` and the risk functions here; the Monte Carlo validation run
+(``sim.convention_validation``, ``recshrink validate``) rejects it.  The
+tuners in ``minimax`` and the command line always use ``DERIVED_RATIO``.
 
 The five brackets I_{d2} - I_{d1} sit at the shifted shapes (m1+i, m2+j).
 Each needs only the base values I_d(m1, m2) at the two bounds and the front
@@ -82,6 +83,19 @@ class RiskParams:
             raise ValueError(f"theta1 must be positive, got {self.theta1}")
 
 
+def _beta_bound(c, n1: int, n2: int, delta, convention: BoundConvention):
+    """Beta-scale acceptance bound for the critical value c; delta a float or an array.
+
+    The ratio form t/(t + n2), t = c*n1*delta, already lies in [0, 1]; the
+    linear form 1 - n2/t is clipped into it.
+    """
+    t = c * n1 * delta
+    if convention is BoundConvention.DERIVED_RATIO:
+        return t / (t + n2)
+    with np.errstate(divide="ignore"):
+        return np.clip(1.0 - n2 / np.asarray(t, dtype=float), 0.0, 1.0)
+
+
 def d_bounds(
     design: DesignPair,
     delta: float,
@@ -89,22 +103,18 @@ def d_bounds(
     c2: float,
     convention: BoundConvention = DEFAULT_CONVENTION,
 ) -> IntegrationBounds:
-    """Beta-scale acceptance bounds for the given critical values, clamped to [0, 1]."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    """Beta-scale acceptance bounds for the given critical values, within [0, 1]."""
+    # a plain comparison: np.all on a float would cost more than the bounds
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if c1 > c2:
         raise ValueError(f"need c1 <= c2, got ({c1}, {c2})")
     n1, n2 = design.n1, design.n2
-
-    def to_beta(c: float) -> float:
-        t = c * n1 * delta
-        if convention is BoundConvention.DERIVED_RATIO:
-            v = t / (t + n2)
-        else:
-            v = 1.0 - n2 / t if t > 0.0 else -math.inf
-        return min(1.0, max(0.0, v))
-
-    return IntegrationBounds(to_beta(c1), to_beta(c2), convention)
+    return IntegrationBounds(
+        float(_beta_bound(c1, n1, n2, delta, convention)),
+        float(_beta_bound(c2, n1, n2, delta, convention)),
+        convention,
+    )
 
 
 def _shift_terms(x, a: float, b: float) -> dict:
@@ -180,21 +190,14 @@ def risk_k_coefficients_grid(
 ):
     """Vectorized risk_k_coefficients over an array of delta values."""
     dv = np.asarray(deltas, dtype=float)
-    if np.any(dv <= 0.0):
-        raise ValueError("delta values must be positive")
+    if not np.all((dv > 0.0) & (dv < np.inf)):  # NaN fails both comparisons
+        raise ValueError("delta must be positive and finite")
     c1, c2 = critical_values(design, alpha)
     n1, n2 = design.n1, design.n2
-    if convention is BoundConvention.DERIVED_RATIO:
-        t1 = c1 * n1 * dv
-        t2 = c2 * n1 * dv
-        d1 = t1 / (t1 + n2)
-        d2 = t2 / (t2 + n2)
-    else:
-        with np.errstate(divide="ignore"):
-            d1 = 1.0 - n2 / (c1 * n1 * dv)
-            d2 = 1.0 - n2 / (c2 * n1 * dv)
+    d1 = _beta_bound(c1, n1, n2, dv, convention)
+    d2 = _beta_bound(c2, n1, n2, dv, convention)
     # one incomplete beta over both bounds at once, at the base shapes
-    x = np.concatenate((np.clip(d1, 0.0, 1.0).reshape(-1), np.clip(d2, 0.0, 1.0).reshape(-1)))
+    x = np.concatenate((d1.reshape(-1), d2.reshape(-1)))
     m1, m2 = design.shapes
     n = dv.size
     base = reg_inc_beta_grid(x, m1, m2)

@@ -4,7 +4,8 @@ Scalar routines are self-contained (stdlib ``math`` only) and accurate to
 roughly 1e-13 absolute over the shape range this package needs (a, b up to
 a few hundred).  ``reg_inc_beta_grid`` evaluates the same function over a
 numpy array of x values; it backs the risk-curve and regret-search hot
-paths and is tested to agree with the scalar route to 1e-13.
+paths, which only ever pass integer shapes, and is tested to agree with the
+scalar route to 1e-13.
 
 The route depends on the shapes alone.  When a and b are both integers
 (ints or integer-valued floats; every shape the risk and the F quantiles
@@ -12,7 +13,8 @@ use is one), I_x(a, b) = P(Bin(a+b-1, x) >= a) is a finite binomial sum
 (Abramowitz & Stegun §26.5): the tail beyond the mean is summed from its
 largest term, and the other side is taken as one minus the opposite tail.
 Any other shapes go through the modified-Lentz continued fraction, or the
-ascending series deep in a tail.  ``beta_front`` is the front factor
+ascending series deep in a tail; the grid has no array form of those and
+takes such shapes point by point through the scalar ``reg_inc_beta``.  ``beta_front`` is the front factor
 x^a (1-x)^b / B(a, b) both routes start from; the risk module also builds
 its shifted-shape recurrences from it.
 """
@@ -189,42 +191,6 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _betacf(b, a, xc) / b
 
 
-def _betacf_vec(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized modified-Lentz continued fraction (scalar shapes)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _MAX_CF_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done |= np.abs(delta - 1.0) < _EPS
-        if done.all():
-            return h
-    raise ArithmeticError(
-        f"vectorized incomplete beta continued fraction did not converge (a={a}, b={b})"
-    )
-
-
 def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
     """I_x(a, b) over an array of x values in [0, 1].
 
@@ -237,24 +203,18 @@ def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
     if not np.all((xv >= 0.0) & (xv <= 1.0)):  # NaN fails both comparisons
         raise ValueError("x values must lie in [0, 1]")
     xf = xv.reshape(-1)
+    if not _integer_shapes(a, b):
+        return np.array([reg_inc_beta(v, a, b) for v in xf.tolist()], dtype=float).reshape(xv.shape)
     front = beta_front(xf, a, b)
-    if _integer_shapes(a, b):
-        ia, ib = int(a), int(b)
-        lower = xf * (a + b - 1.0) < a
+    ia, ib = int(a), int(b)
+    lower = xf * (a + b - 1.0) < a
 
-        def below(xs, fr):
-            return _binom_tail_vec(ia, ib, fr / (a * (1.0 - xs)), xs / (1.0 - xs))
+    def below(xs, fr):
+        return _binom_tail_vec(ia, ib, fr / (a * (1.0 - xs)), xs / (1.0 - xs))
 
-        def above(xs, fr):
-            return 1.0 - _binom_tail_vec(ib, ia, fr / (b * xs), (1.0 - xs) / xs)
-    else:
-        lower = xf < (a + 1.0) / (a + b + 2.0)
+    def above(xs, fr):
+        return 1.0 - _binom_tail_vec(ib, ia, fr / (b * xs), (1.0 - xs) / xs)
 
-        def below(xs, fr):
-            return fr * _betacf_vec(a, b, xs) / a
-
-        def above(xs, fr):
-            return 1.0 - fr * _betacf_vec(b, a, 1.0 - xs) / b
     n_lower = np.count_nonzero(lower)
     if n_lower == xf.size:
         out = below(xf, front)

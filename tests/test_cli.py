@@ -124,6 +124,26 @@ class TestRiskCurve:
         k0 = [float(r[1]) for r in body if r[2] == "shrink" and r[4] == "0"]
         assert all(abs(v - 0.2) < 1e-9 for v in k0)
 
+    def test_json_records_match_csv_rows(self, capsys):
+        argv = ["risk-curve", "--n1", "5", "--n2", "6", "--alpha", "0.16",
+                "--k", "0", "--k", "1", "--delta-steps", "7"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == len(rows) - 1 == 7 * 4
+
+        def cell(v):
+            return "" if v is None else v if isinstance(v, str) else f"{v:.6g}"
+
+        for rec, row in zip(records, rows[1:]):
+            assert set(rec) == {"delta", "risk", "family", "alpha", "k"}
+            if rec["family"] in ("pooled", "mle"):
+                assert rec["alpha"] is None and rec["k"] is None
+            assert [cell(rec[col]) for col in rows[0]] == row
+
     def test_alpha_one_curve_is_flat(self, capsys):
         code, out, _ = run_cli(
             capsys, "risk-curve", "--n1", "5", "--n2", "6", "--alpha", "1",

@@ -293,7 +293,7 @@ class TestGenerateTables:
     def test_cell_errors_do_not_abort(self, monkeypatch):
         import recshrink.minimax as mm
 
-        def boom(design, convention):
+        def boom(design):
             raise SearchError("injected failure")
 
         monkeypatch.setattr(mm, "optimal_alpha", boom)

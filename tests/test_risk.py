@@ -149,6 +149,21 @@ class TestDegeneracies:
         assert bias == pytest.approx(2.0 * (d.shapes[0] / d.n1 - 1.0), abs=1e-15)
         assert mse == pytest.approx(4.0 * h0, abs=1e-14)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, variant, delta):
+        # inf used to give NaN coefficients and moments, and the grid let
+        # both through to the incomplete beta's "x values" error
+        d = DesignPair(5, 6, variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta must be positive"):
+                risk_k_coefficients(d, delta, 0.16)
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                risk_k_coefficients_grid(d, np.array([1.0, delta]), 0.16)
+            with pytest.raises(ValueError, match="delta must be positive"):
+                shrink_moments(RiskParams(d, delta, 0.16))
+
 
 class TestMomentsAgainstOracle:
     def test_pt_mse_matches_simulation(self):
