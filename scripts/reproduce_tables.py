@@ -3,7 +3,8 @@
 
 Runs the minimax-regret optimizers over the full 6x6 design grid:
 table 1 tunes the pre-test level, table 2 the shrinkage coefficient at a
-fixed level, table 3 chains both.  About a minute in total.
+fixed level, table 3 chains both.  About a second in total on a 2-core
+machine.
 
     python scripts/reproduce_tables.py --outdir results/
 """

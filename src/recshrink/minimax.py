@@ -18,6 +18,20 @@ For K*, regret measures the risk at coefficient k against its pointwise
 minimum over k in [0, 1] (an exact quadratic), and delta2 is the upper
 crossing of the pre-test risk with 1/n1.
 
+Each side's supremum is searched on one fixed log grid in delta, 200 nodes
+a decade: the lower side spans [delta2/1e4, delta2], the upper side
+(delta2, 1e4*delta2].  For alpha the lower side is cut at delta1, where the
+regret jumps up as its reference switches from 1/n1 to r0; the node
+delta1*(1 + 1e-9) carries the right-hand limit.  A side's grid sup is its
+argmax lifted to the vertex of the parabola in log delta, never taken
+across a cut.  The 15-level scan and Brent's root of reg_L - reg_U run on
+these grid sups.  For K* they are array arithmetic on one table of
+(h2, h1, h0 - rmin), since no coefficient depends on k; for alpha* each
+level costs one grid evaluation.  The golden-section polish with the scalar
+regret runs only at the root, which then takes one Newton step on the
+polished residual, and the polished sups at the corrected root are the
+reported solution.
+
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
 """
@@ -36,14 +50,15 @@ from .risk import (
     pt_risk,
     risk_k_coefficients,
     risk_k_coefficients_grid,
-    shrink_risk,
 )
 
-_GRID_POINTS = 200
-_LOWER_SPAN = 1e-4          # lower search grid starts at delta2 * this
+_SPAN = 1e4                 # each side's grid spans this factor from the edge
+_PER_DECADE = 200           # grid nodes per decade of delta
+_JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _REFINE_XTOL = 1e-6
+_TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
 _SCAN = tuple(np.linspace(0.01, 0.99, 15))
-_EQUALIZE_TOL = 1e-5
+_ROOT_XTOL = 1e-4           # Brent on the grid residual; the Newton step does the rest
 _MAX_DOUBLINGS = 60
 
 
@@ -143,46 +158,102 @@ def _regret_pt_grid(design, deltas, alpha, region):
     return np.maximum(0.0, risk - ref)
 
 
-def _refine_max(grid, values, f):
-    """Golden-section polish around the argmax of a sampled curve."""
-    i = int(np.argmax(values))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, fx = golden_section_max(f, lo, hi, xtol=_REFINE_XTOL)
-    if values[i] > fx:
-        return float(grid[i]), float(values[i])
-    return x, fx
+def _fixed_grid(edge: float, split: float | None = None):
+    """(deltas, segments): both sides' log-spaced nodes around ``edge``.
 
-
-def _two_sided_sup(batch, scalar, edge):
-    """Maxima of a regret curve below and above the window edge.
-
-    The lower region is scanned on a log grid down to edge*1e-4; the upper
-    grid expands geometrically (doubling from 4*edge) until its maximum is
-    interior, so humps arbitrarily far out are still bracketed.
+    ``segments`` holds (start, stop) index ranges into ``deltas``; the last
+    one is the upper side (edge, _SPAN*edge], the others make up the lower
+    side [edge/_SPAN, edge].  A cut at ``split`` (delta1) ends one segment
+    there and starts the next at delta1*(1 + _JUMP), the right-hand limit
+    of the alpha regret's jump.  Nothing interpolates across a segment end.
     """
-    grid_lo = np.geomspace(edge * _LOWER_SPAN, edge, _GRID_POINTS)
-    d_lo, r_lo = _refine_max(grid_lo, batch(grid_lo), scalar)
-    top = 4.0 * edge
-    for _ in range(_MAX_DOUBLINGS):
-        grid_hi = np.geomspace(edge * (1.0 + 1e-9), top, _GRID_POINTS)
-        vals = batch(grid_hi)
-        if int(np.argmax(vals)) < len(grid_hi) - 1:
-            d_hi, r_hi = _refine_max(grid_hi, vals, scalar)
-            return d_lo, r_lo, d_hi, r_hi
-        top *= 2.0
-    raise SearchError(f"regret still rising at delta={top:g}; no interior maximum above {edge:g}")
+    ends = [(edge / _SPAN, edge)]
+    if split is not None and ends[0][0] < split < edge:
+        ends = [(edge / _SPAN, split), (split * (1.0 + _JUMP), edge)]
+    ends.append((edge * (1.0 + _JUMP), edge * _SPAN))
+    pieces = [
+        np.geomspace(a, b, max(3, math.ceil(_PER_DECADE * math.log10(b / a)) + 1))
+        for a, b in ends
+    ]
+    stops = np.cumsum([len(p) for p in pieces]).tolist()
+    return np.concatenate(pieces), tuple(zip([0] + stops[:-1], stops))
+
+
+def _side_max(deltas, values, segments):
+    """(node, delta, value) of the largest segment maximum on one side.
+
+    Each segment's argmax is lifted to the vertex of the parabola through it
+    and its two neighbours in log delta; an argmax at a segment end stays on
+    its node.
+    """
+    best = None
+    for start, stop in segments:
+        i = start + int(np.argmax(values[start:stop]))
+        delta, value = deltas[i], values[i]
+        if start < i < stop - 1:
+            fm, fp = values[i - 1], values[i + 1]
+            curv = fm - 2.0 * value + fp
+            if curv < 0.0:
+                p = 0.5 * (fm - fp) / curv
+                delta = delta * (deltas[i + 1] / delta) ** p
+                value = value - 0.25 * (fm - fp) * p
+        if best is None or value > best[2]:
+            best = (i, delta, value)
+    return best
+
+
+def _grid_sups(grid, values) -> tuple[float, float, float, float]:
+    """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
+    deltas, segments = grid
+    _, d_lo, r_lo = _side_max(deltas, values, segments[:-1])
+    _, d_hi, r_hi = _side_max(deltas, values, segments[-1:])
+    return float(d_lo), float(r_lo), float(d_hi), float(r_hi)
+
+
+def _polished_sups(grid, values, regret) -> tuple[float, float, float, float]:
+    """Golden-section polish of each side's grid maxima with the scalar regret.
+
+    Every local maximum of a segment whose node lies within _TIE_MARGIN of
+    the node that wins the vertex scan is polished, since a kinked hump can
+    sit below its true height on the grid; usually that is the argmax alone.
+    A polish brackets its node by the neighbours inside the same segment,
+    and the node itself wins if the polish finds nothing higher.
+    """
+    deltas, segments = grid
+    out = []
+    for side in (segments[:-1], segments[-1:]):
+        floor = values[_side_max(deltas, values, side)[0]] * (1.0 - _TIE_MARGIN)
+        best = None
+        for start, stop in side:
+            seg = values[start:stop]
+            left = np.concatenate(([-np.inf], seg[:-1]))
+            right = np.concatenate((seg[1:], [-np.inf]))
+            for i in start + np.flatnonzero((seg > left) & (seg >= right) & (seg >= floor)):
+                lo = float(deltas[max(i - 1, start)])
+                hi = float(deltas[min(i + 1, stop - 1)])
+                x, fx = golden_section_max(regret, lo, hi, xtol=_REFINE_XTOL)
+                if values[i] > fx:
+                    x, fx = deltas[i], values[i]
+                if best is None or fx > best[1]:
+                    best = (x, fx)
+        out += [float(best[0]), float(best[1])]
+    return tuple(out)
 
 
 def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float, float]:
-    """(delta_L, reg_L, delta_U, reg_U) for the pre-test regret at level alpha."""
+    """(delta_L, reg_L, delta_U, reg_U) for the pre-test regret at level alpha.
+
+    The lower side is cut at the window's lower edge delta1, where the
+    regret jumps up as its reference switches from 1/n1 to r0.
+    """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     region = pooling_region(design)
-    return _two_sided_sup(
-        lambda g: _regret_pt_grid(design, g, alpha, region),
+    grid = _fixed_grid(region[1], split=region[0])
+    return _polished_sups(
+        grid,
+        _regret_pt_grid(design, grid[0], alpha, region),
         lambda d: regret_pt(design, d, alpha),
-        region[1],
     )
 
 
@@ -198,7 +269,7 @@ def _equalize(sups, domain_lo=0.01, domain_hi=0.99):
         if vals[i] == 0.0:
             return float(_SCAN[i]), False
         if (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-            return brent_root(g, float(_SCAN[i]), float(_SCAN[i + 1]), xtol=1e-7), False
+            return brent_root(g, float(_SCAN[i]), float(_SCAN[i + 1]), xtol=_ROOT_XTOL), False
     if vals[-1] == 0.0:
         return float(_SCAN[-1]), False
 
@@ -210,30 +281,67 @@ def _equalize(sups, domain_lo=0.01, domain_hi=0.99):
     return t, True
 
 
-def _solve(sup, window) -> RegretSolution:
+def _bracket_slope(sups: dict, root: float) -> float:
+    """Secant slope of the grid residual reg_L - reg_U across Brent's last bracket.
+
+    ``sups`` holds every grid evaluation of the search.  The far end is the
+    point nearest the root whose residual has the opposite sign (any point
+    if the root's residual is exactly 0), so no new level is evaluated.
+    """
+    g = {t: s[1] - s[3] for t, s in sups.items()}
+    others = [t for t in g if t != root]
+    far = min(
+        [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
+        key=lambda t: abs(t - root),
+    )
+    return (g[far] - g[root]) / (far - root)
+
+
+def _solve(grid_sups, sup, window, what: str) -> RegretSolution:
     """Equalized solution over the window (delta1, delta2), in plain floats.
 
-    ``sup`` maps the tuned value to (delta_L, reg_L, delta_U, reg_U); each
-    value is evaluated once, since the final solution revisits the root.
-    The root and the regrets come out of numpy as np.float64; casting here
-    keeps them out of the solution and of the error messages it raises.
+    ``grid_sups`` maps the tuned value to the vertex-scan sups on the fixed
+    grid, and ``sup`` to the golden-polished sups.  The scan and Brent's root
+    run on the grid sups, each value evaluated once.  The root then gets one
+    Newton step: the residual of the polished sups over the slope of the grid
+    residual across Brent's last bracket.  The polish runs only there and at
+    the corrected root, whose polished sups are the reported solution.
+    ``what`` names the inputs in a SearchError.
     """
-    cache = {}
+    memo = {}
 
     def sups(t):
-        if t not in cache:
-            cache[t] = sup(t)
-        return cache[t]
+        if t not in memo:
+            memo[t] = grid_sups(t)
+        return memo[t]
 
-    root, fallback = _equalize(sups)
-    d_lo, r_lo, d_hi, r_hi = sups(root)
-    values = (root, *window, d_lo, d_hi, r_lo, r_hi)
-    return RegretSolution(*(float(v) for v in values), fallback)
+    try:
+        t, fallback = _equalize(sups)
+        d_lo, r_lo, d_hi, r_hi = sup(t)
+        slope = 0.0 if fallback else _bracket_slope(memo, t)
+        if slope != 0.0:
+            t -= (r_lo - r_hi) / slope
+            d_lo, r_lo, d_hi, r_hi = sup(t)
+        values = (t, *window, d_lo, d_hi, r_lo, r_hi)
+        return RegretSolution(*(float(v) for v in values), fallback)
+    except SearchError as exc:
+        raise SearchError(f"{what}: {exc}") from exc
+
+
+def _design_label(design: DesignPair) -> str:
+    return f"design ({design.n1}, {design.n2}) {design.variant.value}"
 
 
 def optimal_alpha(design: DesignPair) -> RegretSolution:
     """Pre-test level equalizing the two regret maxima."""
-    return _solve(lambda a: sup_regret_pt(design, a), pooling_region(design))
+    region = pooling_region(design)
+    grid = _fixed_grid(region[1], split=region[0])
+    return _solve(
+        lambda a: _grid_sups(grid, _regret_pt_grid(design, grid[0], a, region)),
+        lambda a: sup_regret_pt(design, a),
+        region,
+        f"alpha* at {_design_label(design)}",
+    )
 
 
 def _inf_quadratic(h2: float, h1: float, h0: float) -> tuple[float, float]:
@@ -269,9 +377,9 @@ def regret_shrink(design: DesignPair, delta: float, alpha: float, k: float) -> f
     return max(0.0, h2 * k * k + h1 * k + h0 - rmin)
 
 
-def _regret_shrink_grid(design, deltas, alpha, k):
+def _shrink_terms(design, deltas, alpha):
+    """(h2, h1, h0 - rmin) over deltas: the shrinkage regret is h2*k^2 + h1*k + that."""
     h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
-    risk = h2 * k * k + h1 * k + h0
     rmin = np.minimum(h0, h2 + h1 + h0)
     pos = h2 > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -279,7 +387,12 @@ def _regret_shrink_grid(design, deltas, alpha, k):
         vertex = np.where(pos, h0 - h1 * h1 / (4.0 * h2), np.inf)
     interior = pos & (k0 > 0.0) & (k0 < 1.0)
     rmin = np.where(interior, np.minimum(rmin, vertex), rmin)
-    return np.maximum(0.0, risk - rmin)
+    return h2, h1, h0 - rmin
+
+
+def _regret_shrink_table(terms, k):
+    h2, h1, c = terms
+    return np.maximum(0.0, h2 * k * k + h1 * k + c)
 
 
 def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
@@ -321,19 +434,31 @@ def sup_regret_shrink(
     """(delta_L, reg_L, delta_U, reg_U) for the shrinkage regret at weight k."""
     if crossings is None:
         crossings = pt_risk_crossings(design, alpha)
-    return _two_sided_sup(
-        lambda g: _regret_shrink_grid(design, g, alpha, k),
+    grid = _fixed_grid(crossings[1])
+    return _polished_sups(
+        grid,
+        _regret_shrink_table(_shrink_terms(design, grid[0], alpha), k),
         lambda d: regret_shrink(design, d, alpha, k),
-        crossings[1],
     )
 
 
 def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
-    """Shrinkage weight equalizing the two regret maxima at a fixed level alpha."""
+    """Shrinkage weight equalizing the two regret maxima at a fixed level alpha.
+
+    No coefficient depends on k, so one grid of (h2, h1, h0 - rmin) serves
+    every k the search visits.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     crossings = pt_risk_crossings(design, alpha)
-    return _solve(lambda k: sup_regret_shrink(design, alpha, k, crossings), crossings)
+    grid = _fixed_grid(crossings[1])
+    terms = _shrink_terms(design, grid[0], alpha)
+    return _solve(
+        lambda k: _grid_sups(grid, _regret_shrink_table(terms, k)),
+        lambda k: sup_regret_shrink(design, alpha, k, crossings),
+        crossings,
+        f"K* at {_design_label(design)}, alpha={alpha}",
+    )
 
 
 TABLE_GRID = (2, 3, 4, 5, 7, 10)

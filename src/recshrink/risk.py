@@ -86,12 +86,15 @@ class RiskParams:
 def _beta_bound(c, n1: int, n2: int, delta, convention: BoundConvention):
     """Beta-scale acceptance bound for the critical value c; delta a float or an array.
 
-    The ratio form t/(t + n2), t = c*n1*delta, already lies in [0, 1]; the
-    linear form 1 - n2/t is clipped into it.
+    The ratio form t/(t + n2), t = c*n1*delta, lies in [0, 1]; above
+    delta = 1 it is evaluated as c*n1/(c*n1 + n2/delta), so no term
+    overflows and every finite delta > 0, subnormal ones included, gives a
+    finite bound.  The linear form 1 - n2/t is clipped into [0, 1].
     """
-    t = c * n1 * delta
     if convention is BoundConvention.DERIVED_RATIO:
-        return t / (t + n2)
+        t = c * n1 * np.minimum(delta, 1.0)
+        return t / (t + n2 / np.maximum(delta, 1.0))
+    t = c * n1 * delta
     with np.errstate(divide="ignore"):
         return np.clip(1.0 - n2 / np.asarray(t, dtype=float), 0.0, 1.0)
 
@@ -153,19 +156,23 @@ def _brackets(design: DesignPair, bounds: IntegrationBounds) -> dict:
 def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
     """(h2, h1, h0) of the risk quadratic; delta may be a scalar or an array.
 
-    delta multiplies into a bracket before it is squared, so a bracket that
-    is exactly 0 (both bounds at 1 for huge delta) contributes exactly 0.
+    delta multiplies into a bracket before anything else does, so a bracket
+    that is exactly 0 (both bounds at 1 for huge delta) contributes exactly
+    0 and no product overflows on its way there.
     """
     n1, n2 = design.n1, design.n2
     m1, m2 = design.shapes
     lam = design.lam
     e1 = m1 / n1
-    v2 = delta * m2 / n2
+    v2 = m2 / n2
     q1 = m1 * (m1 + 1) / n1**2
-    q2 = m2 * (m2 + 1) / n2**2 * delta
-    q12 = delta * m1 * m2 / (n1 * n2)
-    h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * br[(1, 1)] + q2 * (delta * br[(0, 2)]))
-    h1 = 2.0 * lam * (-q1 * br[(2, 0)] + q12 * br[(1, 1)] + e1 * br[(1, 0)] - v2 * br[(0, 1)])
+    q2 = m2 * (m2 + 1) / n2**2
+    q12 = m1 * m2 / (n1 * n2)
+    b01 = delta * br[(0, 1)]
+    b11 = delta * br[(1, 1)]
+    b02 = delta * (delta * br[(0, 2)])
+    h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * b11 + q2 * b02)
+    h1 = 2.0 * lam * (-q1 * br[(2, 0)] + q12 * b11 + e1 * br[(1, 0)] - v2 * b01)
     h0 = q1 - 2.0 * e1 + 1.0
     return h2, h1, h0
 
@@ -249,19 +256,21 @@ def shrink_moments(params: RiskParams) -> tuple[float, float]:
     """(bias, mse) of the shrinkage estimator in original units."""
     design = params.design
     th1 = params.theta1
-    th2 = params.delta * th1
+    delta = params.delta
     n1, n2 = design.n1, design.n2
     m1, m2 = design.shapes
     lam, k = design.lam, params.k
     c1, c2 = critical_values(design, params.alpha)
-    br = _brackets(design, d_bounds(design, params.delta, c1, c2, params.convention))
+    br = _brackets(design, d_bounds(design, delta, c1, c2, params.convention))
 
+    # theta2 = delta*theta1 enters through delta*bracket, as in the risk, so
+    # a zero bracket stays 0 even where theta2 itself would overflow
     mean_mle = th1 * m1 / n1
     e1a = th1 * (m1 / n1) * br[(1, 0)]                       # E[mle1; accept]
-    e2a = th2 * (m2 / n2) * br[(0, 1)]                       # E[mle2; accept]
+    e2a = th1 * (m2 / n2) * (delta * br[(0, 1)])             # E[mle2; accept]
     e11a = th1 * th1 * m1 * (m1 + 1) / n1**2 * br[(2, 0)]    # E[mle1^2; accept]
-    e22a = th2 * m2 * (m2 + 1) / n2**2 * (th2 * br[(0, 2)])
-    e12a = th1 * th2 * m1 * m2 / (n1 * n2) * br[(1, 1)]
+    e22a = th1 * th1 * m2 * (m2 + 1) / n2**2 * (delta * (delta * br[(0, 2)]))
+    e12a = th1 * th1 * m1 * m2 / (n1 * n2) * (delta * br[(1, 1)])
 
     mean = mean_mle - k * lam * e1a + k * lam * e2a
     second = (

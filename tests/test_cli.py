@@ -212,6 +212,14 @@ class TestTables:
         assert cells[0]["k_star"] == pytest.approx(0.22, abs=0.015)
         assert cells[0]["error"] is None
 
+    def test_location_scale_table2_solves_every_cell(self, capsys):
+        code, out, err = run_cli(capsys, "tables", "2", "--variant", "locscale",
+                                 "--format", "json")
+        assert code == 0, err
+        cells = json.loads(out)
+        assert len(cells) == 36
+        assert all(c["error"] is None for c in cells)
+
 
 class TestSimulate:
     ARGS = (

@@ -1,0 +1,55 @@
+"""scripts/compare_tables.py: the per-cell gate between two table outputs."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).parents[1] / "scripts" / "compare_tables.py"
+_spec = importlib.util.spec_from_file_location("compare_tables", _PATH)
+compare_tables = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_tables)
+
+
+def _cell(n1, n2, alpha=0.3, k=0.2, regret=0.05, error=None):
+    if error:
+        return {"n1": n1, "n2": n2, "alpha_star": None, "k_star": None,
+                "regret_level": None, "delta_L": None, "delta_U": None, "error": error}
+    return {"n1": n1, "n2": n2, "alpha_star": alpha, "k_star": k, "regret_level": regret,
+            "delta_L": 0.8, "delta_U": 3.0, "error": None}
+
+
+def _run(tmp_path, capsys, a, b, *extra):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    code = compare_tables.main([str(pa), str(pb), *extra])
+    return code, capsys.readouterr().out
+
+
+def test_identical_tables_pass(tmp_path, capsys):
+    cells = [_cell(2, 2), _cell(3, 2, error="boom")]
+    code, out = _run(tmp_path, capsys, cells, cells)
+    assert code == 0
+    assert "max |diff| alpha_star (abs): 0" in out
+    assert "0 cell(s) differ" in out
+
+
+def test_moved_value_and_error_status_are_listed(tmp_path, capsys):
+    a = [_cell(2, 2), _cell(3, 2), _cell(4, 2)]
+    b = [_cell(2, 2, k=0.2 + 5e-7), _cell(3, 2, alpha=0.3 + 2e-6), _cell(4, 2, error="boom")]
+    code, out = _run(tmp_path, capsys, a, b)
+    assert code == 1
+    assert "(3, 2): alpha_star" in out
+    assert "(4, 2): error None vs 'boom'" in out
+    assert "(2, 2)" not in out
+    assert "2 cell(s) differ beyond 1e-06" in out
+    assert _run(tmp_path, capsys, a[:2], b[:2], "--tol", "1e-5")[0] == 0
+
+
+def test_regret_compared_relative(tmp_path, capsys):
+    worst, problems = compare_tables.compare([_cell(2, 2, regret=1e-3)],
+                                             [_cell(2, 2, regret=1e-3 * (1 + 2e-6))], 1e-6)
+    assert worst["regret_level"] == pytest.approx(2e-6, rel=1e-5)
+    assert len(problems) == 1

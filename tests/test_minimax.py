@@ -301,3 +301,84 @@ class TestGenerateTables:
                                                              DesignPair(3, 3)])
         assert all(c.error == "injected failure" for c in cells)
         assert len(cells) == 2
+
+
+class TestWindowEdgeJump:
+    def test_alpha_lower_sup_is_right_limit_at_delta1(self):
+        # the alpha regret jumps up at delta1, where its reference switches
+        # from 1/n1 to r0; at (5, 2) the lower sup sits on that jump
+        d = DesignPair(5, 2)
+        sol = optimal_alpha(d)
+        at_jump = regret_pt(d, sol.delta1 * (1.0 + 1e-9), sol.tuned_value)
+        assert sol.regret_at_L == pytest.approx(at_jump, abs=1e-9)
+        assert sol.tuned_value == pytest.approx(0.24614, abs=1e-5)
+
+
+class TestLocationScaleTables:
+    # table 2 (K_FIXED_ALPHA) runs through the CLI in test_cli.py
+    @pytest.mark.parametrize("case", [TableCase.ALPHA, TableCase.K_OPTIMAL_ALPHA])
+    def test_every_cell_solves(self, case):
+        from recshrink.records import Variant
+
+        cells = generate_tables(case, variant=Variant.LOCATION_SCALE)
+        assert len(cells) == 36
+        assert [c for c in cells if c.error] == []
+
+
+def _sample_designs(count=8, seed=20261018):
+    """Seeded (n1, n2) pairs, log-uniform in [2, 150], plus three fixed ones.
+
+    (5, 2) and (10, 7) are published cells whose alpha* lower sup sits on the
+    jump at delta1; (150, 150) is the largest design covered.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = np.rint(np.exp(rng.uniform(np.log(2.0), np.log(150.0), (count, 2))))
+    return [tuple(int(n) for n in pair) for pair in sizes] + [(5, 2), (10, 7), (150, 150)]
+
+
+def _assert_sups_dominate_scan(sol, regret_grid):
+    # 20k-point two-sided log scan over [edge/1e4, 1e4*edge]
+    deltas = np.geomspace(sol.delta2 / 1e4, sol.delta2 * 1e4, 20_000)
+    values = regret_grid(deltas)
+    lower = deltas <= sol.delta2
+    assert values[lower].max() <= sol.regret_at_L + 1e-9
+    assert values[~lower].max() <= sol.regret_at_U + 1e-9
+
+
+class TestDenseScan:
+    @pytest.mark.parametrize("variant", ["known", "locscale"])
+    @pytest.mark.parametrize("n1,n2", _sample_designs())
+    def test_tuned_sups_are_global(self, n1, n2, variant):
+        from recshrink.minimax import _regret_pt_grid, _regret_shrink_table, _shrink_terms
+        from recshrink.records import Variant
+
+        d = DesignPair(n1, n2, Variant(variant))
+        sol_a = optimal_alpha(d)
+        alpha = sol_a.tuned_value
+        if not sol_a.fallback:
+            region = (sol_a.delta1, sol_a.delta2)
+            _assert_sups_dominate_scan(sol_a, lambda g: _regret_pt_grid(d, g, alpha, region))
+        sol_k = optimal_k(d, alpha)
+        if not sol_k.fallback:
+            k = sol_k.tuned_value
+            _assert_sups_dominate_scan(
+                sol_k, lambda g: _regret_shrink_table(_shrink_terms(d, g, alpha), k)
+            )
+
+
+class TestSearchErrorsNameInputs:
+    def test_optimal_k_error_names_design_and_level(self, monkeypatch):
+        import recshrink.minimax as mm
+
+        # polished sups that never equalize
+        monkeypatch.setattr(mm, "sup_regret_shrink", lambda *args: (0.5, 0.1, 5.0, 0.3))
+        with pytest.raises(SearchError, match=r"K\* at design \(5, 6\) known, alpha=0\.16: "
+                                              r"regret maxima not equalized"):
+            mm.optimal_k(D56, 0.16)
+
+    def test_optimal_alpha_error_names_design(self, monkeypatch):
+        import recshrink.minimax as mm
+
+        monkeypatch.setattr(mm, "sup_regret_pt", lambda *args: (0.5, 0.1, 5.0, 0.3))
+        with pytest.raises(SearchError, match=r"alpha\* at design \(5, 6\) known: "):
+            mm.optimal_alpha(D56)

@@ -15,6 +15,7 @@ from recshrink.risk import (
     BoundConvention,
     IntegrationBounds,
     RiskParams,
+    _beta_bound,
     _brackets,
     boundary_risks,
     d_bounds,
@@ -52,6 +53,16 @@ class TestDBounds:
         b = d_bounds(D56, 1e9, C1, C2, conv)
         assert b.d1 == pytest.approx(1.0, abs=1e-7)
         assert b.d2 == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310, 1e-300, 1e306, 1.7e308])
+    def test_ratio_form_finite_at_extreme_delta(self, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = d_bounds(D56, delta, C1, C2, BoundConvention.DERIVED_RATIO)
+            g1 = _beta_bound(C1, 5, 6, np.array([delta]), BoundConvention.DERIVED_RATIO)
+        assert 0.0 <= b.d1 <= b.d2 <= 1.0
+        assert g1[0] == b.d1
+        assert b.d1 == (1.0 if delta > 1.0 else pytest.approx(0.0, abs=1e-299))
 
     def test_equal_critical_values(self):
         b = d_bounds(D56, 1.3, 1.7, 1.7)
@@ -131,10 +142,11 @@ class TestDegeneracies:
         assert pt_risk(D56, delta, 0.16) == pytest.approx(0.2, abs=1e-3)
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("delta", [1e154, 1e300])
+    @pytest.mark.parametrize("delta", [1e154, 1e300, 1e306, 1e307, 1.7e308])
     def test_huge_delta_is_mle_risk_exactly(self, variant, delta):
         # both bounds round to 1 and every bracket is 0, so the risk is 1/n1
-        # and the moments are those of the single-sample MLE
+        # and the moments are those of the single-sample MLE; from ~6e306
+        # delta*m1*m2/(n1*n2) and c*n1*delta overflowed into NaN
         d = DesignPair(5, 6, variant)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
