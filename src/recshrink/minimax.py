@@ -57,7 +57,8 @@ _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _REFINE_XTOL = 1e-6
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
-_SCAN = tuple(np.linspace(0.01, 0.99, 15))
+_DOMAIN = (0.01, 0.99)      # the tuned value's search interval
+_SCAN = tuple(np.linspace(*_DOMAIN, 15))
 _ROOT_XTOL = 1e-4           # Brent on the grid residual; the Newton step does the rest
 _MAX_DOUBLINGS = 60
 
@@ -257,7 +258,7 @@ def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float
     )
 
 
-def _equalize(sups, domain_lo=0.01, domain_hi=0.99):
+def _equalize(sups):
     """Root of reg_L - reg_U over the scan grid; golden fallback without one."""
 
     def g(t):
@@ -277,7 +278,7 @@ def _equalize(sups, domain_lo=0.01, domain_hi=0.99):
         _, r_lo, _, r_hi = sups(t)
         return -max(r_lo, r_hi)
 
-    t, _ = golden_section_max(worst, domain_lo, domain_hi, xtol=1e-6)
+    t, _ = golden_section_max(worst, *_DOMAIN, xtol=1e-6)
     return t, True
 
 

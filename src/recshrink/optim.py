@@ -4,9 +4,10 @@ import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MACHEPS = 2.220446049250313e-16
+_MAXITER = 200
 
 
-def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-6, maxiter: int = 200):
+def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-6):
     """Maximize f on [lo, hi]; returns (x, f(x)).
 
     Narrows to a local maximum inside the bracket; the endpoints are also
@@ -19,7 +20,7 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-6, maxiter: int
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
     it = 0
-    while (b - a) > xtol and it < maxiter:
+    while (b - a) > xtol and it < _MAXITER:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -35,7 +36,7 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-6, maxiter: int
     return xbest, fbest
 
 
-def brent_root(f, a: float, b: float, xtol: float = 1e-12, maxiter: int = 200) -> float:
+def brent_root(f, a: float, b: float, xtol: float = 1e-12) -> float:
     """Root of f on [a, b] by Brent's method; f(a), f(b) must differ in sign."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -46,7 +47,7 @@ def brent_root(f, a: float, b: float, xtol: float = 1e-12, maxiter: int = 200) -
         raise ValueError(f"brent_root needs a sign change: f({a})={fa}, f({b})={fb}")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb

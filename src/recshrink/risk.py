@@ -14,12 +14,11 @@ in the coefficient k:
 
     risk(delta, k) = h2(delta)*k^2 + h1(delta)*k + h0,    h0 = 1/n1,
 
-with k = 1 giving the pre-test rule and k = 0 the bare MLE.  An alternative
-linear map d_j = 1 - n2/(c_j*n1*delta) is kept behind
-``BoundConvention.PAPER_LINEAR`` only for comparison at the level of
-``d_bounds`` and the risk functions here; the Monte Carlo validation run
-(``sim.convention_validation``, ``recshrink validate``) rejects it.  The
-tuners in ``minimax`` and the command line always use ``DERIVED_RATIO``.
+with k = 1 giving the pre-test rule and k = 0 the bare MLE.  This ratio
+form is the only bound map here.  The linear map d_j = 1 - n2/(c_j*n1*delta)
+that circulates in print lives only in the Monte Carlo validation in ``sim``
+(``recshrink validate``), which rejects it; it reaches the risk through
+``coefficients_at_bounds``, which takes the bounds themselves.
 
 The five brackets I_{d2} - I_{d1} sit at the shifted shapes (m1+i, m2+j).
 Each needs only the base values I_d(m1, m2) at the two bounds and the front
@@ -30,7 +29,6 @@ the base difference plus the difference of its shift terms, so it stays an
 exact 0 when both bounds coincide.
 """
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -41,24 +39,8 @@ from .records import DesignPair, Variant
 from .special import beta_front, reg_inc_beta, reg_inc_beta_grid
 
 
-class BoundConvention(enum.Enum):
-    """Map from F critical values to Beta-scale acceptance bounds."""
-
-    PAPER_LINEAR = "paper"
-    DERIVED_RATIO = "derived"
-
-
-DEFAULT_CONVENTION = BoundConvention.DERIVED_RATIO
-
 # shape shifts (i, j) of the regularized-beta brackets the moments need
 _SHIFTS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-
-
-@dataclass(frozen=True)
-class IntegrationBounds:
-    d1: float
-    d2: float
-    convention: BoundConvention
 
 
 @dataclass(frozen=True)
@@ -70,7 +52,6 @@ class RiskParams:
     alpha: float
     k: float = 1.0
     theta1: float = 1.0
-    convention: BoundConvention = DEFAULT_CONVENTION
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -83,41 +64,27 @@ class RiskParams:
             raise ValueError(f"theta1 must be positive, got {self.theta1}")
 
 
-def _beta_bound(c, n1: int, n2: int, delta, convention: BoundConvention):
+def _beta_bound(c, n1: int, n2: int, delta):
     """Beta-scale acceptance bound for the critical value c; delta a float or an array.
 
     The ratio form t/(t + n2), t = c*n1*delta, lies in [0, 1]; above
     delta = 1 it is evaluated as c*n1/(c*n1 + n2/delta), so no term
     overflows and every finite delta > 0, subnormal ones included, gives a
-    finite bound.  The linear form 1 - n2/t is clipped into [0, 1].
+    finite bound.
     """
-    if convention is BoundConvention.DERIVED_RATIO:
-        t = c * n1 * np.minimum(delta, 1.0)
-        return t / (t + n2 / np.maximum(delta, 1.0))
-    t = c * n1 * delta
-    with np.errstate(divide="ignore"):
-        return np.clip(1.0 - n2 / np.asarray(t, dtype=float), 0.0, 1.0)
+    t = c * n1 * np.minimum(delta, 1.0)
+    return t / (t + n2 / np.maximum(delta, 1.0))
 
 
-def d_bounds(
-    design: DesignPair,
-    delta: float,
-    c1: float,
-    c2: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> IntegrationBounds:
-    """Beta-scale acceptance bounds for the given critical values, within [0, 1]."""
+def d_bounds(design: DesignPair, delta: float, c1: float, c2: float) -> tuple[float, float]:
+    """(d1, d2): Beta-scale acceptance bounds for the given critical values, within [0, 1]."""
     # a plain comparison: np.all on a float would cost more than the bounds
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if c1 > c2:
         raise ValueError(f"need c1 <= c2, got ({c1}, {c2})")
     n1, n2 = design.n1, design.n2
-    return IntegrationBounds(
-        float(_beta_bound(c1, n1, n2, delta, convention)),
-        float(_beta_bound(c2, n1, n2, delta, convention)),
-        convention,
-    )
+    return float(_beta_bound(c1, n1, n2, delta)), float(_beta_bound(c2, n1, n2, delta))
 
 
 def _shift_terms(x, a: float, b: float) -> dict:
@@ -139,14 +106,13 @@ def _shift_terms(x, a: float, b: float) -> dict:
     }
 
 
-def _brackets(design: DesignPair, bounds: IntegrationBounds) -> dict:
+def _brackets(design: DesignPair, d1: float, d2: float) -> dict:
     """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j).
 
     One incomplete beta per bound, at the base shapes (m1, m2); each bracket
     is that base difference plus the difference of its shift terms.
     """
     m1, m2 = design.shapes
-    d1, d2 = bounds.d1, bounds.d2
     base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
     lo = _shift_terms(d1, m1, m2)
     hi = _shift_terms(d2, m1, m2)
@@ -177,32 +143,30 @@ def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
     return h2, h1, h0
 
 
+def coefficients_at_bounds(
+    design: DesignPair, delta: float, d1: float, d2: float
+) -> tuple[float, float, float]:
+    """(h2, h1, h0) of the risk quadratic for the acceptance bounds 0 <= d1 <= d2 <= 1."""
+    return _coeffs_from_brackets(design, delta, _brackets(design, d1, d2))
+
+
 def risk_k_coefficients(
-    design: DesignPair,
-    delta: float,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
+    design: DesignPair, delta: float, alpha: float
 ) -> tuple[float, float, float]:
     """(h2, h1, h0) with risk(delta, k) = h2*k^2 + h1*k + h0."""
     c1, c2 = critical_values(design, alpha)
-    br = _brackets(design, d_bounds(design, delta, c1, c2, convention))
-    return _coeffs_from_brackets(design, delta, br)
+    return coefficients_at_bounds(design, delta, *d_bounds(design, delta, c1, c2))
 
 
-def risk_k_coefficients_grid(
-    design: DesignPair,
-    deltas,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-):
+def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
     """Vectorized risk_k_coefficients over an array of delta values."""
     dv = np.asarray(deltas, dtype=float)
     if not np.all((dv > 0.0) & (dv < np.inf)):  # NaN fails both comparisons
         raise ValueError("delta must be positive and finite")
     c1, c2 = critical_values(design, alpha)
     n1, n2 = design.n1, design.n2
-    d1 = _beta_bound(c1, n1, n2, dv, convention)
-    d2 = _beta_bound(c2, n1, n2, dv, convention)
+    d1 = _beta_bound(c1, n1, n2, dv)
+    d2 = _beta_bound(c2, n1, n2, dv)
     # one incomplete beta over both bounds at once, at the base shapes
     x = np.concatenate((d1.reshape(-1), d2.reshape(-1)))
     m1, m2 = design.shapes
@@ -214,41 +178,24 @@ def risk_k_coefficients_grid(
     return _coeffs_from_brackets(design, dv, br)
 
 
-def shrink_risk(
-    design: DesignPair,
-    delta: float,
-    alpha: float,
-    k: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> float:
+def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> float:
     """Weighted-loss risk of the shrinkage rule; free of theta1."""
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"k must lie in [0, 1], got {k}")
-    h2, h1, h0 = risk_k_coefficients(design, delta, alpha, convention)
+    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
     return h2 * k * k + h1 * k + h0
 
 
-def pt_risk(
-    design: DesignPair,
-    delta: float,
-    alpha: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> float:
+def pt_risk(design: DesignPair, delta: float, alpha: float) -> float:
     """Weighted-loss risk of the pre-test rule (shrinkage at k = 1)."""
-    return shrink_risk(design, delta, alpha, 1.0, convention)
+    return shrink_risk(design, delta, alpha, 1.0)
 
 
-def shrink_risk_grid(
-    design: DesignPair,
-    deltas,
-    alpha: float,
-    k: float,
-    convention: BoundConvention = DEFAULT_CONVENTION,
-) -> np.ndarray:
+def shrink_risk_grid(design: DesignPair, deltas, alpha: float, k: float) -> np.ndarray:
     """Vectorized shrink_risk over an array of delta values."""
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"k must lie in [0, 1], got {k}")
-    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha, convention)
+    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
     return h2 * k * k + h1 * k + h0
 
 
@@ -261,7 +208,7 @@ def shrink_moments(params: RiskParams) -> tuple[float, float]:
     m1, m2 = design.shapes
     lam, k = design.lam, params.k
     c1, c2 = critical_values(design, params.alpha)
-    br = _brackets(design, d_bounds(design, delta, c1, c2, params.convention))
+    br = _brackets(design, *d_bounds(design, delta, c1, c2))
 
     # theta2 = delta*theta1 enters through delta*bracket, as in the risk, so
     # a zero bracket stays 0 even where theta2 itself would overflow
@@ -311,8 +258,8 @@ def boundary_risks(design: DesignPair, delta: float) -> tuple[float, float]:
     r1 = 1/n1 under both variants (the location-scale MLE trades bias for
     variance at no MSE cost).
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     n1, n2 = design.n1, design.n2
     if design.variant is Variant.KNOWN_LOCATION:
         r0 = (n1 + n2 * delta * delta + n2 * n2 * delta * delta + n2 * n2

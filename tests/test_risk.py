@@ -12,12 +12,11 @@ from scipy import special as sp
 from recshrink.records import DesignPair, Variant
 from recshrink.risk import (
     _SHIFTS,
-    BoundConvention,
-    IntegrationBounds,
     RiskParams,
     _beta_bound,
     _brackets,
     boundary_risks,
+    coefficients_at_bounds,
     d_bounds,
     pooled_risk_quadratic,
     pt_moments,
@@ -28,7 +27,7 @@ from recshrink.risk import (
     shrink_risk,
     shrink_risk_grid,
 )
-from recshrink.sim import mc_oracle_risk
+from recshrink.sim import _linear_bounds, mc_oracle_risk
 
 D56 = DesignPair(5, 6)
 
@@ -39,34 +38,35 @@ C2 = 2.3646477425343958
 
 class TestDBounds:
     def test_ratio_form(self):
-        b = d_bounds(D56, 1.0, C1, C2, BoundConvention.DERIVED_RATIO)
-        assert b.d1 == pytest.approx(C1 * 5.0 / (C1 * 5.0 + 6.0), rel=1e-12)
-        assert b.d2 == pytest.approx(C2 * 5.0 / (C2 * 5.0 + 6.0), rel=1e-12)
+        d1, d2 = d_bounds(D56, 1.0, C1, C2)
+        assert d1 == pytest.approx(C1 * 5.0 / (C1 * 5.0 + 6.0), rel=1e-12)
+        assert d2 == pytest.approx(C2 * 5.0 / (C2 * 5.0 + 6.0), rel=1e-12)
 
     def test_linear_form_with_clamping(self):
-        b = d_bounds(D56, 1.0, C1, C2, BoundConvention.PAPER_LINEAR)
-        assert b.d1 == 0.0  # 1 - 6/(5*c1) < 0 gets clamped
-        assert b.d2 == pytest.approx(1.0 - 6.0 / (5.0 * C2), rel=1e-12)
+        # the refuted map, kept only in the Monte Carlo validation
+        d1, d2 = _linear_bounds(D56, 1.0, C1, C2)
+        assert d1 == 0.0  # 1 - 6/(5*c1) < 0 gets clamped
+        assert d2 == pytest.approx(1.0 - 6.0 / (5.0 * C2), rel=1e-12)
 
-    @pytest.mark.parametrize("conv", list(BoundConvention))
-    def test_large_delta_limit(self, conv):
-        b = d_bounds(D56, 1e9, C1, C2, conv)
-        assert b.d1 == pytest.approx(1.0, abs=1e-7)
-        assert b.d2 == pytest.approx(1.0, abs=1e-7)
+    @pytest.mark.parametrize("bounds", [d_bounds, _linear_bounds], ids=["ratio", "linear"])
+    def test_large_delta_limit(self, bounds):
+        d1, d2 = bounds(D56, 1e9, C1, C2)
+        assert d1 == pytest.approx(1.0, abs=1e-7)
+        assert d2 == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize("delta", [5e-324, 1e-310, 1e-300, 1e306, 1.7e308])
     def test_ratio_form_finite_at_extreme_delta(self, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b = d_bounds(D56, delta, C1, C2, BoundConvention.DERIVED_RATIO)
-            g1 = _beta_bound(C1, 5, 6, np.array([delta]), BoundConvention.DERIVED_RATIO)
-        assert 0.0 <= b.d1 <= b.d2 <= 1.0
-        assert g1[0] == b.d1
-        assert b.d1 == (1.0 if delta > 1.0 else pytest.approx(0.0, abs=1e-299))
+            d1, d2 = d_bounds(D56, delta, C1, C2)
+            g1 = _beta_bound(C1, 5, 6, np.array([delta]))
+        assert 0.0 <= d1 <= d2 <= 1.0
+        assert g1[0] == d1
+        assert d1 == (1.0 if delta > 1.0 else pytest.approx(0.0, abs=1e-299))
 
     def test_equal_critical_values(self):
-        b = d_bounds(D56, 1.3, 1.7, 1.7)
-        assert b.d1 == b.d2
+        d1, d2 = d_bounds(D56, 1.3, 1.7, 1.7)
+        assert d1 == d2
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ class TestBrackets:
         # every shifted-shape bracket comes from one incomplete beta per
         # bound plus the A&S 26.5.16 shift terms
         x1, x2 = sorted((u, v))
-        br = _brackets(DesignPair(m1, m2), IntegrationBounds(x1, x2, BoundConvention.DERIVED_RATIO))
+        br = _brackets(DesignPair(m1, m2), x1, x2)
         for i, j in _SHIFTS:
             a, b = m1 + i, m2 + j
             ref = float(sp.betainc(a, b, x2) - sp.betainc(a, b, x1))
@@ -287,32 +287,60 @@ class TestBoundaryRisks:
         with pytest.raises(ValueError):
             boundary_risks(D56, -1.0)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, variant, delta):
+        # inf gave r0 = NaN without a warning, where d_bounds rejects it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                boundary_risks(DesignPair(5, 6, variant), delta)
+
+
+class TestCoefficientsAtBounds:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_at_d_bounds_equals_risk_coefficients(self, variant):
+        from recshrink.estimators import critical_values
+
+        d = DesignPair(5, 6, variant)
+        for alpha in (0.05, 0.16, 0.6):
+            c1, c2 = critical_values(d, alpha)
+            for delta in (1e-3, 0.4, 1.0, 2.7, 1e5):
+                got = coefficients_at_bounds(d, delta, *d_bounds(d, delta, c1, c2))
+                assert got == risk_k_coefficients(d, delta, alpha)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_zero_width_bounds_give_mle_risk(self, variant):
+        # an empty acceptance region never pools: the risk is 1/n1 at every k
+        d = DesignPair(5, 6, variant)
+        for x in (0.0, 0.3, 0.77, 1.0):
+            for delta in (0.2, 1.0, 5.0):
+                h2, h1, h0 = coefficients_at_bounds(d, delta, x, x)
+                assert (h2, h1) == (0.0, 0.0)
+                assert h0 == pytest.approx(1.0 / d.n1, abs=1e-15)
+
 
 class TestGridPath:
     def test_grid_matches_scalar(self):
         deltas = np.geomspace(0.05, 8.0, 120)
-        for conv in BoundConvention:
-            for k in (0.21, 1.0):
-                grid = shrink_risk_grid(D56, deltas, 0.16, k, conv)
-                scal = np.array(
-                    [shrink_risk(D56, float(t), 0.16, k, conv) for t in deltas]
-                )
-                np.testing.assert_allclose(grid, scal, rtol=0.0, atol=1e-13)
+        for k in (0.21, 1.0):
+            grid = shrink_risk_grid(D56, deltas, 0.16, k)
+            scal = np.array([shrink_risk(D56, float(t), 0.16, k) for t in deltas])
+            np.testing.assert_allclose(grid, scal, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("shape", [(), (37,), (6, 7)])
     def test_coefficients_grid_matches_scalar(self, shape):
         deltas = np.geomspace(0.03, 30.0, max(1, math.prod(shape))).reshape(shape)
         for variant in Variant:
             d = DesignPair(5, 6, variant)
-            for conv in BoundConvention:
-                h2, h1, h0 = risk_k_coefficients_grid(d, deltas, 0.16, conv)
-                assert np.shape(h2) == np.shape(h1) == shape
-                scal = np.array(
-                    [risk_k_coefficients(d, float(t), 0.16, conv) for t in deltas.reshape(-1)]
-                )
-                np.testing.assert_allclose(np.reshape(h2, -1), scal[:, 0], rtol=0.0, atol=1e-13)
-                np.testing.assert_allclose(np.reshape(h1, -1), scal[:, 1], rtol=0.0, atol=1e-13)
-                assert h0 == pytest.approx(scal[0, 2], abs=1e-15)
+            h2, h1, h0 = risk_k_coefficients_grid(d, deltas, 0.16)
+            assert np.shape(h2) == np.shape(h1) == shape
+            scal = np.array(
+                [risk_k_coefficients(d, float(t), 0.16) for t in deltas.reshape(-1)]
+            )
+            np.testing.assert_allclose(np.reshape(h2, -1), scal[:, 0], rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(np.reshape(h1, -1), scal[:, 1], rtol=0.0, atol=1e-13)
+            assert h0 == pytest.approx(scal[0, 2], abs=1e-15)
 
     def test_grid_rejects_bad_delta(self):
         with pytest.raises(ValueError):

@@ -149,3 +149,22 @@ class TestConventionValidation:
         assert len(result["cells"]) == 72
         derived = [c for c in result["cells"] if c.convention == "derived"]
         assert all(c.ok for c in derived)
+
+    def test_linear_map_closed_forms_are_frozen(self):
+        # full-precision closed forms of the linear ("paper") map at (5,6),
+        # alpha = 0.16, as computed when the map was still an option of
+        # ``risk``; delta = 0.5 clamps both bounds to 0, so the risk is 1/n1
+        result = convention_validation(replicates=2000, seed=1)
+        got = {
+            (c.delta, c.k): c.closed_form
+            for c in result["cells"]
+            if c.convention == "paper" and (c.n1, c.n2) == (5, 6) and c.alpha == 0.16
+        }
+        assert got == {
+            (0.5, 0.21): 0.19999999999999996,
+            (0.5, 1.0): 0.19999999999999996,
+            (1.0, 0.21): 0.18474405535825553,
+            (1.0, 1.0): 0.1694250526758979,
+            (2.0, 0.21): 0.1826061464728909,
+            (2.0, 1.0): 0.5507207938785065,
+        }
