@@ -8,14 +8,16 @@ its flags and seed.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from .estimators import EstimationInput, Target, pooled, preliminary_test, shrinkage
-from .minimax import SearchError, TableCase, generate_tables, optimal_alpha, optimal_k
+from .minimax import TABLE_GRID, SearchError, TableCase, generate_tables, optimal_alpha, optimal_k
 from .records import DesignPair, RecordSample, Variant, extract_upper_records, mle_scale
 from .risk import boundary_risks, shrink_risk_grid
 from .sim import CSV_COLUMNS, SimConfig, convention_validation, mc_compare
@@ -161,8 +163,8 @@ def risk_curve_rows(design: DesignPair, deltas, alpha_k_pairs) -> list[list]:
         for d, r in zip(deltas, shrink_risk_grid(design, deltas, alpha, k)):
             rows.append([float(d), float(r), family, alpha, k])
     refs = [(float(d), boundary_risks(design, float(d))) for d in deltas]
-    rows += [[d, r0, "pooled", "", ""] for d, (r0, _) in refs]
-    rows += [[d, r1, "mle", "", ""] for d, (_, r1) in refs]
+    rows += [[d, r0, "pooled", None, None] for d, (r0, _) in refs]
+    rows += [[d, r1, "mle", None, None] for d, (_, r1) in refs]
     return rows
 
 
@@ -170,14 +172,12 @@ def cmd_risk_curve(args) -> int:
     design = DesignPair(args.n1, args.n2, Variant(args.variant))
     if args.delta_steps < 1:
         raise ValueError("need at least one delta grid point")
-    if not (0.0 < args.delta_min <= args.delta_max):
-        raise ValueError("need 0 < delta-min <= delta-max")
+    if not (0.0 < args.delta_min <= args.delta_max < math.inf):
+        raise ValueError("need 0 < delta-min <= delta-max < inf")
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_steps)
     ks = args.k or [1.0]
     rows = risk_curve_rows(design, deltas, [(args.alpha, k) for k in ks])
-    records = [{col: None if v == "" else v for col, v in zip(rows[0], row)}
-               for row in rows[1:]]
-    _render(args, rows, records)
+    _render(args, rows, [dict(zip(rows[0], row)) for row in rows[1:]])
     return 0
 
 
@@ -186,11 +186,9 @@ def cmd_tables(args) -> int:
     case = {1: TableCase.ALPHA, 2: TableCase.K_FIXED_ALPHA, 3: TableCase.K_OPTIMAL_ALPHA}[
         args.which
     ]
-    grid = [int(t) for t in args.grid.split(",")] if args.grid else None
-    designs = None
-    if grid is not None:
-        designs = [DesignPair(a, b, variant) for b in grid for a in grid]
-    cells = generate_tables(case, designs=designs, alpha=args.alpha, variant=variant)
+    grid = [int(t) for t in args.grid.split(",")] if args.grid else TABLE_GRID
+    designs = [DesignPair(a, b, variant) for b in grid for a in grid]
+    cells = generate_tables(case, designs, alpha=args.alpha)
     failed = [c for c in cells if c.error]
     for cell in failed:
         print(f"cell ({cell.n1}, {cell.n2}) failed: {cell.error}", file=sys.stderr)
@@ -205,43 +203,25 @@ def cmd_tables(args) -> int:
     return 1 if failed else 0
 
 
-def _solution_report(sol, design, extra=None):
-    report = {
-        "n1": design.n1,
-        "n2": design.n2,
-        "variant": design.variant.value,
-        "tuned_value": sol.tuned_value,
-        "delta1": sol.delta1,
-        "delta2": sol.delta2,
-        "delta_L": sol.delta_L,
-        "delta_U": sol.delta_U,
-        "regret_at_L": sol.regret_at_L,
-        "regret_at_U": sol.regret_at_U,
-        "fallback": sol.fallback,
-    }
-    if extra:
-        report.update(extra)
-    return report
+def _render_solution(args, design, sol, extra) -> int:
+    """Render a tuning's design, every RegretSolution field, then ``extra``."""
+    report = {"n1": design.n1, "n2": design.n2, "variant": design.variant.value}
+    report |= dataclasses.asdict(sol) | extra
+    csv_rows = [["quantity", "value"]] + [[k, v] for k, v in report.items()]
+    _render(args, csv_rows, report)
+    return 0
 
 
 def cmd_optimal_alpha(args) -> int:
     design = DesignPair(args.n1, args.n2, Variant(args.variant))
     sol = optimal_alpha(design)
-    report = _solution_report(sol, design)
-    report["alpha_star"] = sol.tuned_value
-    csv_rows = [["quantity", "value"]] + [[k, v] for k, v in report.items()]
-    _render(args, csv_rows, report)
-    return 0
+    return _render_solution(args, design, sol, {"alpha_star": sol.tuned_value})
 
 
 def cmd_optimal_k(args) -> int:
     design = DesignPair(args.n1, args.n2, Variant(args.variant))
     sol = optimal_k(design, args.alpha)
-    report = _solution_report(sol, design, {"alpha": args.alpha})
-    report["k_star"] = sol.tuned_value
-    csv_rows = [["quantity", "value"]] + [[k, v] for k, v in report.items()]
-    _render(args, csv_rows, report)
-    return 0
+    return _render_solution(args, design, sol, {"alpha": args.alpha, "k_star": sol.tuned_value})
 
 
 def cmd_simulate(args) -> int:
@@ -367,10 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SearchError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, SearchError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

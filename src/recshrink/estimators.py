@@ -7,6 +7,7 @@ shrinkage compromise k*pooled + (1-k)*mle, replaces the single-sample MLE.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,9 +29,9 @@ class EstimationInput:
     design: DesignPair
 
     def __post_init__(self):
-        if not (self.theta1_hat > 0.0 and self.theta2_hat > 0.0):
+        if not (0.0 < self.theta1_hat < math.inf and 0.0 < self.theta2_hat < math.inf):
             raise ValueError(
-                f"scale estimates must be positive, got "
+                f"scale estimates must be positive and finite, got "
                 f"({self.theta1_hat}, {self.theta2_hat})"
             )
 

@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .optim import brent_root, golden_section_max
-from .records import DesignPair, Variant
+from .records import DesignPair
 from .risk import (
     boundary_risks,
     pooled_risk_quadratic,
@@ -55,7 +55,6 @@ from .risk import (
 _SPAN = 1e4                 # each side's grid spans this factor from the edge
 _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
-_REFINE_XTOL = 1e-6
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
 _DOMAIN = (0.01, 0.99)      # the tuned value's search interval
 _SCAN = tuple(np.linspace(*_DOMAIN, 15))
@@ -232,7 +231,7 @@ def _polished_sups(grid, values, regret) -> tuple[float, float, float, float]:
             for i in start + np.flatnonzero((seg > left) & (seg >= right) & (seg >= floor)):
                 lo = float(deltas[max(i - 1, start)])
                 hi = float(deltas[min(i + 1, stop - 1)])
-                x, fx = golden_section_max(regret, lo, hi, xtol=_REFINE_XTOL)
+                x, fx = golden_section_max(regret, lo, hi)
                 if values[i] > fx:
                     x, fx = deltas[i], values[i]
                 if best is None or fx > best[1]:
@@ -278,7 +277,7 @@ def _equalize(sups):
         _, r_lo, _, r_hi = sups(t)
         return -max(r_lo, r_hi)
 
-    t, _ = golden_section_max(worst, *_DOMAIN, xtol=1e-6)
+    t, _ = golden_section_max(worst, *_DOMAIN)
     return t, True
 
 
@@ -465,19 +464,12 @@ def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
 TABLE_GRID = (2, 3, 4, 5, 7, 10)
 
 
-def generate_tables(
-    case: TableCase,
-    designs=None,
-    alpha: float = 0.16,
-    variant: Variant = Variant.KNOWN_LOCATION,
-) -> list[TableCell]:
-    """Run the relevant optimizer over a design grid, one cell per design.
+def generate_tables(case: TableCase, designs, alpha: float = 0.16) -> list[TableCell]:
+    """Run the relevant optimizer over a list of designs, one cell per design.
 
     A failed cell carries its error message and empty values; the rest of
     the table is unaffected.
     """
-    if designs is None:
-        designs = [DesignPair(n1, n2, variant) for n2 in TABLE_GRID for n1 in TABLE_GRID]
     cells = []
     for design in designs:
         try:

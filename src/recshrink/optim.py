@@ -5,13 +5,15 @@ import math
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MACHEPS = 2.220446049250313e-16
 _MAXITER = 200
+_GOLDEN_XTOL = 1e-6
 
 
-def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-6):
+def golden_section_max(f, lo: float, hi: float):
     """Maximize f on [lo, hi]; returns (x, f(x)).
 
-    Narrows to a local maximum inside the bracket; the endpoints are also
-    checked so monotone humps resolve to the better edge.
+    Narrows to a local maximum inside the bracket, to a width of
+    ``_GOLDEN_XTOL``; the endpoints are also checked so monotone humps
+    resolve to the better edge.
     """
     if not hi >= lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
@@ -20,7 +22,7 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-6):
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
     it = 0
-    while (b - a) > xtol and it < _MAXITER:
+    while (b - a) > _GOLDEN_XTOL and it < _MAXITER:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)

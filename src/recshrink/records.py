@@ -10,6 +10,7 @@ freedom.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class RecordSample:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("record sample is empty")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("record values must be finite")
         if any(nxt <= cur for cur, nxt in zip(vals, vals[1:])):
             raise ValueError("record values must be strictly increasing")
         if self.variant is Variant.KNOWN_LOCATION and vals[0] <= 0.0:
@@ -89,6 +92,8 @@ def extract_upper_records(stream, variant: Variant = Variant.KNOWN_LOCATION) -> 
     vals = [float(v) for v in stream]
     if not vals:
         raise ValueError("cannot extract records from an empty stream")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("stream values must be finite")
     recs = [vals[0]]
     for v in vals[1:]:
         if v > recs[-1]:

@@ -40,10 +40,10 @@ class SimConfig:
         object.__setattr__(self, "theta2_grid", tuple(float(t) for t in self.theta2_grid))
         if not self.theta2_grid:
             raise ValueError("theta2_grid is empty")
-        if any(t <= 0.0 for t in self.theta2_grid):
-            raise ValueError("theta2 values must be positive")
-        if not self.theta1 > 0.0:
-            raise ValueError(f"theta1 must be positive, got {self.theta1}")
+        if not all(0.0 < t < math.inf for t in self.theta2_grid):
+            raise ValueError("theta2 values must be positive and finite")
+        if not 0.0 < self.theta1 < math.inf:
+            raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (0.0 <= self.k <= 1.0):
@@ -160,25 +160,18 @@ def mc_compare(config: SimConfig) -> McReport:
         pt = np.where(accepted, pool, t1)
         sh = np.where(accepted, config.k * pool + (1.0 - config.k) * t1, t1)
 
-        e_mle = t1 - config.theta1
-        e_pt = pt - config.theta1
-        e_sh = sh - config.theta1
-        sq_mle, sq_pt, sq_sh = e_mle**2, e_pt**2, e_sh**2
-        bias_mle, se_b_mle = _mean_se(e_mle)
-        bias_pt, se_b_pt = _mean_se(e_pt)
-        bias_sh, se_b_sh = _mean_se(e_sh)
-        mse_mle, se_m_mle = _mean_se(sq_mle)
-        mse_pt, se_m_pt = _mean_se(sq_pt)
-        mse_sh, se_m_sh = _mean_se(sq_sh)
-        rows.append(McRow(
-            theta2=theta2,
-            bias_mle=bias_mle, bias_pt=bias_pt, bias_s=bias_sh,
-            se_bias_mle=se_b_mle, se_bias_pt=se_b_pt, se_bias_s=se_b_sh,
-            mse_mle=mse_mle, mse_pt=mse_pt, mse_s=mse_sh,
-            se_mse_mle=se_m_mle, se_mse_pt=se_m_pt, se_mse_s=se_m_sh,
-            eff_pt=mse_mle / mse_pt, eff_s=mse_mle / mse_sh,
-            se_eff_pt=_ratio_se(sq_mle, sq_pt), se_eff_s=_ratio_se(sq_mle, sq_sh),
-        ))
+        stats = {}
+        for rule, est in (("mle", t1), ("pt", pt), ("s", sh)):
+            err = est - config.theta1
+            sq = err**2
+            stats[f"bias_{rule}"], stats[f"se_bias_{rule}"] = _mean_se(err)
+            stats[f"mse_{rule}"], stats[f"se_mse_{rule}"] = _mean_se(sq)
+            if rule == "mle":
+                sq_mle = sq
+            else:
+                stats[f"eff_{rule}"] = stats["mse_mle"] / stats[f"mse_{rule}"]
+                stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq)
+        rows.append(McRow(theta2=theta2, **stats))
     return McReport(config, tuple(rows))
 
 

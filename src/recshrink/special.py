@@ -12,11 +12,12 @@ The route depends on the shapes alone.  When a and b are both integers
 use is one), I_x(a, b) = P(Bin(a+b-1, x) >= a) is a finite binomial sum
 (Abramowitz & Stegun §26.5): the tail beyond the mean is summed from its
 largest term, and the other side is taken as one minus the opposite tail.
-Any other shapes go through the modified-Lentz continued fraction, or the
-ascending series deep in a tail; the grid has no array form of those and
-takes such shapes point by point through the scalar ``reg_inc_beta``.  ``beta_front`` is the front factor
+Any other shapes go through the modified-Lentz continued fraction; the grid
+has no array form of it and takes such shapes point by point through the
+scalar ``reg_inc_beta``.  ``beta_front`` is the front factor
 x^a (1-x)^b / B(a, b) both routes start from; the risk module also builds
-its shifted-shape recurrences from it.
+its shifted-shape recurrences from it.  It is 0 at x = 0 and x = 1, so both
+routes give exactly 0 and 1 there.
 """
 
 import math
@@ -27,7 +28,6 @@ import numpy as np
 _EPS = 1e-16
 _FPMIN = 1e-300
 _MAX_CF_ITER = 500
-_SERIES_CUTOFF = 0.3  # use the ascending series when x*(a+b+2) < cutoff*(a+1)
 _VEC_CHECK_EVERY = 8  # terms between stop tests in the array binomial sum
 
 
@@ -103,18 +103,6 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _beta_series(a: float, b: float, x: float) -> float:
-    """Ascending series sum for I_x(a,b) * a / front; fast for small x."""
-    term = 1.0
-    total = 1.0
-    for n in range(1, 500):
-        term *= x * (a + b + n - 1.0) / (a + n)
-        total += term
-        if abs(term) <= _EPS * abs(total):
-            return total
-    raise ArithmeticError(f"incomplete beta series did not converge (a={a}, b={b}, x={x})")
-
-
 def _integer_shapes(a: float, b: float) -> bool:
     return float(a).is_integer() and float(b).is_integer()
 
@@ -172,23 +160,14 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
     front = beta_front(x, a, b)
     if _integer_shapes(a, b):
         if x * (a + b - 1.0) < a:
             return _binom_tail(int(a), int(b), front / (a * (1.0 - x)), x / (1.0 - x))
         return 1.0 - _binom_tail(int(b), int(a), front / (b * x), (1.0 - x) / x)
     if x < (a + 1.0) / (a + b + 2.0):
-        if x * (a + b + 2.0) < _SERIES_CUTOFF * (a + 1.0):
-            return front * _beta_series(a, b, x) / a
         return front * _betacf(a, b, x) / a
-    xc = 1.0 - x
-    if xc * (a + b + 2.0) < _SERIES_CUTOFF * (b + 1.0):
-        return 1.0 - front * _beta_series(b, a, xc) / b
-    return 1.0 - front * _betacf(b, a, xc) / b
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:

@@ -91,6 +91,16 @@ class TestEstimate:
         assert code == 2
         assert "strictly increasing" in err and "'a'" in err
 
+    @pytest.mark.parametrize("extract", [False, True])
+    def test_non_finite_records_rejected(self, capsys, tmp_path, extract):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text("a,b\n1,1\nnan,2\n3,inf\n")
+        argv = ["estimate", str(p), "--format", "json"] + ["--extract-records"] * extract
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "/no/such/file.csv")
         assert code == 2
@@ -162,6 +172,15 @@ class TestRiskCurve:
         rows = list(csv.reader(io.StringIO(out)))
         pt = [float(r[1]) for r in rows[1:] if r[2] == "pt"]
         assert min(pt) < 0.2
+
+    def test_infinite_delta_max_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "risk-curve", "--n1", "5", "--n2", "6", "--alpha", "0.16",
+            "--delta-max", "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run_cli(
@@ -240,6 +259,13 @@ class TestSimulate:
         run_cli(capsys, *self.ARGS, "--out", str(a))
         run_cli(capsys, *self.ARGS, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags", [("--theta2-grid", "1,nan"), ("--theta1", "inf")])
+    def test_non_finite_scales_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, *self.ARGS, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "json")

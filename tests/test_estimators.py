@@ -1,5 +1,7 @@
 """Estimator arithmetic, the pre-test decision, and their invariances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from recshrink.estimators import (
     preliminary_test,
     shrinkage,
 )
-from recshrink.records import DesignPair, Variant
+from recshrink.records import DesignPair, RecordSample, Variant, mle_scale
 
 # F_{(10,12)} quantiles at 0.08 and 0.92, frozen from mpmath
 C1_56_016 = 0.40340319624961880
@@ -78,6 +80,19 @@ class TestPooled:
             _inp(0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             _inp(1.0, -2.0, 2, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finiteness_validation(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _inp(bad, 1.0, 2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            _inp(1.0, bad, 2, 2)
+
+    def test_overflowing_mle_rejected(self):
+        # finite records whose range overflows give an infinite scale MLE
+        sample = RecordSample((-1.5e308, 1.5e308), Variant.LOCATION_SCALE)
+        with pytest.raises(ValueError, match="finite"):
+            EstimationInput(mle_scale(sample), 1.0, DesignPair(2, 2, Variant.LOCATION_SCALE))
 
 
 class TestPreliminaryTest:

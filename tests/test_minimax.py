@@ -318,9 +318,12 @@ class TestLocationScaleTables:
     # table 2 (K_FIXED_ALPHA) runs through the CLI in test_cli.py
     @pytest.mark.parametrize("case", [TableCase.ALPHA, TableCase.K_OPTIMAL_ALPHA])
     def test_every_cell_solves(self, case):
+        from recshrink.minimax import TABLE_GRID
         from recshrink.records import Variant
 
-        cells = generate_tables(case, variant=Variant.LOCATION_SCALE)
+        designs = [DesignPair(a, b, Variant.LOCATION_SCALE)
+                   for b in TABLE_GRID for a in TABLE_GRID]
+        cells = generate_tables(case, designs)
         assert len(cells) == 36
         assert [c for c in cells if c.error] == []
 

@@ -7,7 +7,7 @@ from recshrink.optim import brent_root, golden_section_max
 
 class TestGoldenSectionMax:
     def test_interior_parabola(self):
-        x, fx = golden_section_max(lambda t: -(t - 2.0) ** 2, 0.0, 5.0, xtol=1e-8)
+        x, fx = golden_section_max(lambda t: -(t - 2.0) ** 2, 0.0, 5.0)
         assert x == pytest.approx(2.0, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 

@@ -4,6 +4,8 @@ Distributional checks run the sampler itself (not a vectorized stand-in) so
 they exercise the code path users call.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -41,6 +43,14 @@ class TestExtractUpperRecords:
         with pytest.raises(ValueError):
             extract_upper_records([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    def test_non_finite_stream_rejected(self, bad, where):
+        stream = [1.0, 2.0, 3.0]
+        stream.insert(where, bad)
+        with pytest.raises(ValueError, match="finite"):
+            extract_upper_records(stream)
+
     def test_first_element_always_kept(self):
         stream = [5.0, 1.0, 9.0]
         out = extract_upper_records(stream)
@@ -60,6 +70,14 @@ class TestRecordSample:
         with pytest.raises(ValueError):
             RecordSample((-1.0, 2.0), Variant.KNOWN_LOCATION)
         RecordSample((-1.0, 2.0), Variant.LOCATION_SCALE)  # fine without known location
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, variant, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RecordSample((1.0, bad, 3.0), variant)
+        with pytest.raises(ValueError, match="finite"):
+            RecordSample((1.0, 3.0, bad), variant)
 
     def test_location_scale_needs_two(self):
         with pytest.raises(ValueError):

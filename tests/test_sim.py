@@ -44,6 +44,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _config(theta1=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scales_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _config(theta2_grid=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            _config(theta1=bad)
+
 
 class TestMcCompare:
     def test_bit_identical_reruns(self):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special as sp
 
@@ -131,6 +131,31 @@ class TestRegIncBeta:
             mine = reg_inc_beta(x, a, b)
             ref = float(sp.betainc(a, b, x))
             assert mine == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(0.5, 50.0),
+        b=st.floats(0.5, 50.0),
+        depth=st.floats(0.0, 300.0, exclude_min=True),
+        upper=st.booleans(),
+    )
+    def test_continued_fraction_deep_in_a_tail(self, a, b, depth, upper):
+        # non-integer shapes with x*(a+b+2) < 0.3*(a+1), or the mirror image
+        # in the upper tail, all go through the continued fraction
+        assume(not (a.is_integer() and b.is_integer()))
+        if upper:
+            x = 1.0 - 0.3 * (b + 1.0) / (a + b + 2.0) * 10.0**-depth
+        else:
+            x = 0.3 * (a + 1.0) / (a + b + 2.0) * 10.0**-depth
+        ref = float(sp.betainc(a, b, x))
+        assert reg_inc_beta(x, a, b) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("a, b", [(0.7, 40.0), (2.5, 3.5), (49.5, 0.5), (3.0, 4.5)])
+    def test_endpoints_non_integer_shapes(self, a, b):
+        # beta_front is 0 at both ends, so the continued fraction gives 0 and 1 exactly
+        assert reg_inc_beta(0.0, a, b) == 0.0
+        assert reg_inc_beta(1.0, a, b) == 1.0
+        assert reg_inc_beta_grid(np.array([0.0, 1.0]), a, b).tolist() == [0.0, 1.0]
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(0.0, 1.0), a=st.integers(1, 200), b=st.integers(1, 200))
