@@ -5,7 +5,9 @@ Prints the largest difference per column, then every cell whose error
 status differs or whose values differ by more than the tolerance, and
 exits 1 if there is any such cell.  alpha_star and k_star, which lie in
 [0, 1], are compared absolutely; regret_level, delta_L and delta_U relative
-to the larger magnitude.
+to the larger magnitude.  A file that cannot be read, is not JSON, or is
+not a list of table cells exits 2 with one ``error: ...`` line, so a gate
+can tell a broken input from a difference.
 
     python scripts/compare_tables.py before.json after.json --tol 1e-6
 """
@@ -52,16 +54,31 @@ def compare(cells_a, cells_b, tol):
     return worst, problems
 
 
+def _load(path):
+    """The cells of one table file; ValueError if it is not a list of cells."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cells = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    keys = {"n1", "n2", "error", *ABSOLUTE, *RELATIVE}
+    if not isinstance(cells, list) or not all(isinstance(c, dict) and keys <= c.keys()
+                                              for c in cells):
+        raise ValueError(f"{path}: not a list of table cells")
+    return cells
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("first")
     parser.add_argument("second")
     parser.add_argument("--tol", type=float, default=1e-6)
     args = parser.parse_args(argv)
-    with open(args.first, encoding="utf-8") as fh:
-        cells_a = json.load(fh)
-    with open(args.second, encoding="utf-8") as fh:
-        cells_b = json.load(fh)
+    try:
+        cells_a, cells_b = _load(args.first), _load(args.second)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     worst, problems = compare(cells_a, cells_b, args.tol)
     for col, d in worst.items():
         kind = "abs" if col in ABSOLUTE else "rel"

@@ -18,14 +18,14 @@ from recshrink.cli import risk_curve_rows, write_csv
 from recshrink.records import DesignPair
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", type=pathlib.Path)
     parser.add_argument("--n1", type=int, default=5)
     parser.add_argument("--n2", type=int, default=6)
     parser.add_argument("--alphas", default="0.05,0.16,0.30,0.50",
                         help="levels for the pre-test curve set")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     design = DesignPair(args.n1, args.n2)

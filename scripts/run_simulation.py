@@ -22,13 +22,13 @@ DESIGNS = ((2, 2), (7, 2), (2, 5), (7, 5), (2, 10), (7, 7), (10, 2), (10, 7))
 THETA2_GRID = (0.1, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=("fixed", "optimal"), default="fixed")
     parser.add_argument("--reps", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20260811)
     parser.add_argument("--out", default="results/simulation.csv", type=pathlib.Path)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rows = [list(CSV_COLUMNS) + ["alpha", "k"]]
     for i, (n1, n2) in enumerate(DESIGNS):

@@ -192,13 +192,9 @@ def cmd_tables(args) -> int:
     failed = [c for c in cells if c.error]
     for cell in failed:
         print(f"cell ({cell.n1}, {cell.n2}) failed: {cell.error}", file=sys.stderr)
-    rows = [list(_TABLE_COLUMNS)]
-    for c in cells:
-        rows.append([c.n1, c.n2, c.alpha_star, c.k_star, c.regret_level, c.delta_L, c.delta_U])
-    json_obj = [
-        {col: getattr(c, col) for col in _TABLE_COLUMNS} | {"error": c.error}
-        for c in cells
-    ]
+    rows = [list(_TABLE_COLUMNS)] + [[getattr(c, col) for col in _TABLE_COLUMNS] for c in cells]
+    json_obj = [dict(zip(_TABLE_COLUMNS, row)) | {"error": c.error}
+                for row, c in zip(rows[1:], cells)]
     _render(args, rows, json_obj)
     return 1 if failed else 0
 
@@ -266,10 +262,10 @@ def _add_common_output(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_design(p, variant_default="known") -> None:
+def _add_design(p) -> None:
     p.add_argument("--n1", type=int, required=True, help="records in the first series")
     p.add_argument("--n2", type=int, required=True, help="records in the second series")
-    p.add_argument("--variant", choices=("known", "locscale"), default=variant_default)
+    p.add_argument("--variant", choices=("known", "locscale"), default="known")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.16,
                    help="fixed level for table 2")
     p.add_argument("--grid", default=None,
-                   help="comma list of record counts (default 2,3,4,5,7,10)")
+                   help=f"comma list of record counts (default {','.join(map(str, TABLE_GRID))})")
     p.add_argument("--variant", choices=("known", "locscale"), default="known")
     _add_common_output(p)
     p.set_defaults(func=cmd_tables)

@@ -49,11 +49,14 @@ def critical_values(design: DesignPair, alpha: float) -> tuple[float, float]:
     """(c1, c2) bounding the acceptance region of the MLE ratio.
 
     alpha = 1 collapses the region to a point, so the test always rejects.
+    Within ~1e-14 of alpha = 1 the two quantiles can cross by rounding; the
+    region is then collapsed to c1 as well.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     d1, d2 = design.df
-    return f_quantile(0.5 * alpha, d1, d2), f_quantile(1.0 - 0.5 * alpha, d1, d2)
+    c1 = f_quantile(0.5 * alpha, d1, d2)
+    return c1, max(c1, f_quantile(1.0 - 0.5 * alpha, d1, d2))
 
 
 def equal_scale_test(inp: EstimationInput, alpha: float) -> TestDecision:

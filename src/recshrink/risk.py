@@ -14,11 +14,13 @@ in the coefficient k:
 
     risk(delta, k) = h2(delta)*k^2 + h1(delta)*k + h0,    h0 = 1/n1,
 
-with k = 1 giving the pre-test rule and k = 0 the bare MLE.  This ratio
-form is the only bound map here.  The linear map d_j = 1 - n2/(c_j*n1*delta)
-that circulates in print lives only in the Monte Carlo validation in ``sim``
-(``recshrink validate``), which rejects it; it reaches the risk through
-``coefficients_at_bounds``, which takes the bounds themselves.
+with k = 1 giving the pre-test rule and k = 0 the bare MLE.  The MSE in
+original units is theta1^2 times this risk; only the bias needs a moment of
+its own.  This ratio form is the only bound map here.  The linear map
+d_j = 1 - n2/(c_j*n1*delta) that circulates in print lives only in the
+Monte Carlo validation in ``sim`` (``recshrink validate``), which rejects
+it; it reaches the risk through ``coefficients_at_bounds``, which takes the
+bounds themselves.
 
 The five brackets I_{d2} - I_{d1} sit at the shifted shapes (m1+i, m2+j).
 Each needs only the base values I_d(m1, m2) at the two bounds and the front
@@ -54,14 +56,14 @@ class RiskParams:
     theta1: float = 1.0
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (0.0 <= self.k <= 1.0):
             raise ValueError(f"k must lie in [0, 1], got {self.k}")
-        if not self.theta1 > 0.0:
-            raise ValueError(f"theta1 must be positive, got {self.theta1}")
+        if not 0.0 < self.theta1 < math.inf:
+            raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
 
 
 def _beta_bound(c, n1: int, n2: int, delta):
@@ -200,35 +202,23 @@ def shrink_risk_grid(design: DesignPair, deltas, alpha: float, k: float) -> np.n
 
 
 def shrink_moments(params: RiskParams) -> tuple[float, float]:
-    """(bias, mse) of the shrinkage estimator in original units."""
+    """(bias, mse) of the shrinkage estimator in original units.
+
+    The mse is theta1^2 times the weighted-loss risk, read off the same
+    quadratic in k; only the bias needs its own first moment.
+    """
     design = params.design
-    th1 = params.theta1
-    delta = params.delta
+    th1, delta, k = params.theta1, params.delta, params.k
     n1, n2 = design.n1, design.n2
     m1, m2 = design.shapes
-    lam, k = design.lam, params.k
     c1, c2 = critical_values(design, params.alpha)
     br = _brackets(design, *d_bounds(design, delta, c1, c2))
-
-    # theta2 = delta*theta1 enters through delta*bracket, as in the risk, so
-    # a zero bracket stays 0 even where theta2 itself would overflow
-    mean_mle = th1 * m1 / n1
-    e1a = th1 * (m1 / n1) * br[(1, 0)]                       # E[mle1; accept]
-    e2a = th1 * (m2 / n2) * (delta * br[(0, 1)])             # E[mle2; accept]
-    e11a = th1 * th1 * m1 * (m1 + 1) / n1**2 * br[(2, 0)]    # E[mle1^2; accept]
-    e22a = th1 * th1 * m2 * (m2 + 1) / n2**2 * (delta * (delta * br[(0, 2)]))
-    e12a = th1 * th1 * m1 * m2 / (n1 * n2) * (delta * br[(1, 1)])
-
-    mean = mean_mle - k * lam * e1a + k * lam * e2a
-    second = (
-        th1 * th1 * m1 * (m1 + 1) / n1**2
-        + (k * k * lam * lam - 2.0 * k * lam) * e11a
-        + 2.0 * (k * lam - k * k * lam * lam) * e12a
-        + k * k * lam * lam * e22a
-    )
-    bias = mean - th1
-    mse = second - 2.0 * th1 * mean + th1 * th1
-    return bias, mse
+    h2, h1, h0 = _coeffs_from_brackets(design, delta, br)
+    # delta multiplies into the bracket first, as in the risk, so a zero
+    # bracket stays 0 even where theta2 = delta*theta1 would overflow
+    shift = m2 / n2 * (delta * br[(0, 1)]) - m1 / n1 * br[(1, 0)]
+    bias = th1 * (m1 / n1 - 1.0 + k * design.lam * shift)
+    return bias, th1 * th1 * (h2 * k * k + h1 * k + h0)
 
 
 def pt_moments(params: RiskParams) -> tuple[float, float]:

@@ -85,11 +85,8 @@ class McReport:
     def to_csv_rows(self):
         """Rows in the compact table layout (no standard errors)."""
         d = self.config.design
-        out = [list(CSV_COLUMNS)]
-        for r in self.rows:
-            out.append([d.n1, d.n2, r.theta2, r.bias_mle, r.bias_pt, r.bias_s,
-                        r.eff_pt, r.eff_s])
-        return out
+        cells = [asdict(r) | {"n1": d.n1, "n2": d.n2} for r in self.rows]
+        return [list(CSV_COLUMNS)] + [[c[col] for col in CSV_COLUMNS] for c in cells]
 
     def to_json_dict(self):
         """Full-precision dict including standard errors and the config."""
@@ -140,38 +137,52 @@ def _ratio_se(num: np.ndarray, den: np.ndarray) -> float:
     return math.sqrt(max(var, 0.0))
 
 
+@np.errstate(all="raise")
+def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child) -> McRow:
+    """One theta2 cell of ``mc_compare``; leaving double precision raises."""
+    design = config.design
+    rng = np.random.default_rng(child)
+    t1 = _mle_batch(rng, design.n1, config.theta1, config.replicates, design.variant)
+    t2 = _mle_batch(rng, design.n2, theta2, config.replicates, design.variant)
+    ratio = t1 / t2
+    accepted = (ratio > c1) & (ratio < c2)
+    pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
+    pt = np.where(accepted, pool, t1)
+    sh = np.where(accepted, config.k * pool + (1.0 - config.k) * t1, t1)
+
+    stats = {}
+    for rule, est in (("mle", t1), ("pt", pt), ("s", sh)):
+        err = est - config.theta1
+        sq = err**2
+        stats[f"bias_{rule}"], stats[f"se_bias_{rule}"] = _mean_se(err)
+        stats[f"mse_{rule}"], stats[f"se_mse_{rule}"] = _mean_se(sq)
+        if rule == "mle":
+            sq_mle = sq
+        else:
+            stats[f"eff_{rule}"] = stats["mse_mle"] / stats[f"mse_{rule}"]
+            stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq)
+    return McRow(theta2=theta2, **stats)
+
+
 def mc_compare(config: SimConfig) -> McReport:
     """Bias, MSE, and MSE efficiency of the MLE, pre-test, and shrinkage rules.
 
     All three target theta1; efficiency is mse(mle)/mse(rule).  Identical
-    configs produce bit-identical reports.
+    configs produce bit-identical reports.  Scales whose draws or squared
+    errors overflow or underflow double precision raise ValueError, never
+    give an inf or NaN row.
     """
-    design = config.design
-    c1, c2 = critical_values(design, config.alpha)
+    c1, c2 = critical_values(config.design, config.alpha)
     children = np.random.SeedSequence(config.seed).spawn(len(config.theta2_grid))
     rows = []
     for theta2, child in zip(config.theta2_grid, children):
-        rng = np.random.default_rng(child)
-        t1 = _mle_batch(rng, design.n1, config.theta1, config.replicates, design.variant)
-        t2 = _mle_batch(rng, design.n2, theta2, config.replicates, design.variant)
-        ratio = t1 / t2
-        accepted = (ratio > c1) & (ratio < c2)
-        pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
-        pt = np.where(accepted, pool, t1)
-        sh = np.where(accepted, config.k * pool + (1.0 - config.k) * t1, t1)
-
-        stats = {}
-        for rule, est in (("mle", t1), ("pt", pt), ("s", sh)):
-            err = est - config.theta1
-            sq = err**2
-            stats[f"bias_{rule}"], stats[f"se_bias_{rule}"] = _mean_se(err)
-            stats[f"mse_{rule}"], stats[f"se_mse_{rule}"] = _mean_se(sq)
-            if rule == "mle":
-                sq_mle = sq
-            else:
-                stats[f"eff_{rule}"] = stats["mse_mle"] / stats[f"mse_{rule}"]
-                stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq)
-        rows.append(McRow(theta2=theta2, **stats))
+        try:
+            rows.append(_compare_cell(config, c1, c2, theta2, child))
+        except FloatingPointError:
+            raise ValueError(
+                f"theta1={config.theta1:g}, theta2={theta2:g}: the simulated statistics "
+                "leave double precision at these scales"
+            ) from None
     return McReport(config, tuple(rows))
 
 
@@ -191,8 +202,8 @@ def mc_oracle_risk(
     shares nothing with the closed forms in ``risk`` beyond the critical
     values, which is what makes it an oracle for them.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not (0.0 <= k <= 1.0):
@@ -202,12 +213,15 @@ def mc_oracle_risk(
     m1, m2 = design.shapes
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t1 = rng.standard_gamma(m1, replicates) / design.n1          # theta1 = 1
-    t2 = delta * rng.standard_gamma(m2, replicates) / design.n2
     c1, c2 = critical_values(design, alpha)
-    ratio = t1 / t2
-    accepted = (ratio > c1) & (ratio < c2)
-    pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
-    est = np.where(accepted, k * pool + (1.0 - k) * t1, t1)
+    # an extreme delta overflows t2 or the ratio only on draws the test
+    # rejects, and those keep the finite t1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t2 = delta * rng.standard_gamma(m2, replicates) / design.n2
+        ratio = t1 / t2
+        accepted = (ratio > c1) & (ratio < c2)
+        pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
+        est = np.where(accepted, k * pool + (1.0 - k) * t1, t1)
     wse = (est - 1.0) ** 2
     return float(wse.mean()), float(wse.std(ddof=1) / math.sqrt(replicates))
 

@@ -231,6 +231,12 @@ class TestTables:
         assert cells[0]["k_star"] == pytest.approx(0.22, abs=0.015)
         assert cells[0]["error"] is None
 
+    def test_failed_cell_sets_exit_status(self, capsys):
+        # at this level some designs lose the pooling advantage at delta = 1
+        code, _, err = run_cli(capsys, "tables", "2", "--alpha", "0.995")
+        assert code == 1
+        assert "cell (5, 10) failed: no pooling advantage" in err
+
     def test_location_scale_table2_solves_every_cell(self, capsys):
         code, out, err = run_cli(capsys, "tables", "2", "--variant", "locscale",
                                  "--format", "json")
@@ -266,6 +272,17 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--theta1", "1e308"), "theta1=1e+308"),
+        (("--theta1", "1e100"), "theta1=1e+100"),
+        (("--theta2-grid", "1e308"), "theta2=1e+308"),
+    ])
+    def test_overflowing_scales_exit_2(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, *self.ARGS, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "json")

@@ -53,3 +53,18 @@ def test_regret_compared_relative(tmp_path, capsys):
                                              [_cell(2, 2, regret=1e-3 * (1 + 2e-6))], 1e-6)
     assert worst["regret_level"] == pytest.approx(2e-6, rel=1e-5)
     assert len(problems) == 1
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"n1": 2}', '[{"n1": 2, "n2": 2}]'],
+                         ids=["missing", "malformed", "not-a-list", "not-a-cell"])
+def test_broken_input_exits_2(tmp_path, capsys, content):
+    # 1 means the tables differ, so a file that cannot be compared is 2
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps([_cell(2, 2)]))
+    if content is not None:
+        bad.write_text(content)
+    for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+        assert compare_tables.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "bad.json" in err and err.count("\n") == 1

@@ -18,6 +18,7 @@ from recshrink.estimators import (
     shrinkage,
 )
 from recshrink.records import DesignPair, RecordSample, Variant, mle_scale
+from recshrink.risk import shrink_risk
 
 # F_{(10,12)} quantiles at 0.08 and 0.92, frozen from mpmath
 C1_56_016 = 0.40340319624961880
@@ -61,6 +62,19 @@ class TestCriticalValues:
     def test_ordering(self):
         c1, c2 = critical_values(DesignPair(5, 3), 0.3)
         assert 0.0 < c1 < c2
+
+    @pytest.mark.parametrize("alpha", [1 - 2**-53, 1 - 2**-52, 1 - 1e-14])
+    @pytest.mark.parametrize("n1, n2, variant", [
+        (2, 41, Variant.LOCATION_SCALE), (5, 6, Variant.KNOWN_LOCATION),
+        (26, 100, Variant.KNOWN_LOCATION), (150, 40, Variant.LOCATION_SCALE),
+    ])
+    def test_ordered_next_to_alpha_one(self, alpha, n1, n2, variant):
+        # the two quantiles are within rounding of the median here and used
+        # to cross, which made d_bounds and every risk at that level raise
+        design = DesignPair(n1, n2, variant)
+        c1, c2 = critical_values(design, alpha)
+        assert c1 <= c2
+        assert shrink_risk(design, 1.3, alpha, 0.5) == pytest.approx(1.0 / n1, abs=1e-12)
 
 
 class TestPooled:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from recshrink.estimators import critical_values
 from recshrink.records import DesignPair, Variant
 from recshrink.risk import (
     _SHIFTS,
@@ -175,6 +176,74 @@ class TestDegeneracies:
                 risk_k_coefficients_grid(d, np.array([1.0, delta]), 0.16)
             with pytest.raises(ValueError, match="delta must be positive"):
                 shrink_moments(RiskParams(d, delta, 0.16))
+
+
+class TestRiskParams:
+    @pytest.mark.parametrize("field", ["delta", "theta1"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_scales_must_be_positive_and_finite(self, field, value):
+        kwargs = {"delta": 1.5, "theta1": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            RiskParams(D56, alpha=0.16, **kwargs)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_huge_theta1_scales_the_bias_and_overflows_the_mse(self, variant):
+        # theta1^2 overflows, so the mse is +inf; it used to be inf - inf = NaN
+        d = DesignPair(5, 6, variant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bias1, _ = shrink_moments(RiskParams(d, 1.5, 0.16, k=0.5))
+            bias, mse = shrink_moments(RiskParams(d, 1.5, 0.16, k=0.5, theta1=1e200))
+        assert bias == 1e200 * bias1
+        assert mse == math.inf
+
+
+def _scipy_brackets(design, delta, alpha):
+    """The five shifted-shape brackets straight from scipy's incomplete beta."""
+    d1, d2 = d_bounds(design, delta, *critical_values(design, alpha))
+    m1, m2 = design.shapes
+    return {(i, j): float(sp.betainc(m1 + i, m2 + j, d2) - sp.betainc(m1 + i, m2 + j, d1))
+            for i, j in _SHIFTS}
+
+
+class TestMomentsAgainstScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n1=st.integers(2, 150),
+        n2=st.integers(2, 150),
+        variant=st.sampled_from(list(Variant)),
+        delta=st.floats(0.1, 10.0),
+        alpha=st.floats(0.01, 1.0),
+        k=st.floats(0.0, 1.0),
+        theta1=st.floats(1e-3, 1e3),
+    )
+    @example(n1=150, n2=150, variant=Variant.KNOWN_LOCATION, delta=1.0, alpha=0.16, k=0.5,
+             theta1=1.0)
+    @example(n1=150, n2=150, variant=Variant.LOCATION_SCALE, delta=0.1, alpha=0.5, k=1.0,
+             theta1=1e3)
+    @example(n1=2, n2=41, variant=Variant.LOCATION_SCALE, delta=1.0, alpha=1 - 2**-53, k=0.0,
+             theta1=1.0)  # critical values that crossed by rounding
+    def test_bias_and_mse(self, n1, n2, variant, delta, alpha, k, theta1):
+        # est - theta1 = (mle1 - theta1) + k*lam*(mle2 - mle1) on the acceptance
+        # event A; the moments on A, in units of theta1, are scipy brackets
+        design = DesignPair(n1, n2, variant)
+        m1, m2 = design.shapes
+        lam = n2 / (n1 + n2)
+        br = _scipy_brackets(design, delta, alpha)
+        e1 = m1 / n1 * br[(1, 0)]
+        e2 = m2 / n2 * delta * br[(0, 1)]
+        e11 = m1 * (m1 + 1) / n1**2 * br[(2, 0)]
+        e22 = m2 * (m2 + 1) / n2**2 * delta**2 * br[(0, 2)]
+        e12 = m1 * m2 / (n1 * n2) * delta * br[(1, 1)]
+        bias_ref = theta1 * (m1 / n1 - 1.0 + k * lam * (e2 - e1))
+        risk_ref = (
+            m1 * (m1 + 1) / n1**2 - 2.0 * m1 / n1 + 1.0
+            + 2.0 * k * lam * (e12 - e11 - e2 + e1)
+            + (k * lam) ** 2 * (e22 - 2.0 * e12 + e11)
+        )
+        bias, mse = shrink_moments(RiskParams(design, delta, alpha, k, theta1))
+        assert bias == pytest.approx(bias_ref, abs=1e-13 * theta1)
+        assert mse == pytest.approx(theta1**2 * risk_ref, rel=1e-12)
 
 
 class TestMomentsAgainstOracle:

@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, cross-route agreement, degeneracies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestMcCompare:
         assert payload["seed"] == 1234
         assert {"se_eff_pt", "se_mse_s", "se_bias_mle"} <= set(payload["rows"][0])
 
+    @pytest.mark.parametrize("scales, named", [
+        (dict(theta1=1e308, theta2_grid=(1.0,)), "theta1=1e+308"),
+        (dict(theta1=1e100, theta2_grid=(1.0,)), "theta1=1e+100"),
+        (dict(theta1=1e-100, theta2_grid=(1.0,)), "theta1=1e-100"),
+        (dict(theta2_grid=(1.0, 1e308)), "theta2=1e+308"),
+    ])
+    def test_scales_beyond_double_precision_rejected(self, scales, named):
+        # these used to give NaN or inf-fed rows after numpy RuntimeWarnings
+        with pytest.raises(ValueError, match=re.escape(named) + ".*leave double precision"):
+            mc_compare(_config(replicates=100, **scales))
+
+    @pytest.mark.parametrize("theta1", [1e-30, 1e30])
+    def test_wide_scales_give_finite_statistics(self, theta1):
+        # one replicate: only the standard errors are NaN, as documented
+        for reps in (1, 100):
+            row = mc_compare(_config(theta1=theta1, replicates=reps)).rows[0]
+            for name, value in vars(row).items():
+                assert math.isfinite(value) or (reps == 1 and name.startswith("se_")), name
+
 
 class TestMcOracleRisk:
     def test_alpha_one_gives_mle_risk(self):
@@ -137,9 +157,20 @@ class TestMcOracleRisk:
         est, se = mc_oracle_risk(d, 1.0, 1.0, 1.0, 200_000, seed=9)
         assert abs(est - 1.0 / 3.0) <= 3.0 * se
 
+    @pytest.mark.parametrize("delta", [1e308, 5e-324])
+    def test_extreme_finite_delta_rejects_every_draw(self, delta):
+        # t2 or the ratio overflows only on rejected draws, which keep t1, so
+        # the estimate equals the never-pooling alpha = 1 run on the same draws
+        assert mc_oracle_risk(D22, delta, 0.16, 0.5, 10_000, seed=3) == mc_oracle_risk(
+            D22, 1.0, 1.0, 0.5, 10_000, seed=3
+        )
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             mc_oracle_risk(D22, -1.0, 0.16, 1.0, 100, seed=0)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                mc_oracle_risk(D22, delta, 0.16, 1.0, 100, seed=0)
         with pytest.raises(ValueError):
             mc_oracle_risk(D22, 1.0, 0.16, 2.0, 100, seed=0)
         with pytest.raises(ValueError):
