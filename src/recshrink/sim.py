@@ -3,7 +3,12 @@
 Everything is reproducible from a single root seed.  ``mc_compare`` spawns
 one child stream per theta2 cell (``numpy.random.SeedSequence.spawn``), so
 cells may be computed in any order, or concurrently, without changing any
-number; within a cell the draws happen in one fixed batch order.
+number; within a cell the draws happen in one fixed batch order, and each
+replicate's gaps are summed in record order, as the scalar record route
+sums them.  A cell is simulated in units of theta1 and its bias and MSE
+are scaled back at the end.  Every statistic, the efficiency SEs included,
+comes from elementwise numpy arithmetic and sums, not from a BLAS kernel
+that may differ between CPUs.
 ``mc_oracle_risk`` simulates the estimators straight from their chi-square
 pivot representations and is the independent check on every closed form in
 ``risk``.  ``convention_validation`` holds that check against the ratio
@@ -109,12 +114,21 @@ def _mle_batch(rng: np.random.Generator, n: int, scale: float, reps: int,
 
     Records are cumulative sums of inverse-CDF exponential gaps, matching
     ``records.sample_exponential_records``; the MLE only needs the gap sums,
-    so the cumulative sum itself is never materialized.
+    so the cumulative sum itself is never materialized.  The gaps are formed
+    in place in the one draw and summed column by column in record order,
+    so each known-location row equals ``records.mle_scale`` of the record
+    sample drawn from the same generator state, bit for bit.
     """
-    gaps = -scale * np.log1p(-rng.random((reps, n)))
-    if variant is Variant.KNOWN_LOCATION:
-        return gaps.sum(axis=1) / n           # X_{U(n)} / n
-    return gaps[:, 1:].sum(axis=1) / n        # (X_{U(n)} - X_{U(1)}) / n
+    g = rng.random((reps, n))
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    g *= -scale
+    first = 0 if variant is Variant.KNOWN_LOCATION else 1
+    total = g[:, first].copy()
+    for j in range(first + 1, n):
+        total += g[:, j]
+    total /= n                   # X_{U(n)} / n, or (X_{U(n)} - X_{U(1)}) / n
+    return total
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -125,25 +139,53 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def _ratio_se(num: np.ndarray, den: np.ndarray) -> float:
-    """Delta-method SE of mean(num)/mean(den) from paired replicate values."""
+    """Delta-method SE of mean(num)/mean(den) from paired replicate values.
+
+    The delta-method variance (r**2)*(v11/m1**2 + v22/m2**2 - 2*v12/(m1*m2)),
+    with r = m1/m2, equals var(num - r*den)/(reps*m2**2).  The residual form
+    sums squares where the three-term form cancels, and it needs no
+    covariance, so no ``np.cov`` and its BLAS product chosen per CPU.
+    """
     reps = num.size
     if reps < 2:
         return math.nan
-    m1, m2 = num.mean(), den.mean()
-    v11 = num.var(ddof=1) / reps
-    v22 = den.var(ddof=1) / reps
-    v12 = float(np.cov(num, den, ddof=1)[0, 1]) / reps
-    var = (m1 / m2) ** 2 * (v11 / m1**2 + v22 / m2**2 - 2.0 * v12 / (m1 * m2))
-    return math.sqrt(max(var, 0.0))
+    m2 = den.mean()
+    resid = num - (num.mean() / m2) * den
+    return math.sqrt(resid.var(ddof=1) / reps) / abs(m2)
+
+
+def _scaled(value: float, *factors: float) -> float:
+    """value times each factor in turn, raising where it leaves the normal doubles.
+
+    Python float arithmetic overflows to inf, and underflows to a subnormal
+    or 0, without a signal, so ``np.errstate`` does not catch it here.
+    """
+    for factor in factors:
+        out = value * factor
+        if math.isinf(out) or (abs(out) < np.finfo(float).tiny and value != 0.0):
+            raise FloatingPointError
+        value = out
+    return value
 
 
 @np.errstate(all="raise")
 def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child) -> McRow:
-    """One theta2 cell of ``mc_compare``; leaving double precision raises."""
+    """One theta2 cell of ``mc_compare``, simulated in units of theta1.
+
+    t1 is drawn at scale 1 and t2 at delta = theta2/theta1, so every
+    statistic is first computed for theta1 = 1.  Bias and its SE are then
+    scaled by theta1, MSE and its SE by theta1**2; the efficiencies are
+    ratios and need no scaling.  Leaving double precision anywhere, in
+    delta, the draws or the scaled values, raises FloatingPointError.
+    """
     design = config.design
+    theta1 = config.theta1
+    delta = theta2 / theta1
+    if not 0.0 < delta < math.inf:
+        raise FloatingPointError
     rng = np.random.default_rng(child)
-    t1 = _mle_batch(rng, design.n1, config.theta1, config.replicates, design.variant)
-    t2 = _mle_batch(rng, design.n2, theta2, config.replicates, design.variant)
+    t1 = _mle_batch(rng, design.n1, 1.0, config.replicates, design.variant)
+    t2 = _mle_batch(rng, design.n2, delta, config.replicates, design.variant)
     ratio = t1 / t2
     accepted = (ratio > c1) & (ratio < c2)
     pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
@@ -152,14 +194,18 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child)
 
     stats = {}
     for rule, est in (("mle", t1), ("pt", pt), ("s", sh)):
-        err = est - config.theta1
+        err = est - 1.0
         sq = err**2
-        stats[f"bias_{rule}"], stats[f"se_bias_{rule}"] = _mean_se(err)
-        stats[f"mse_{rule}"], stats[f"se_mse_{rule}"] = _mean_se(sq)
+        bias, se_bias = _mean_se(err)
+        mse, se_mse = _mean_se(sq)
+        stats[f"bias_{rule}"] = _scaled(bias, theta1)
+        stats[f"se_bias_{rule}"] = _scaled(se_bias, theta1)
+        stats[f"mse_{rule}"] = _scaled(mse, theta1, theta1)
+        stats[f"se_mse_{rule}"] = _scaled(se_mse, theta1, theta1)
         if rule == "mle":
-            sq_mle = sq
+            sq_mle, mse_mle = sq, mse
         else:
-            stats[f"eff_{rule}"] = stats["mse_mle"] / stats[f"mse_{rule}"]
+            stats[f"eff_{rule}"] = mse_mle / mse
             stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq)
     return McRow(theta2=theta2, **stats)
 
@@ -168,9 +214,12 @@ def mc_compare(config: SimConfig) -> McReport:
     """Bias, MSE, and MSE efficiency of the MLE, pre-test, and shrinkage rules.
 
     All three target theta1; efficiency is mse(mle)/mse(rule).  Identical
-    configs produce bit-identical reports.  Scales whose draws or squared
-    errors overflow or underflow double precision raise ValueError, never
-    give an inf or NaN row.
+    configs produce bit-identical reports.  The rules are scale-equivariant,
+    so each cell is simulated in units of theta1 and its bias and MSE are
+    scaled back at the end: theta1 may range over about 1e-154 to 1e154,
+    where the MSE and its SE (about theta1**2) stay normal doubles.  Scales
+    whose draws or statistics overflow or underflow double precision raise
+    ValueError, never give an inf or NaN row.
     """
     c1, c2 = critical_values(config.design, config.alpha)
     children = np.random.SeedSequence(config.seed).spawn(len(config.theta2_grid))

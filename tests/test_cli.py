@@ -275,7 +275,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags, named", [
         (("--theta1", "1e308"), "theta1=1e+308"),
-        (("--theta1", "1e100"), "theta1=1e+100"),
+        (("--theta1", "1e200"), "theta1=1e+200"),
         (("--theta2-grid", "1e308"), "theta2=1e+308"),
     ])
     def test_overflowing_scales_exit_2(self, capsys, flags, named):

@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from recshrink.records import DesignPair, Variant
+from recshrink.records import DesignPair, Variant, mle_scale, sample_exponential_records
 from recshrink.sim import (
     SimConfig,
+    _mle_batch,
+    _ratio_se,
     convention_validation,
     mc_compare,
     mc_oracle_risk,
@@ -75,6 +77,7 @@ class TestMcCompare:
         report = mc_compare(_config(k=0.0))
         for row in report.rows:
             assert row.eff_s == 1.0
+            assert row.se_eff_s == 0.0
             assert row.bias_s == row.bias_mle
             assert row.mse_s == row.mse_mle
 
@@ -108,22 +111,86 @@ class TestMcCompare:
 
     @pytest.mark.parametrize("scales, named", [
         (dict(theta1=1e308, theta2_grid=(1.0,)), "theta1=1e+308"),
-        (dict(theta1=1e100, theta2_grid=(1.0,)), "theta1=1e+100"),
-        (dict(theta1=1e-100, theta2_grid=(1.0,)), "theta1=1e-100"),
+        (dict(theta1=1e200, theta2_grid=(1.0,)), "theta1=1e+200"),
+        (dict(theta1=1e-200, theta2_grid=(1.0,)), "theta1=1e-200"),
         (dict(theta2_grid=(1.0, 1e308)), "theta2=1e+308"),
+        (dict(theta1=1e-10, theta2_grid=(1e300,)), "theta1=1e-10, theta2=1e+300"),
+        (dict(theta1=1e-160, theta2_grid=(1.0,)), "theta1=1e-160"),   # a subnormal MSE
     ])
     def test_scales_beyond_double_precision_rejected(self, scales, named):
         # these used to give NaN or inf-fed rows after numpy RuntimeWarnings
         with pytest.raises(ValueError, match=re.escape(named) + ".*leave double precision"):
             mc_compare(_config(replicates=100, **scales))
 
-    @pytest.mark.parametrize("theta1", [1e-30, 1e30])
+    @pytest.mark.parametrize("theta1", [1e-150, 1e-30, 1e30, 1e150])
     def test_wide_scales_give_finite_statistics(self, theta1):
         # one replicate: only the standard errors are NaN, as documented
         for reps in (1, 100):
             row = mc_compare(_config(theta1=theta1, replicates=reps)).rows[0]
             for name, value in vars(row).items():
                 assert math.isfinite(value) or (reps == 1 and name.startswith("se_")), name
+
+    @pytest.mark.parametrize("theta1", [2.0**300, 2.0**-300], ids=["2**300", "2**-300"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_theta1_scales_results_exactly(self, theta1, variant):
+        # delta = theta2/theta1 is exact for a power of two, so the draws are
+        # those of theta1 = 1 and only the scaling back differs
+        design = DesignPair(3, 4, variant)
+        unit = mc_compare(_config(design=design, replicates=2000))
+        big = mc_compare(_config(design=design, replicates=2000, theta1=theta1,
+                                 theta2_grid=[theta1 * t for t in (0.5, 1.0, 2.0)]))
+        powers = {"theta2": 1, "bias": 1, "se_bias": 1, "mse": 2, "se_mse": 2,
+                  "eff": 0, "se_eff": 0}
+        for ru, rb in zip(unit.rows, big.rows):
+            for name, value in vars(ru).items():
+                power = powers[name.rsplit("_", 1)[0]]   # bias_pt -> bias, theta2 as is
+                assert getattr(rb, name) == value * theta1**power, name
+
+
+class TestMleBatch:
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5e3, 1e-20])
+    def test_known_location_equals_scalar_record_route(self, n, scale):
+        reps = 64
+        batch = _mle_batch(np.random.default_rng(n), n, scale, reps, Variant.KNOWN_LOCATION)
+        rng = np.random.default_rng(n)
+        scalar = [mle_scale(sample_exponential_records(n, scale, rng=rng)) for _ in range(reps)]
+        assert batch.tolist() == scalar
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5e3, 1e-20])
+    def test_location_scale_sums_the_gaps_after_the_first(self, n, scale):
+        reps = 256
+        batch = _mle_batch(np.random.default_rng(n), n, scale, reps, Variant.LOCATION_SCALE)
+        gaps = -scale * np.log1p(-np.random.default_rng(n).random((reps, n)))
+        exact = np.array([math.fsum(row[1:]) / n for row in gaps])
+        np.testing.assert_allclose(batch, exact, rtol=1e-15, atol=0.0)
+
+
+def _cov_ratio_se(num, den):
+    reps = num.size
+    m1, m2 = num.mean(), den.mean()
+    v11 = num.var(ddof=1) / reps
+    v22 = den.var(ddof=1) / reps
+    v12 = float(np.cov(num, den, ddof=1)[0, 1]) / reps
+    var = (m1 / m2) ** 2 * (v11 / m1**2 + v22 / m2**2 - 2.0 * v12 / (m1 * m2))
+    return math.sqrt(max(var, 0.0))
+
+
+class TestRatioSe:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("reps", [50, 1000, 100_000])
+    def test_matches_np_cov_formula(self, seed, reps):
+        # the paired squared errors of the MLE and a shrinkage rule, as in a cell
+        rng = np.random.default_rng(seed)
+        t1 = rng.standard_gamma(3, reps) / 3
+        t2 = rng.standard_gamma(4, reps) / 4
+        shrunk = 0.3 * (3 * t1 + 4 * t2) / 7 + 0.7 * t1
+        num, den = (t1 - 1.0) ** 2, (shrunk - 1.0) ** 2
+        assert _ratio_se(num, den) == pytest.approx(_cov_ratio_se(num, den), rel=1e-10)
+
+    def test_one_replicate_gives_nan(self):
+        assert math.isnan(_ratio_se(np.array([0.3]), np.array([0.7])))
 
 
 class TestMcOracleRisk:
