@@ -16,10 +16,9 @@ import sys
 from recshrink.cli import write_csv
 from recshrink.minimax import optimal_alpha, optimal_k
 from recshrink.records import DesignPair
-from recshrink.sim import CSV_COLUMNS, SimConfig, mc_compare
+from recshrink.sim import CSV_COLUMNS, THETA2_GRID, SimConfig, mc_compare
 
 DESIGNS = ((2, 2), (7, 2), (2, 5), (7, 5), (2, 10), (7, 7), (10, 2), (10, 7))
-THETA2_GRID = (0.1, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0)
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ from .estimators import EstimationInput, Target, pooled, preliminary_test, shrin
 from .minimax import TABLE_GRID, SearchError, TableCase, generate_tables, optimal_alpha, optimal_k
 from .records import DesignPair, RecordSample, Variant, extract_upper_records, mle_scale
 from .risk import boundary_risks, shrink_risk_grid
-from .sim import CSV_COLUMNS, SimConfig, convention_validation, mc_compare
+from .sim import THETA2_GRID, SimConfig, convention_validation, mc_compare
 
 _TABLE_COLUMNS = ("n1", "n2", "alpha_star", "k_star", "regret_level", "delta_L", "delta_U")
 _CURVE_COLUMNS = ("delta", "risk", "family", "alpha", "k")
@@ -110,18 +110,14 @@ def _two_series(path: str) -> tuple[str, list[float], str, list[float]]:
 def cmd_estimate(args) -> int:
     variant = Variant(args.variant)
     name1, vals1, name2, vals2 = _two_series(args.input)
-    if args.extract_records:
-        s1 = extract_upper_records(vals1, variant)
-        s2 = extract_upper_records(vals2, variant)
-    else:
+    samples = []
+    for name, vals in ((name1, vals1), (name2, vals2)):
         try:
-            s1 = RecordSample(tuple(vals1), variant)
+            samples.append(extract_upper_records(vals, variant) if args.extract_records
+                           else RecordSample(tuple(vals), variant))
         except ValueError as exc:
-            raise ValueError(f"{args.input}: column {name1!r}: {exc}") from None
-        try:
-            s2 = RecordSample(tuple(vals2), variant)
-        except ValueError as exc:
-            raise ValueError(f"{args.input}: column {name2!r}: {exc}") from None
+            raise ValueError(f"{args.input}: column {name!r}: {exc}") from None
+    s1, s2 = samples
     design = DesignPair(s1.n, s2.n, variant)
     inp = EstimationInput(mle_scale(s1), mle_scale(s2), design)
     pt1, decision = preliminary_test(inp, args.alpha, Target.THETA1)
@@ -176,19 +172,25 @@ def cmd_risk_curve(args) -> int:
         raise ValueError("need 0 < delta-min <= delta-max < inf")
     deltas = np.geomspace(args.delta_min, args.delta_max, args.delta_steps)
     ks = args.k or [1.0]
-    rows = risk_curve_rows(design, deltas, [(args.alpha, k) for k in ks])
+    rows = risk_curve_rows(design, deltas, [(a, k) for a in args.alpha for k in ks])
     _render(args, rows, [dict(zip(rows[0], row)) for row in rows[1:]])
     return 0
 
 
 def cmd_tables(args) -> int:
     variant = Variant(args.variant)
-    case = {1: TableCase.ALPHA, 2: TableCase.K_FIXED_ALPHA, 3: TableCase.K_OPTIMAL_ALPHA}[
-        args.which
-    ]
+    case, tuning = {
+        1: (TableCase.ALPHA, "alpha*"),
+        2: (TableCase.K_FIXED_ALPHA, f"K* at alpha={args.alpha:g}"),
+        3: (TableCase.K_OPTIMAL_ALPHA, "alpha* or K*(alpha*)"),
+    }[args.which]
     grid = [int(t) for t in args.grid.split(",")] if args.grid else TABLE_GRID
     designs = [DesignPair(a, b, variant) for b in grid for a in grid]
     cells = generate_tables(case, designs, alpha=args.alpha)
+    for cell in cells:
+        if cell.fallback:
+            print(f"cell ({cell.n1}, {cell.n2}): {tuning} has no equalizer; "
+                  "regret_level is the larger regret maximum", file=sys.stderr)
     failed = [c for c in cells if c.error]
     for cell in failed:
         print(f"cell ({cell.n1}, {cell.n2}) failed: {cell.error}", file=sys.stderr)
@@ -288,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("risk-curve", help="risk curves over a delta grid")
     _add_design(p)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=float, action="append", required=True,
+                   help="pre-test level (repeatable)")
     p.add_argument("--k", type=float, action="append", default=None,
                    help="shrinkage coefficient (repeatable); omit for the pre-test curve")
     p.add_argument("--delta-min", type=float, default=0.05)
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.16)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--theta1", type=float, default=1.0)
-    p.add_argument("--theta2-grid", default="0.1,0.3,0.5,0.8,1.0,1.2,1.5,2.0,2.5,3.0")
+    p.add_argument("--theta2-grid", default=",".join(map(str, THETA2_GRID)))
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=20260811)
     _add_common_output(p)

@@ -27,6 +27,8 @@ from .records import DesignPair, Variant
 from .risk import coefficients_at_bounds, shrink_risk
 
 CSV_COLUMNS = ("n1", "n2", "theta2", "bias_mle", "bias_pt", "bias_s", "eff_pt", "eff_s")
+# the study's theta2 values (theta1 = 1): the default grid of `recshrink simulate`
+THETA2_GRID = (0.1, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0)
 
 
 @dataclass(frozen=True)

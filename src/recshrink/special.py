@@ -185,25 +185,12 @@ def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
     if not _integer_shapes(a, b):
         return np.array([reg_inc_beta(v, a, b) for v in xf.tolist()], dtype=float).reshape(xv.shape)
     front = beta_front(xf, a, b)
-    ia, ib = int(a), int(b)
     lower = xf * (a + b - 1.0) < a
-
-    def below(xs, fr):
-        return _binom_tail_vec(ia, ib, fr / (a * (1.0 - xs)), xs / (1.0 - xs))
-
-    def above(xs, fr):
-        return 1.0 - _binom_tail_vec(ib, ia, fr / (b * xs), (1.0 - xs) / xs)
-
-    n_lower = np.count_nonzero(lower)
-    if n_lower == xf.size:
-        out = below(xf, front)
-    elif n_lower == 0:
-        out = above(xf, front)
-    else:
-        out = np.empty_like(xf)
-        upper = ~lower
-        out[lower] = below(xf[lower], front[lower])
-        out[upper] = above(xf[upper], front[upper])
+    out = np.empty_like(xf)
+    xs, fr = xf[lower], front[lower]
+    out[lower] = _binom_tail_vec(int(a), int(b), fr / (a * (1.0 - xs)), xs / (1.0 - xs))
+    xs, fr = xf[~lower], front[~lower]
+    out[~lower] = 1.0 - _binom_tail_vec(int(b), int(a), fr / (b * xs), (1.0 - xs) / xs)
     return out.reshape(xv.shape)
 
 

@@ -4,9 +4,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from recshrink.cli import main, read_series_csv
+from recshrink.cli import main, read_series_csv, risk_curve_rows, write_csv
+from recshrink.records import DesignPair
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +34,17 @@ class TestReadSeriesCsv:
         p = tmp_path / "e.csv"
         p.write_text("")
         with pytest.raises(ValueError, match="empty"):
+            read_series_csv(str(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,\n1,2\n", "header row must name every column"),
+        ("a,a\n1,2\n", "duplicate column names"),
+        ("a,b\n1,2\n3,4,5\n", "row 3 has more cells than the header"),
+    ], ids=["empty-name", "duplicate-names", "long-row"])
+    def test_malformed_layout(self, tmp_path, text, message):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_series_csv(str(p))
 
     def test_bad_cell_reports_position(self, tmp_path):
@@ -90,6 +103,11 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", str(p))
         assert code == 2
         assert "strictly increasing" in err and "'a'" in err
+        # the second column is checked the same way
+        p.write_text("a,b\n1,3\n2,2\n5,4\n")
+        code, _, err = run_cli(capsys, "estimate", str(p))
+        assert code == 2
+        assert "strictly increasing" in err and f"{p}: column 'b'" in err
 
     @pytest.mark.parametrize("extract", [False, True])
     def test_non_finite_records_rejected(self, capsys, tmp_path, extract):
@@ -100,6 +118,7 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
+        assert f"{p}: column 'a'" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "/no/such/file.csv")
@@ -112,9 +131,47 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", str(p))
         assert code == 2
         assert "two series" in err
+        p.write_text("a,b\n1,\n2,\n")
+        code, _, err = run_cli(capsys, "estimate", str(p))
+        assert code == 2
+        assert "every series needs at least one value" in err
 
 
 class TestRiskCurve:
+    # the two reference curve sets of the (5, 6) design, as the README gives them
+    GRID = ("--delta-min", "0.05", "--delta-max", "4", "--delta-steps", "300")
+    LEVELS = ("0.05", "0.16", "0.30", "0.50")
+    KS = ("0", "1", "0.21")
+
+    def _curves(self, capsys, tmp_path, *flags):
+        out = tmp_path / "curves.csv"
+        code, _, err = run_cli(capsys, "risk-curve", "--n1", "5", "--n2", "6", *flags,
+                               *self.GRID, "--out", str(out))
+        assert code == 0, err
+        return out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("flags, pairs", [
+        ([f for a in LEVELS for f in ("--alpha", a)], [(float(a), 1.0) for a in LEVELS]),
+        (["--alpha", "0.16"] + [f for k in KS for f in ("--k", k)],
+         [(0.16, float(k)) for k in KS]),
+    ], ids=["levels", "coefficients"])
+    def test_reference_curve_sets(self, capsys, tmp_path, flags, pairs):
+        text = self._curves(capsys, tmp_path, *flags)
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["delta", "risk", "family", "alpha", "k"]
+        # 300 deltas per curve: one per (alpha, k) pair, plus pooled and mle
+        assert len(rows) == 1 + 300 * (len(pairs) + 2)
+        buf = io.StringIO()
+        write_csv(risk_curve_rows(DesignPair(5, 6), np.geomspace(0.05, 4.0, 300), pairs), buf)
+        assert text == buf.getvalue()
+
+    def test_each_level_equals_its_single_alpha_run(self, capsys, tmp_path):
+        flags = [f for a in self.LEVELS for f in ("--alpha", a)]
+        rows = list(csv.reader(io.StringIO(self._curves(capsys, tmp_path, *flags))))
+        for a in self.LEVELS:
+            single = list(csv.reader(io.StringIO(self._curves(capsys, tmp_path, "--alpha", a))))
+            assert [r for r in rows if r[2] != "pt" or float(r[3]) == float(a)] == single
+
     def test_schema_and_reference_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "risk-curve", "--n1", "5", "--n2", "6", "--alpha", "0.16",
@@ -236,6 +293,20 @@ class TestTables:
         code, _, err = run_cli(capsys, "tables", "2", "--alpha", "0.995")
         assert code == 1
         assert "cell (5, 10) failed: no pooling advantage" in err
+
+    def test_no_equalizer_cells_named_on_stderr(self, capsys):
+        argv = ["tables", "2", "--variant", "locscale", "--grid", "7,2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ("cell (7, 2): K* at alpha=0.16 has no equalizer; "
+                       "regret_level is the larger regret maximum\n")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n1", "n2", "alpha_star", "k_star", "regret_level",
+                           "delta_L", "delta_U"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        cells = json.loads(out)
+        assert [(c["n1"], c["n2"]) for c in cells] == [(7, 7), (2, 7), (7, 2), (2, 2)]
+        assert all(set(c) == {*rows[0], "error"} for c in cells)
 
     def test_location_scale_table2_solves_every_cell(self, capsys):
         code, out, err = run_cli(capsys, "tables", "2", "--variant", "locscale",

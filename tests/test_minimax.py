@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from recshrink.minimax import (
+    RegretSolution,
     SearchError,
     TableCase,
     delta_intersections,
@@ -23,7 +24,7 @@ from recshrink.minimax import (
     sup_regret_pt,
     sup_regret_shrink,
 )
-from recshrink.records import DesignPair
+from recshrink.records import DesignPair, Variant
 from recshrink.risk import boundary_risks, pt_risk, shrink_risk
 
 D56 = DesignPair(5, 6)
@@ -117,6 +118,11 @@ class TestSupRegretPt:
         assert r_hi <= 1e-12
         assert r_lo > 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+    def test_alpha_domain(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            sup_regret_pt(D56, alpha)
+
     def test_upper_maximum_is_finite(self):
         # regret dies off at large delta, so the hump is interior
         d_lo, _, d_hi, r_hi = sup_regret_pt(DesignPair(3, 4), 0.05)
@@ -179,6 +185,11 @@ class TestRegretShrink:
             for k in (0.0, 0.3, 1.0):
                 assert regret_shrink(D56, delta, 0.16, k) >= 0.0
 
+    @pytest.mark.parametrize("k", [-0.1, 1.1, float("nan")])
+    def test_k_domain(self, k):
+        with pytest.raises(ValueError, match="k must lie in"):
+            regret_shrink(D56, 1.0, 0.16, k)
+
     def test_crossings_bracket_the_dip(self):
         lo, hi = pt_risk_crossings(D56, 0.16)
         assert 0.0 <= lo < 1.0 < hi
@@ -235,6 +246,21 @@ class TestOptimalK:
             optimal_k(D56, 1.0)
 
 
+class TestRegretSolution:
+    GOOD = dict(tuned_value=0.2, delta1=0.5, delta2=1.0, delta_L=0.8, delta_U=2.0,
+                regret_at_L=0.01, regret_at_U=0.01)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(delta1=1.5), "window edges out of order"),
+        (dict(delta_L=1.2), "regret maxima fall outside their regions"),
+        (dict(delta_U=0.9), "regret maxima fall outside their regions"),
+    ], ids=["window", "lower-max", "upper-max"])
+    def test_invariants(self, change, message):
+        RegretSolution(**self.GOOD)
+        with pytest.raises(SearchError, match=message):
+            RegretSolution(**(self.GOOD | change))
+
+
 class TestEqualize:
     def test_sign_change_root(self):
         from recshrink.minimax import _equalize
@@ -289,6 +315,30 @@ class TestGenerateTables:
         cells = generate_tables(TableCase.K_OPTIMAL_ALPHA, designs=[DesignPair(5, 5)])
         assert cells[0].alpha_star == pytest.approx(0.30, abs=0.015)
         assert cells[0].k_star == pytest.approx(0.25, abs=0.015)
+
+    @pytest.mark.parametrize("variant, n1, n2, fallback", [
+        (Variant.KNOWN_LOCATION, 5, 6, False),
+        (Variant.LOCATION_SCALE, 7, 2, True),
+        (Variant.LOCATION_SCALE, 10, 2, True),
+    ])
+    def test_regret_level_is_the_larger_maximum(self, variant, n1, n2, fallback):
+        design = DesignPair(n1, n2, variant)
+        (cell,) = generate_tables(TableCase.K_FIXED_ALPHA, designs=[design], alpha=0.16)
+        sol = optimal_k(design, 0.16)
+        assert cell.fallback is sol.fallback is fallback
+        assert cell.regret_level == max(sol.regret_at_L, sol.regret_at_U)
+        if fallback:
+            # no equalizer: the two maxima differ by far more than rounding
+            assert sol.regret_at_L > 1.2 * sol.regret_at_U
+        else:
+            assert cell.regret_level == pytest.approx(sol.regret_at_L, rel=1e-6)
+
+    def test_chained_fallback_flag(self):
+        # alpha* equalizes at location-scale (5, 2) but K*(alpha*) does not
+        design = DesignPair(5, 2, Variant.LOCATION_SCALE)
+        (cell,) = generate_tables(TableCase.K_OPTIMAL_ALPHA, designs=[design])
+        assert not optimal_alpha(design).fallback
+        assert cell.fallback
 
     def test_cell_errors_do_not_abort(self, monkeypatch):
         import recshrink.minimax as mm

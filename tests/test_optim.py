@@ -37,6 +37,7 @@ class TestBrentRoot:
 
     def test_exact_endpoint(self):
         assert brent_root(lambda t: t, 0.0, 1.0) == 0.0
+        assert brent_root(lambda t: t - 1.0, 0.0, 1.0) == 1.0
 
     def test_requires_sign_change(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,10 @@ class TestRecordSample:
     def test_count(self):
         assert RecordSample((1.0, 2.0, 4.0)).n == 3
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="record sample is empty"):
+            RecordSample(())
+
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             RecordSample((1.0, 1.0, 2.0))

@@ -186,6 +186,17 @@ class TestRiskParams:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             RiskParams(D56, alpha=0.16, **kwargs)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", 0.0, "alpha must lie in"),
+        ("alpha", 1.5, "alpha must lie in"),
+        ("k", -0.1, "k must lie in"),
+        ("k", 1.1, "k must lie in"),
+    ])
+    def test_level_and_weight_domains(self, field, value, message):
+        kwargs = {"alpha": 0.16, "k": 0.5, field: value}
+        with pytest.raises(ValueError, match=message):
+            RiskParams(D56, 1.5, **kwargs)
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_huge_theta1_scales_the_bias_and_overflows_the_mse(self, variant):
         # theta1^2 overflows, so the mse is +inf; it used to be inf - inf = NaN
@@ -414,6 +425,13 @@ class TestGridPath:
     def test_grid_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             shrink_risk_grid(D56, np.array([0.5, -1.0]), 0.16, 1.0)
+
+    @pytest.mark.parametrize("k", [-0.1, 1.1, math.nan])
+    def test_k_outside_unit_interval_rejected(self, k):
+        with pytest.raises(ValueError, match="k must lie in"):
+            shrink_risk(D56, 1.0, 0.16, k)
+        with pytest.raises(ValueError, match="k must lie in"):
+            shrink_risk_grid(D56, np.array([0.5, 1.0]), 0.16, k)
 
 
 @pytest.fixture(scope="module")

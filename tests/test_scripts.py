@@ -1,4 +1,4 @@
-"""Smoke runs of scripts/risk_curves.py and scripts/run_simulation.py."""
+"""Smoke run of scripts/run_simulation.py."""
 
 import csv
 import importlib.util
@@ -18,19 +18,6 @@ def _load(name):
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
-
-
-def test_risk_curves(tmp_path, capsys):
-    _load("risk_curves").main(["--outdir", str(tmp_path)])
-    levels = _rows(tmp_path / "risk_pt_levels_n5_6.csv")
-    coefficients = _rows(tmp_path / "risk_shrink_k_n5_6.csv")
-    header = ["delta", "risk", "family", "alpha", "k"]
-    assert levels[0] == coefficients[0] == header
-    # 300 deltas per curve: 4 levels or 3 coefficients, plus pooled and mle
-    assert len(levels) == 1 + 300 * (4 + 2)
-    assert len(coefficients) == 1 + 300 * (3 + 2)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "risk_pt_levels_n5_6.csv", "risk_shrink_k_n5_6.csv"]
 
 
 def test_run_simulation(tmp_path, capsys):

@@ -240,6 +240,9 @@ class TestMcOracleRisk:
                 mc_oracle_risk(D22, delta, 0.16, 1.0, 100, seed=0)
         with pytest.raises(ValueError):
             mc_oracle_risk(D22, 1.0, 0.16, 2.0, 100, seed=0)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                mc_oracle_risk(D22, 1.0, alpha, 1.0, 100, seed=0)
         with pytest.raises(ValueError):
             mc_oracle_risk(D22, 1.0, 0.16, 1.0, 1, seed=0)
 

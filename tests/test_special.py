@@ -193,6 +193,9 @@ class TestRegIncBeta:
     def test_grid_domain_error(self):
         with pytest.raises(ValueError):
             reg_inc_beta_grid(np.array([0.5, 1.5]), 2.0, 3.0)
+        for a, b in [(0.0, 3.0), (2.0, -1.0), (math.nan, 3.0)]:
+            with pytest.raises(ValueError, match="beta shapes must be positive"):
+                reg_inc_beta_grid(np.array([0.5]), a, b)
 
 
 class TestInverse:
@@ -219,6 +222,11 @@ class TestInverse:
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
             inv_reg_inc_beta(p, 2.0, 3.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (2.0, -1.0), (math.nan, 3.0)])
+    def test_shape_domain_errors(self, a, b):
+        with pytest.raises(ValueError, match="beta shapes must be positive"):
+            inv_reg_inc_beta(0.5, a, b)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -257,6 +265,10 @@ class TestFQuantile:
     def test_p_domain_errors(self, p):
         with pytest.raises(ValueError):
             f_quantile(p, 4.0, 4.0)
+
+    def test_quantile_beyond_double_precision_is_infinite(self):
+        # the beta inverse returns exactly 1 one ulp below p = 1
+        assert f_quantile(1.0 - 2.0**-53, 2.0, 1.0) == math.inf
 
     def test_df_domain_errors(self):
         with pytest.raises(ValueError):
