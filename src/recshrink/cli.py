@@ -68,7 +68,7 @@ def read_series_csv(path: str) -> dict[str, list[float]]:
 
     Columns may have unequal lengths; trailing empty cells are allowed.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -158,9 +158,9 @@ def risk_curve_rows(design: DesignPair, deltas, alpha_k_pairs) -> list[list]:
         family = "pt" if k == 1.0 else "shrink"
         for d, r in zip(deltas, shrink_risk_grid(design, deltas, alpha, k)):
             rows.append([float(d), float(r), family, alpha, k])
-    refs = [(float(d), boundary_risks(design, float(d))) for d in deltas]
-    rows += [[d, r0, "pooled", None, None] for d, (r0, _) in refs]
-    rows += [[d, r1, "mle", None, None] for d, (_, r1) in refs]
+    r0, r1 = boundary_risks(design, deltas)
+    rows += [[float(d), float(r), "pooled", None, None] for d, r in zip(deltas, r0)]
+    rows += [[float(d), r1, "mle", None, None] for d in deltas]
     return rows
 
 
@@ -179,17 +179,13 @@ def cmd_risk_curve(args) -> int:
 
 def cmd_tables(args) -> int:
     variant = Variant(args.variant)
-    case, tuning = {
-        1: (TableCase.ALPHA, "alpha*"),
-        2: (TableCase.K_FIXED_ALPHA, f"K* at alpha={args.alpha:g}"),
-        3: (TableCase.K_OPTIMAL_ALPHA, "alpha* or K*(alpha*)"),
-    }[args.which]
+    case = (TableCase.ALPHA, TableCase.K_FIXED_ALPHA, TableCase.K_OPTIMAL_ALPHA)[args.which - 1]
     grid = [int(t) for t in args.grid.split(",")] if args.grid else TABLE_GRID
     designs = [DesignPair(a, b, variant) for b in grid for a in grid]
     cells = generate_tables(case, designs, alpha=args.alpha)
     for cell in cells:
         if cell.fallback:
-            print(f"cell ({cell.n1}, {cell.n2}): {tuning} has no equalizer; "
+            print(f"cell ({cell.n1}, {cell.n2}): {cell.fallback} has no equalizer; "
                   "regret_level is the larger regret maximum", file=sys.stderr)
     failed = [c for c in cells if c.error]
     for cell in failed:

@@ -56,7 +56,9 @@ def critical_values(design: DesignPair, alpha: float) -> tuple[float, float]:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     d1, d2 = design.df
     c1 = f_quantile(0.5 * alpha, d1, d2)
-    return c1, max(c1, f_quantile(1.0 - 0.5 * alpha, d1, d2))
+    # the upper quantile by the reciprocal identity F_{d1,d2}^{-1}(1 - p) =
+    # 1/F_{d2,d1}^{-1}(p): 1 - alpha/2 would round to 1 for alpha <= 2^-53
+    return c1, max(c1, 1.0 / f_quantile(0.5 * alpha, d2, d1))
 
 
 def equal_scale_test(inp: EstimationInput, alpha: float) -> TestDecision:

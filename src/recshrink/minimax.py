@@ -110,7 +110,7 @@ class TableCell:
     delta_L: float | None = None
     delta_U: float | None = None
     error: str | None = None
-    fallback: bool = False
+    fallback: str | None = None
 
 
 def delta_intersections(design: DesignPair) -> tuple[float, float]:
@@ -154,11 +154,9 @@ def regret_pt(design: DesignPair, delta: float, alpha: float) -> float:
 def _regret_pt_grid(design, deltas, alpha, region):
     lo, hi = region
     h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
-    risk = h2 + h1 + h0
-    a, b, c = pooled_risk_quadratic(design)
-    r0 = a * deltas * deltas + b * deltas + c
-    ref = np.where((deltas > lo) & (deltas < hi), r0, 1.0 / design.n1)
-    return np.maximum(0.0, risk - ref)
+    r0, r1 = boundary_risks(design, deltas)
+    ref = np.where((deltas > lo) & (deltas < hi), r0, r1)
+    return np.maximum(0.0, h2 + h1 + h0 - ref)
 
 
 def _fixed_grid(edge: float, split: float | None = None):
@@ -269,12 +267,9 @@ def _equalize(sups):
 
     vals = [g(t) for t in _SCAN]
     for i in range(len(_SCAN) - 1):
-        if vals[i] == 0.0:
-            return float(_SCAN[i]), False
-        if (vals[i] > 0.0) != (vals[i + 1] > 0.0):
+        # brent_root returns an end whose residual is exactly 0
+        if min(vals[i], vals[i + 1]) <= 0.0 <= max(vals[i], vals[i + 1]):
             return brent_root(g, float(_SCAN[i]), float(_SCAN[i + 1]), xtol=_ROOT_XTOL), False
-    if vals[-1] == 0.0:
-        return float(_SCAN[-1]), False
 
     def worst(t):
         _, r_lo, _, r_hi = sups(t)
@@ -471,31 +466,33 @@ def generate_tables(case: TableCase, designs, alpha: float = 0.16) -> list[Table
     """Run the relevant optimizer over a list of designs, one cell per design.
 
     ``regret_level`` is the larger of the two regret maxima, and
-    ``fallback`` is set when a solve (either one, in the chained case)
-    found no equalizer.  A failed cell carries its error message and empty
-    values; the rest of the table is unaffected.
+    ``fallback`` names each solve that found no equalizer: "alpha*",
+    "K* at alpha=<alpha>" or, in the chained case, "K*(alpha*)".  A failed
+    cell carries its error message and empty values; the rest of the table
+    is unaffected.
     """
     cells = []
     for design in designs:
         try:
             if case is TableCase.ALPHA:
                 sol = optimal_alpha(design)
-                a_star, k_star, fallback = sol.tuned_value, None, sol.fallback
+                a_star, k_star, named = sol.tuned_value, None, {"alpha*": sol}
             elif case is TableCase.K_FIXED_ALPHA:
                 sol = optimal_k(design, alpha)
-                a_star, k_star, fallback = alpha, sol.tuned_value, sol.fallback
+                a_star, k_star, named = alpha, sol.tuned_value, {f"K* at alpha={alpha:g}": sol}
             else:
                 sol_a = optimal_alpha(design)
                 sol = optimal_k(design, sol_a.tuned_value)
                 a_star, k_star = sol_a.tuned_value, sol.tuned_value
-                fallback = sol_a.fallback or sol.fallback
+                named = {"alpha*": sol_a, "K*(alpha*)": sol}
+            fallback = " and ".join(name for name, s in named.items() if s.fallback)
             cells.append(
                 TableCell(
                     design.n1, design.n2,
                     alpha_star=a_star, k_star=k_star,
                     regret_level=max(sol.regret_at_L, sol.regret_at_U),
                     delta_L=sol.delta_L, delta_U=sol.delta_U,
-                    fallback=fallback,
+                    fallback=fallback or None,
                 )
             )
         except (SearchError, ValueError, ArithmeticError) as exc:

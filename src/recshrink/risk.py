@@ -14,10 +14,15 @@ in the coefficient k:
 
     risk(delta, k) = h2(delta)*k^2 + h1(delta)*k + h0,    h0 = 1/n1,
 
-with k = 1 giving the pre-test rule and k = 0 the bare MLE.  The MSE in
-original units is theta1^2 times this risk; only the bias needs a moment of
-its own.  This ratio form is the only bound map here.  The linear map
-d_j = 1 - n2/(c_j*n1*delta) that circulates in print lives only in the
+with k = 1 giving the pre-test rule and k = 0 the bare MLE.  h0 is exactly
+the float 1/n1, the single-sample MLE risk r1.  The always-pool risk
+
+    r0(delta) = (m1 + m2*delta^2 + (m2*delta + m1 - N)^2) / N^2,  N = n1 + n2,
+
+needs only the pivot moments; ``boundary_risks`` returns both references.
+The MSE in original units is theta1^2 times the risk; only the bias needs a
+moment of its own.  This ratio form is the only bound map here.  The linear
+map d_j = 1 - n2/(c_j*n1*delta) that circulates in print lives only in the
 Monte Carlo validation in ``sim`` (``recshrink validate``), which rejects
 it; it reaches the risk through ``coefficients_at_bounds``, which takes the
 bounds themselves.
@@ -37,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import critical_values
-from .records import DesignPair, Variant
+from .records import DesignPair
 from .special import beta_front, reg_inc_beta, reg_inc_beta_grid
 
 
@@ -141,8 +146,7 @@ def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
     b02 = delta * (delta * br[(0, 2)])
     h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * b11 + q2 * b02)
     h1 = 2.0 * lam * (-q1 * br[(2, 0)] + q12 * b11 + e1 * br[(1, 0)] - v2 * b01)
-    h0 = q1 - 2.0 * e1 + 1.0
-    return h2, h1, h0
+    return h2, h1, 1.0 / n1
 
 
 def coefficients_at_bounds(
@@ -228,33 +232,27 @@ def pt_moments(params: RiskParams) -> tuple[float, float]:
 
 def pooled_risk_quadratic(design: DesignPair) -> tuple[float, float, float]:
     """(a, b, c) with r0(delta) = a*delta^2 + b*delta + c, the always-pool risk."""
-    n1, n2 = design.n1, design.n2
+    n = design.n1 + design.n2
     m1, m2 = design.shapes
-    lam = design.lam
-    e1 = m1 / n1
-    v2 = m2 / n2
-    q1 = m1 * (m1 + 1) / n1**2
-    w2 = m2 * (m2 + 1) / n2**2
-    w12 = m1 * m2 / (n1 * n2)
-    a = lam * lam * w2
-    b = 2.0 * lam * ((1.0 - lam) * w12 - v2)
-    c = (1.0 - lam) ** 2 * q1 - 2.0 * (1.0 - lam) * e1 + 1.0
-    return a, b, c
+    return m2 * (m2 + 1) / n**2, 2.0 * m2 * (m1 - n) / n**2, (m1 + (m1 - n) ** 2) / n**2
 
 
-def boundary_risks(design: DesignPair, delta: float) -> tuple[float, float]:
+def boundary_risks(design: DesignPair, delta):
     """(r0, r1): risks of always pooling and of the single-sample MLE.
 
-    r1 = 1/n1 under both variants (the location-scale MLE trades bias for
-    variance at no MSE cost).
+    delta may be a float or an array.  The pooled estimate is
+    theta1*(G1 + delta*G2)/N, N = n1 + n2, so under both variants r0 is its
+    variance plus its squared bias, (m1 + m2*delta^2 + bias^2)/N^2 with
+    bias = m2*delta + m1 - N; at known location and delta = 1 that is 1/N
+    exactly.  r1 = 1/n1 under both variants (the location-scale MLE trades
+    bias for variance at no MSE cost); it is the risk quadratic's h0.
     """
-    if not 0.0 < delta < math.inf:
+    if isinstance(delta, np.ndarray):
+        if not np.all((delta > 0.0) & (delta < np.inf)):  # NaN fails both comparisons
+            raise ValueError("delta must be positive and finite")
+    elif not 0.0 < delta < math.inf:  # np.all on a float would cost more than r0
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    n1, n2 = design.n1, design.n2
-    if design.variant is Variant.KNOWN_LOCATION:
-        r0 = (n1 + n2 * delta * delta + n2 * n2 * delta * delta + n2 * n2
-              - 2.0 * n2 * n2 * delta) / (n1 + n2) ** 2
-    else:
-        a, b, c = pooled_risk_quadratic(design)
-        r0 = a * delta * delta + b * delta + c
-    return r0, 1.0 / n1
+    n = design.n1 + design.n2
+    m1, m2 = design.shapes
+    bias = m2 * delta + (m1 - n)
+    return (m1 + m2 * delta * delta + bias * bias) / n**2, 1.0 / design.n1

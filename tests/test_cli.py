@@ -30,6 +30,13 @@ class TestReadSeriesCsv:
         series = read_series_csv(str(p))
         assert series == {"a": [1.0, 3.0, 5.0], "b": [2.0]}
 
+    def test_byte_order_mark_stripped(self, tmp_path, records_csv):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + records_csv.read_bytes())
+        series = read_series_csv(str(p))
+        assert list(series) == ["x", "y"]
+        assert series == read_series_csv(str(records_csv))
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
@@ -307,6 +314,13 @@ class TestTables:
         cells = json.loads(out)
         assert [(c["n1"], c["n2"]) for c in cells] == [(7, 7), (2, 7), (7, 2), (2, 2)]
         assert all(set(c) == {*rows[0], "error"} for c in cells)
+
+    def test_fallback_names_the_solve(self, capsys):
+        # alpha* equalizes at location-scale (5, 2); only K*(alpha*) falls back
+        code, _, err = run_cli(capsys, "tables", "3", "--variant", "locscale", "--grid", "5,2")
+        assert code == 0
+        assert err == ("cell (5, 2): K*(alpha*) has no equalizer; "
+                       "regret_level is the larger regret maximum\n")
 
     def test_location_scale_table2_solves_every_cell(self, capsys):
         code, out, err = run_cli(capsys, "tables", "2", "--variant", "locscale",

@@ -59,6 +59,26 @@ class TestCriticalValues:
         c1, c2 = critical_values(DesignPair(n, n), alpha)
         assert c1 * c2 == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [2**-53, 1e-17, 1e-300])
+    @pytest.mark.parametrize("n1, n2, variant", [
+        (1, 1, Variant.KNOWN_LOCATION), (5, 6, Variant.KNOWN_LOCATION),
+        (150, 150, Variant.KNOWN_LOCATION), (2, 150, Variant.LOCATION_SCALE),
+        (40, 40, Variant.LOCATION_SCALE),
+    ])
+    def test_tiny_alpha(self, alpha, n1, n2, variant):
+        # 1 - alpha/2 rounds to 1 at these levels, outside f_quantile's domain
+        c1, c2 = critical_values(DesignPair(n1, n2, variant), alpha)
+        assert 0.0 < c1 < c2 < math.inf
+        if n1 == n2:
+            assert c1 * c2 == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n1", [145, 122])
+    def test_upper_quantile_against_scipy(self, n1):
+        # df (290, 2) and (244, 2), where the quantile at p = 1 - alpha/2
+        # loses ~5e-11 relative to the cancellation in 1 - p
+        c1, c2 = critical_values(DesignPair(n1, 1), 3e-4)
+        assert c2 == pytest.approx(float(fdist.isf(1.5e-4, 2 * n1, 2)), rel=1e-12)
+
     def test_ordering(self):
         c1, c2 = critical_values(DesignPair(5, 3), 0.3)
         assert 0.0 < c1 < c2

@@ -271,6 +271,17 @@ class TestEqualize:
         assert not fallback
         assert root == pytest.approx(0.55, abs=1e-6)
 
+    @pytest.mark.parametrize("node, sign", [(0, 1.0), (7, -1.0), (14, 1.0)],
+                             ids=["first", "interior-after-positive", "last-after-negative"])
+    def test_exact_zero_at_a_scan_node(self, node, sign):
+        from recshrink.minimax import _SCAN, _equalize
+
+        # residual sign*(t - t_node): exactly 0 at that node of the scan
+        t0 = float(_SCAN[node])
+        root, fallback = _equalize(lambda t: (1.0, sign * t, 2.0, sign * t0))
+        assert not fallback
+        assert root == t0
+
     def test_fallback_minimizes_worst_maximum(self):
         from recshrink.minimax import _equalize
 
@@ -317,15 +328,16 @@ class TestGenerateTables:
         assert cells[0].k_star == pytest.approx(0.25, abs=0.015)
 
     @pytest.mark.parametrize("variant, n1, n2, fallback", [
-        (Variant.KNOWN_LOCATION, 5, 6, False),
-        (Variant.LOCATION_SCALE, 7, 2, True),
-        (Variant.LOCATION_SCALE, 10, 2, True),
+        (Variant.KNOWN_LOCATION, 5, 6, None),
+        (Variant.LOCATION_SCALE, 7, 2, "K* at alpha=0.16"),
+        (Variant.LOCATION_SCALE, 10, 2, "K* at alpha=0.16"),
     ])
     def test_regret_level_is_the_larger_maximum(self, variant, n1, n2, fallback):
         design = DesignPair(n1, n2, variant)
         (cell,) = generate_tables(TableCase.K_FIXED_ALPHA, designs=[design], alpha=0.16)
         sol = optimal_k(design, 0.16)
-        assert cell.fallback is sol.fallback is fallback
+        assert cell.fallback == fallback
+        assert sol.fallback is (fallback is not None)
         assert cell.regret_level == max(sol.regret_at_L, sol.regret_at_U)
         if fallback:
             # no equalizer: the two maxima differ by far more than rounding
@@ -338,7 +350,7 @@ class TestGenerateTables:
         design = DesignPair(5, 2, Variant.LOCATION_SCALE)
         (cell,) = generate_tables(TableCase.K_OPTIMAL_ALPHA, designs=[design])
         assert not optimal_alpha(design).fallback
-        assert cell.fallback
+        assert cell.fallback == "K*(alpha*)"
 
     def test_cell_errors_do_not_abort(self, monkeypatch):
         import recshrink.minimax as mm

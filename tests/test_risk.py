@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ class TestDegeneracies:
         bias, mse = shrink_moments(RiskParams(D56, 1.5, 0.16, k=0.0, theta1=3.0))
         assert abs(bias) <= 1e-12
         assert mse == pytest.approx(9.0 / 5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("delta", [0.3, 1.0, 2.5])
+    def test_k_zero_mse_is_exact(self, variant, delta):
+        # h0 is 1/n1 itself, so at k = 0 the mse is theta1^2/n1 to the last bit
+        d = DesignPair(5, 6, variant)
+        _, mse = shrink_moments(RiskParams(d, delta, 0.16, k=0.0, theta1=2.0))
+        assert mse == 4.0 / d.n1
 
     def test_k_one_reduces_to_pre_test(self):
         p = RiskParams(D56, 1.4, 0.22, k=1.0, theta1=1.3)
@@ -327,6 +336,15 @@ class TestQuadraticStructure:
         )
         assert shrink_risk(D56, delta, alpha, k) == pytest.approx(rebuilt, abs=1e-12)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_constant_is_mle_risk_exactly(self, variant):
+        # h0 is the float 1/n1 itself, the reference risk r1
+        deltas = np.array([0.3, 1.0, 4.0])
+        for n1 in range(2, 61):
+            d = DesignPair(n1, 5, variant)
+            assert risk_k_coefficients(d, 1.3, 0.16)[2] == 1.0 / n1
+            assert risk_k_coefficients_grid(d, deltas, 0.16)[2] == 1.0 / n1
+
     def test_coefficients_match_risk(self):
         h2, h1, h0 = risk_k_coefficients(D56, 1.3, 0.2)
         for k in (0.0, 0.37, 1.0):
@@ -337,12 +355,42 @@ class TestQuadraticStructure:
 
 
 class TestBoundaryRisks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        n1=st.integers(2, 150),
+        n2=st.integers(2, 150),
+        delta=st.floats(1e-4, 1e4),
+    )
+    @example(variant=Variant.LOCATION_SCALE, n1=49, n2=141, delta=1.0104749718743726)
+    @example(variant=Variant.KNOWN_LOCATION, n1=67, n2=127, delta=0.9645915130238439)
+    def test_pooling_risk_against_exact_arithmetic(self, variant, n1, n2, delta):
+        # r0 = E[(G1 + delta*G2)/N - 1]^2 in rationals; the two examples sit
+        # near delta = 1, where an expanded polynomial in delta cancels to ~4e-14
+        d = DesignPair(n1, n2, variant)
+        m1, m2 = d.shapes
+        n = n1 + n2
+        t = Fraction(delta)
+        exact = (m1 + m2 * t * t + (m1 + m2 * t - n) ** 2) / n**2
+        r0, r1 = boundary_risks(d, delta)
+        assert abs(Fraction(r0) - exact) <= Fraction(1e-14) * exact
+        assert r1 == 1.0 / n1
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_array_matches_scalar(self, variant):
+        d = DesignPair(5, 6, variant)
+        deltas = np.geomspace(1e-4, 1e4, 97).reshape(1, 97)
+        r0, r1 = boundary_risks(d, deltas)
+        assert r0.shape == deltas.shape
+        assert r0.reshape(-1).tolist() == [boundary_risks(d, t)[0] for t in deltas.reshape(-1)]
+        assert r1 == boundary_risks(d, 1.0)[1] == 0.2
+
     def test_equal_scales_value(self):
         r0, r1 = boundary_risks(D56, 1.0)
         assert r0 == 1.0 / 11.0
         assert r1 == 0.2
 
-    @pytest.mark.parametrize("n1,n2", [(2, 2), (5, 6), (10, 7), (3, 9)])
+    @pytest.mark.parametrize("n1,n2", [(2, 2), (5, 6), (10, 7), (3, 9), (1, 150), (67, 127)])
     def test_pooling_risk_at_one_is_exact(self, n1, n2):
         r0, _ = boundary_risks(DesignPair(n1, n2), 1.0)
         assert r0 == 1.0 / (n1 + n2)
@@ -366,6 +414,9 @@ class TestBoundaryRisks:
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             boundary_risks(D56, -1.0)
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                boundary_risks(D56, np.array([0.5, bad, 2.0]))
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("delta", [math.nan, math.inf])

@@ -269,10 +269,10 @@ class TestConventionValidation:
             if c.convention == "paper" and (c.n1, c.n2) == (5, 6) and c.alpha == 0.16
         }
         assert got == {
-            (0.5, 0.21): 0.19999999999999996,
-            (0.5, 1.0): 0.19999999999999996,
-            (1.0, 0.21): 0.18474405535825553,
-            (1.0, 1.0): 0.1694250526758979,
-            (2.0, 0.21): 0.1826061464728909,
-            (2.0, 1.0): 0.5507207938785065,
+            (0.5, 0.21): 0.2,
+            (0.5, 1.0): 0.2,
+            (1.0, 0.21): 0.18474405535825558,
+            (1.0, 1.0): 0.16942505267589797,
+            (2.0, 0.21): 0.18260614647289095,
+            (2.0, 1.0): 0.5507207938785066,
         }
