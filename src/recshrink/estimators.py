@@ -54,6 +54,8 @@ def critical_values(design: DesignPair, alpha: float) -> tuple[float, float]:
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if 0.5 * alpha == 0.0:
+        raise ValueError(f"alpha/2 underflows to 0 at alpha={alpha}")
     d1, d2 = design.df
     c1 = f_quantile(0.5 * alpha, d1, d2)
     # the upper quantile by the reciprocal identity F_{d1,d2}^{-1}(1 - p) =

@@ -26,7 +26,8 @@ a decade: the lower side spans [delta2/1e4, delta2], the upper side
 regret jumps up as its reference switches from 1/n1 to r0; the node
 delta1*(1 + 1e-9) carries the right-hand limit.  A side's grid sup is its
 argmax lifted to the vertex of the parabola in log delta, never taken
-across a cut.  The 15-level scan and Brent's root of reg_L - reg_U run on
+across a cut.  The 15-level scan, which stops at the first pair of levels
+where reg_L - reg_U changes sign, and Brent's root in that pair run on
 these grid sups.  For K* they are array arithmetic on one table of
 (h2, h1, h0 - rmin), since no coefficient depends on k; for alpha* each
 level costs one grid evaluation.  The golden-section polish with the scalar
@@ -59,7 +60,7 @@ _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
 _DOMAIN = (0.01, 0.99)      # the tuned value's search interval
-_SCAN = tuple(np.linspace(*_DOMAIN, 15))
+_SCAN = tuple(np.linspace(*_DOMAIN, 15).tolist())
 _ROOT_XTOL = 1e-4           # Brent on the grid residual; the Newton step does the rest
 _MAX_DOUBLINGS = 60
 
@@ -259,17 +260,20 @@ def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float
 
 
 def _equalize(sups):
-    """Root of reg_L - reg_U over the scan grid; golden fallback without one."""
+    """Root of reg_L - reg_U in the first scan interval where it changes sign.
+
+    The scan stops at that interval; golden fallback without one.
+    """
 
     def g(t):
         _, r_lo, _, r_hi = sups(t)
         return r_lo - r_hi
 
-    vals = [g(t) for t in _SCAN]
-    for i in range(len(_SCAN) - 1):
+    for t0, t1 in zip(_SCAN, _SCAN[1:]):
+        g0, g1 = g(t0), g(t1)  # ``sups`` is memoized, so each level is evaluated once
         # brent_root returns an end whose residual is exactly 0
-        if min(vals[i], vals[i + 1]) <= 0.0 <= max(vals[i], vals[i + 1]):
-            return brent_root(g, float(_SCAN[i]), float(_SCAN[i + 1]), xtol=_ROOT_XTOL), False
+        if min(g0, g1) <= 0.0 <= max(g0, g1):
+            return brent_root(g, t0, t1, xtol=_ROOT_XTOL), False
 
     def worst(t):
         _, r_lo, _, r_hi = sups(t)

@@ -77,8 +77,10 @@ def _beta_bound(c, n1: int, n2: int, delta):
     The ratio form t/(t + n2), t = c*n1*delta, lies in [0, 1]; above
     delta = 1 it is evaluated as c*n1/(c*n1 + n2/delta), so no term
     overflows and every finite delta > 0, subnormal ones included, gives a
-    finite bound.
+    finite bound.  An infinite c (c2 at alpha ~ 1e-308) maps to exactly 1.
     """
+    if c == math.inf:
+        return np.ones_like(delta, dtype=float)
     t = c * n1 * np.minimum(delta, 1.0)
     return t / (t + n2 / np.maximum(delta, 1.0))
 

@@ -21,7 +21,6 @@ routes give exactly 0 and 1 there.
 """
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -197,11 +196,10 @@ def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
 def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
     """x solving I_x(a, b) = p, by safeguarded Newton with a bisection bracket.
 
-    Probabilities above one half are mirrored to the lower tail, where the
-    starting point comes from a normal approximation of Beta(a, b).  Deep in
-    a power-law tail the Newton update runs on log scales (plain Newton only
-    converges linearly there); the residual |I_x(a,b) - p| at the returned x
-    ends up far below the 1e-10 contract, relative to min(p, 1-p).
+    Probabilities above one half are mirrored to the lower tail.  Newton runs
+    on ln I against ln x, from the power-law tail term x^a / (a B(a, b)); a
+    step that leaves the bracket bisects it in ln x, so subnormal quantiles
+    are reached too.  It stops at |I_x - p| <= 1e-13 p or a one-ulp bracket.
     """
     if not (a > 0.0) or not (b > 0.0):
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
@@ -213,41 +211,28 @@ def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
         return 1.0
     if p > 0.5:
         return 1.0 - inv_reg_inc_beta(1.0 - p, b, a)
-    mean = a / (a + b)
-    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    x = mean + sd * NormalDist().inv_cdf(p)
-    x = min(max(x, 1e-8), 1.0 - 1e-8)
-    lo, hi = 0.0, 1.0
     lb = log_beta(a, b)
-    ftol = 1e-13 * p + 5e-324
     log_p = math.log(p)
-    best_x, best_f = x, math.inf
+    x = math.exp(min(math.log(0.5), (log_p + math.log(a) + lb) / a))
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         val = reg_inc_beta(x, a, b)
-        f = val - p
-        if abs(f) < best_f:
-            best_x, best_f = x, abs(f)
-        if f > 0.0:
+        if val > p:
             hi = x
         else:
             lo = x
-        if abs(f) <= ftol or hi - lo <= 1e-17 + 1e-16 * lo:
+        if abs(val - p) <= 1e-13 * p or hi - lo <= 2.2e-16 * hi + 5e-324:
             break
-        lpdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lb
-        if 0.0 < val <= 0.1:
-            # log-scale Newton: d(ln I)/d(ln x) = x*pdf/I, which is nearly
-            # constant (= a) in a power-law tail
-            slope = math.exp(lpdf + math.log(x) - math.log(val))
-            du = max(-700.0, min(700.0, (math.log(val) - log_p) / slope))
-            nxt = x * math.exp(-du)
-        elif lpdf > -700.0:
-            nxt = x - f * math.exp(-lpdf)
-        else:
-            nxt = math.inf
+        nxt = math.inf  # bisect where I or the slope x*pdf/I is 0
+        if val > 0.0:
+            log_val = math.log(val)
+            slope = math.exp(a * math.log(x) + (b - 1.0) * math.log1p(-x) - lb - log_val)
+            if slope > 0.0:
+                nxt = x * math.exp(-max(-700.0, min(700.0, (log_val - log_p) / slope)))
         if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
+            nxt = 0.5 * hi if lo == 0.0 else math.exp(0.5 * (math.log(lo) + math.log(hi)))
         x = nxt
-    return best_x
+    return x
 
 
 def f_quantile(p: float, d1: float, d2: float) -> float:

@@ -72,6 +72,17 @@ class TestCriticalValues:
         if n1 == n2:
             assert c1 * c2 == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1e-315, 1e-320, 1e-323])
+    def test_subnormal_alpha_exact(self, alpha):
+        # F(2, 2) has the closed-form quantile p/(1 - p), subnormal at these levels
+        c1, _ = critical_values(DesignPair(1, 1), alpha)
+        ref = (0.5 * alpha) / (1.0 - 0.5 * alpha)
+        assert abs(c1 - ref) <= 1e-12 * ref + 1e-323
+
+    def test_alpha_whose_half_underflows_is_named(self):
+        with pytest.raises(ValueError, match=r"alpha/2 underflows to 0 at alpha=5e-324"):
+            critical_values(DesignPair(1, 1), 5e-324)
+
     @pytest.mark.parametrize("n1", [145, 122])
     def test_upper_quantile_against_scipy(self, n1):
         # df (290, 2) and (244, 2), where the quantile at p = 1 - alpha/2

@@ -282,6 +282,22 @@ class TestEqualize:
         assert not fallback
         assert root == t0
 
+    def test_scan_stops_at_first_sign_change(self):
+        from recshrink.minimax import _ROOT_XTOL, _SCAN, _equalize
+        from recshrink.optim import brent_root
+
+        # residual t - 0.1 changes sign between _SCAN[1] and _SCAN[2]
+        seen = []
+
+        def sups(t):
+            seen.append(t)
+            return (1.0, t, 2.0, 0.1)
+
+        root, fallback = _equalize(sups)
+        assert not fallback
+        assert max(seen) <= _SCAN[2]
+        assert root == brent_root(lambda t: t - 0.1, _SCAN[1], _SCAN[2], xtol=_ROOT_XTOL)
+
     def test_fallback_minimizes_worst_maximum(self):
         from recshrink.minimax import _equalize
 

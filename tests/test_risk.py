@@ -147,6 +147,20 @@ class TestDegeneracies:
             r0, _ = boundary_risks(D56, delta)
             assert pt_risk(D56, delta, 1e-9) == pytest.approx(r0, abs=1e-4)
 
+    def test_infinite_critical_value_always_accepts(self):
+        # at alpha = 1e-310 design (1, 1) has c2 = inf, whose bound is exactly
+        # 1; an always-accepting test pools, so the risk is r0
+        d = DesignPair(1, 1)
+        assert critical_values(d, 1e-310)[1] == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk = pt_risk(d, 1.0, 1e-310)
+            grid = risk_k_coefficients_grid(d, np.array([0.5, 1.0, 2.0]), 1e-310)
+            assert _beta_bound(math.inf, 1, 1, 3.0) == 1.0
+            assert np.all(_beta_bound(math.inf, 1, 1, np.array([1e-300, 1.0, 1e300])) == 1.0)
+        assert risk == pytest.approx(boundary_risks(d, 1.0)[0], abs=1e-12)
+        assert grid[0][1] + grid[1][1] + grid[2] == pytest.approx(risk, abs=1e-15)
+
     @pytest.mark.parametrize("delta", [1e-4, 1e4])
     def test_extreme_delta_approaches_mle_risk(self, delta):
         assert pt_risk(D56, delta, 0.16) == pytest.approx(0.2, abs=1e-3)

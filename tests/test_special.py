@@ -244,6 +244,23 @@ class TestInverse:
         assert inv_reg_inc_beta(p, a, b) == pytest.approx(x, abs=1e-8 + quant)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(math.log(1e-323), math.log(0.5)).map(math.exp),
+        a=st.integers(1, 200),
+        b=st.integers(1, 200),
+    )
+    @example(p=1e-315, a=1, b=1)  # a subnormal quantile: the stop tests must be relative
+    def test_closed_form_shapes_down_to_subnormal_p(self, p, a, b):
+        # I_x(a, 1) = x^a and I_x(1, b) = 1 - (1-x)^b invert in closed form
+        for shapes, ref in [((a, 1), math.exp(math.log(p) / a)),
+                            ((1, b), -math.expm1(math.log1p(-p) / b))]:
+            if ref == 0.0:
+                continue  # the quantile itself underflows
+            x = inv_reg_inc_beta(p, *shapes)
+            assert abs(x - ref) <= 1e-12 * ref + 1e-323, (shapes, x, ref)
+
+
 class TestFQuantile:
     @pytest.mark.parametrize("d", [2.0, 9.0, 24.0])
     def test_equal_df_median(self, d):
