@@ -16,7 +16,14 @@ import sys
 from recshrink.cli import write_csv
 from recshrink.minimax import optimal_alpha, optimal_k
 from recshrink.records import DesignPair
-from recshrink.sim import CSV_COLUMNS, THETA2_GRID, SimConfig, mc_compare
+from recshrink.sim import (
+    CSV_COLUMNS,
+    STUDY_REPLICATES,
+    STUDY_SEED,
+    THETA2_GRID,
+    SimConfig,
+    mc_compare,
+)
 
 DESIGNS = ((2, 2), (7, 2), (2, 5), (7, 5), (2, 10), (7, 7), (10, 2), (10, 7))
 
@@ -24,8 +31,8 @@ DESIGNS = ((2, 2), (7, 2), (2, 5), (7, 5), (2, 10), (7, 7), (10, 2), (10, 7))
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=("fixed", "optimal"), default="fixed")
-    parser.add_argument("--reps", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=20260811)
+    parser.add_argument("--reps", type=int, default=STUDY_REPLICATES)
+    parser.add_argument("--seed", type=int, default=STUDY_SEED)
     parser.add_argument("--out", default="results/simulation.csv", type=pathlib.Path)
     args = parser.parse_args(argv)
 

@@ -20,7 +20,15 @@ from .estimators import EstimationInput, Target, pooled, preliminary_test, shrin
 from .minimax import TABLE_GRID, SearchError, TableCase, generate_tables, optimal_alpha, optimal_k
 from .records import DesignPair, RecordSample, Variant, extract_upper_records, mle_scale
 from .risk import boundary_risks, shrink_risk_grid
-from .sim import THETA2_GRID, SimConfig, convention_validation, mc_compare
+from .sim import (
+    STUDY_REPLICATES,
+    STUDY_SEED,
+    THETA2_GRID,
+    VALIDATION_REPLICATES,
+    SimConfig,
+    convention_validation,
+    mc_compare,
+)
 
 _TABLE_COLUMNS = ("n1", "n2", "alpha_star", "k_star", "regret_level", "delta_L", "delta_U")
 _CURVE_COLUMNS = ("delta", "risk", "family", "alpha", "k")
@@ -323,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--theta1", type=float, default=1.0)
     p.add_argument("--theta2-grid", default=",".join(map(str, THETA2_GRID)))
-    p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=20260811)
+    p.add_argument("--reps", type=int, default=STUDY_REPLICATES)
+    p.add_argument("--seed", type=int, default=STUDY_SEED)
     _add_common_output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="closed form vs Monte Carlo, both conventions")
-    p.add_argument("--reps", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20260811)
+    p.add_argument("--reps", type=int, default=VALIDATION_REPLICATES)
+    p.add_argument("--seed", type=int, default=STUDY_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)
 

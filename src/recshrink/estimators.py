@@ -59,8 +59,10 @@ def critical_values(design: DesignPair, alpha: float) -> tuple[float, float]:
     d1, d2 = design.df
     c1 = f_quantile(0.5 * alpha, d1, d2)
     # the upper quantile by the reciprocal identity F_{d1,d2}^{-1}(1 - p) =
-    # 1/F_{d2,d1}^{-1}(p): 1 - alpha/2 would round to 1 for alpha <= 2^-53
-    return c1, max(c1, 1.0 / f_quantile(0.5 * alpha, d2, d1))
+    # 1/F_{d2,d1}^{-1}(p): 1 - alpha/2 would round to 1 for alpha <= 2^-53;
+    # a reciprocal quantile that underflows to 0 makes c2 infinite
+    q = f_quantile(0.5 * alpha, d2, d1)
+    return c1, max(c1, 1.0 / q if q > 0.0 else math.inf)
 
 
 def equal_scale_test(inp: EstimationInput, alpha: float) -> TestDecision:

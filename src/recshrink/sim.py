@@ -24,11 +24,15 @@ import numpy as np
 
 from .estimators import critical_values
 from .records import DesignPair, Variant
-from .risk import coefficients_at_bounds, shrink_risk
+from .risk import RiskParams, coefficients_at_bounds, shrink_risk
 
 CSV_COLUMNS = ("n1", "n2", "theta2", "bias_mle", "bias_pt", "bias_s", "eff_pt", "eff_s")
 # the study's theta2 values (theta1 = 1): the default grid of `recshrink simulate`
 THETA2_GRID = (0.1, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0)
+# the study's root seed, and its replicates per cell in the comparison and the validation
+STUDY_SEED = 20260811
+STUDY_REPLICATES = 100_000
+VALIDATION_REPLICATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class SimConfig:
     theta1: float = 1.0
     alpha: float = 0.16
     k: float = 1.0
-    replicates: int = 100_000
+    replicates: int = STUDY_REPLICATES
 
     def __post_init__(self):
         object.__setattr__(self, "theta2_grid", tuple(float(t) for t in self.theta2_grid))
@@ -156,20 +160,6 @@ def _ratio_se(num: np.ndarray, den: np.ndarray) -> float:
     return math.sqrt(resid.var(ddof=1) / reps) / abs(m2)
 
 
-def _scaled(value: float, *factors: float) -> float:
-    """value times each factor in turn, raising where it leaves the normal doubles.
-
-    Python float arithmetic overflows to inf, and underflows to a subnormal
-    or 0, without a signal, so ``np.errstate`` does not catch it here.
-    """
-    for factor in factors:
-        out = value * factor
-        if math.isinf(out) or (abs(out) < np.finfo(float).tiny and value != 0.0):
-            raise FloatingPointError
-        value = out
-    return value
-
-
 @np.errstate(all="raise")
 def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child) -> McRow:
     """One theta2 cell of ``mc_compare``, simulated in units of theta1.
@@ -178,13 +168,13 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child)
     statistic is first computed for theta1 = 1.  Bias and its SE are then
     scaled by theta1, MSE and its SE by theta1**2; the efficiencies are
     ratios and need no scaling.  Leaving double precision anywhere, in
-    delta, the draws or the scaled values, raises FloatingPointError.
+    delta, the draws or the scaled values, raises FloatingPointError.  theta1
+    is a numpy scalar so that delta and each scaling are too: Python floats
+    overflow and underflow without a signal, which ``np.errstate`` cannot see.
     """
     design = config.design
-    theta1 = config.theta1
+    theta1 = np.float64(config.theta1)
     delta = theta2 / theta1
-    if not 0.0 < delta < math.inf:
-        raise FloatingPointError
     rng = np.random.default_rng(child)
     t1 = _mle_batch(rng, design.n1, 1.0, config.replicates, design.variant)
     t2 = _mle_batch(rng, design.n2, delta, config.replicates, design.variant)
@@ -200,16 +190,16 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child)
         sq = err**2
         bias, se_bias = _mean_se(err)
         mse, se_mse = _mean_se(sq)
-        stats[f"bias_{rule}"] = _scaled(bias, theta1)
-        stats[f"se_bias_{rule}"] = _scaled(se_bias, theta1)
-        stats[f"mse_{rule}"] = _scaled(mse, theta1, theta1)
-        stats[f"se_mse_{rule}"] = _scaled(se_mse, theta1, theta1)
+        stats[f"bias_{rule}"] = bias * theta1
+        stats[f"se_bias_{rule}"] = se_bias * theta1
+        stats[f"mse_{rule}"] = mse * theta1 * theta1
+        stats[f"se_mse_{rule}"] = se_mse * theta1 * theta1
         if rule == "mle":
             sq_mle, mse_mle = sq, mse
         else:
             stats[f"eff_{rule}"] = mse_mle / mse
             stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq)
-    return McRow(theta2=theta2, **stats)
+    return McRow(theta2=theta2, **{name: float(v) for name, v in stats.items()})
 
 
 def mc_compare(config: SimConfig) -> McReport:
@@ -251,14 +241,9 @@ def mc_oracle_risk(
     (2*n_i*mle_i/theta_i ~ chi2 with the variant's df), applies the
     shrinkage rule, and averages the weighted squared error.  This path
     shares nothing with the closed forms in ``risk`` beyond the critical
-    values, which is what makes it an oracle for them.
+    values and the argument checks, which is what makes it an oracle for them.
     """
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not (0.0 <= k <= 1.0):
-        raise ValueError(f"k must lie in [0, 1], got {k}")
+    RiskParams(design, delta, alpha, k)   # the closed forms' own argument checks
     if replicates < 2:
         raise ValueError("need at least two replicates for a standard error")
     m1, m2 = design.shapes
@@ -273,8 +258,7 @@ def mc_oracle_risk(
         accepted = (ratio > c1) & (ratio < c2)
         pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
         est = np.where(accepted, k * pool + (1.0 - k) * t1, t1)
-    wse = (est - 1.0) ** 2
-    return float(wse.mean()), float(wse.std(ddof=1) / math.sqrt(replicates))
+    return _mean_se((est - 1.0) ** 2)
 
 
 @dataclass(frozen=True)
@@ -315,7 +299,7 @@ def _linear_risk(design: DesignPair, delta: float, alpha: float, k: float) -> fl
     return h2 * k * k + h1 * k + h0
 
 
-def convention_validation(replicates: int = 200_000, seed: int = 20260811) -> dict:
+def convention_validation(replicates: int = VALIDATION_REPLICATES, seed: int = STUDY_SEED) -> dict:
     """Compare both bound maps against the Monte Carlo oracle.
 
     Every cell of a fixed known-location grid (3 designs, 3 deltas, 2 levels,

@@ -214,6 +214,8 @@ def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
     lb = log_beta(a, b)
     log_p = math.log(p)
     x = math.exp(min(math.log(0.5), (log_p + math.log(a) + lb) / a))
+    if x == 0.0:   # the tail term underflows: x lies below half the smallest subnormal
+        return 0.0
     lo, hi = 0.0, 1.0
     for _ in range(200):
         val = reg_inc_beta(x, a, b)

@@ -79,6 +79,19 @@ class TestCriticalValues:
         ref = (0.5 * alpha) / (1.0 - 0.5 * alpha)
         assert abs(c1 - ref) <= 1e-12 * ref + 1e-323
 
+    @pytest.mark.parametrize("n1, n2, variant", [
+        (3, 1, Variant.KNOWN_LOCATION), (4, 2, Variant.LOCATION_SCALE),
+        (1, 3, Variant.KNOWN_LOCATION), (2, 4, Variant.LOCATION_SCALE),
+    ])
+    def test_quantile_underflowing_at_subnormal_alpha(self, n1, n2, variant):
+        # at shapes (1, 3) and p = 5e-324 the beta quantile lies below half the
+        # smallest subnormal and rounds to 0: c1 is then 0, and c2 = 1/0 is inf
+        c1, c2 = critical_values(DesignPair(n1, n2, variant), 1e-323)
+        if n2 < n1:
+            assert 0.0 < c1 < c2 == math.inf
+        else:
+            assert c1 == 0.0 < c2 < math.inf
+
     def test_alpha_whose_half_underflows_is_named(self):
         with pytest.raises(ValueError, match=r"alpha/2 underflows to 0 at alpha=5e-324"):
             critical_values(DesignPair(1, 1), 5e-324)

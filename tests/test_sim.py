@@ -1,6 +1,8 @@
 """Monte Carlo harness: determinism, cross-route agreement, degeneracies."""
 
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -17,6 +19,8 @@ from recshrink.sim import (
 )
 
 D22 = DesignPair(2, 2)
+# mc_compare reports of (2,2) known and (3,5) location-scale at theta1 = 1e3, seed 7
+FROZEN_REPORTS = pathlib.Path(__file__).parent / "data" / "mc_compare_frozen.json"
 
 
 def _config(**kw):
@@ -116,11 +120,29 @@ class TestMcCompare:
         (dict(theta2_grid=(1.0, 1e308)), "theta2=1e+308"),
         (dict(theta1=1e-10, theta2_grid=(1e300,)), "theta1=1e-10, theta2=1e+300"),
         (dict(theta1=1e-160, theta2_grid=(1.0,)), "theta1=1e-160"),   # a subnormal MSE
+        # delta = theta2/theta1 underflows: to a subnormal, then to 0
+        (dict(theta1=1e10, theta2_grid=(1e-300,)), "theta1=1e+10, theta2=1e-300"),
+        (dict(theta1=1e300, theta2_grid=(1e-300,)), "theta1=1e+300, theta2=1e-300"),
     ])
     def test_scales_beyond_double_precision_rejected(self, scales, named):
         # these used to give NaN or inf-fed rows after numpy RuntimeWarnings
         with pytest.raises(ValueError, match=re.escape(named) + ".*leave double precision"):
             mc_compare(_config(replicates=100, **scales))
+
+    def test_frozen_reports(self):
+        # the same numbers, not only the same statistics, at a scale other than 1
+        for frozen in json.loads(FROZEN_REPORTS.read_text(encoding="utf-8")):
+            d = frozen["design"]
+            config = SimConfig(
+                design=DesignPair(d["n1"], d["n2"], Variant(d["variant"])),
+                theta2_grid=[row["theta2"] for row in frozen["rows"]],
+                seed=frozen["seed"], theta1=frozen["theta1"], alpha=frozen["alpha"],
+                k=frozen["k"], replicates=frozen["replicates"],
+            )
+            payload = mc_compare(config).to_json_dict()
+            assert {**payload, "rows": None} == {**frozen, "rows": None}
+            for got, want in zip(payload["rows"], frozen["rows"], strict=True):
+                assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("theta1", [1e-150, 1e-30, 1e30, 1e150])
     def test_wide_scales_give_finite_statistics(self, theta1):
@@ -238,7 +260,7 @@ class TestMcOracleRisk:
         for delta in (math.inf, math.nan):
             with pytest.raises(ValueError, match="delta must be positive and finite"):
                 mc_oracle_risk(D22, delta, 0.16, 1.0, 100, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must lie in"):
             mc_oracle_risk(D22, 1.0, 0.16, 2.0, 100, seed=0)
         for alpha in (0.0, 1.5):
             with pytest.raises(ValueError, match="alpha must lie in"):

@@ -125,7 +125,7 @@ class TestRegIncBeta:
 
     def test_series_branch_tiny_x(self):
         # small-x path agrees with scipy deep in the lower tail; integer
-        # shapes take the binomial sum, the others the ascending series
+        # shapes take the binomial sum, the others the continued fraction
         for a, b, x in [(3.0, 4.0, 1e-9), (0.6, 20.0, 1e-6), (12.0, 2.0, 1e-4),
                         (3.5, 4.0, 1e-9)]:
             mine = reg_inc_beta(x, a, b)
@@ -139,15 +139,18 @@ class TestRegIncBeta:
         depth=st.floats(0.0, 300.0, exclude_min=True),
         upper=st.booleans(),
     )
+    @example(a=0.5, b=0.5, depth=13.0, upper=True)  # scipy's direct value misses by 2.9e-10
     def test_continued_fraction_deep_in_a_tail(self, a, b, depth, upper):
         # non-integer shapes with x*(a+b+2) < 0.3*(a+1), or the mirror image
         # in the upper tail, all go through the continued fraction
         assume(not (a.is_integer() and b.is_integer()))
         if upper:
             x = 1.0 - 0.3 * (b + 1.0) / (a + b + 2.0) * 10.0**-depth
+            # scipy loses digits near x = 1; its mirror is exact there, as 1 - x is
+            ref = 1.0 - float(sp.betainc(b, a, 1.0 - x))
         else:
             x = 0.3 * (a + 1.0) / (a + b + 2.0) * 10.0**-depth
-        ref = float(sp.betainc(a, b, x))
+            ref = float(sp.betainc(a, b, x))
         assert reg_inc_beta(x, a, b) == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("a, b", [(0.7, 40.0), (2.5, 3.5), (49.5, 0.5), (3.0, 4.5)])
@@ -259,6 +262,11 @@ class TestInverse:
                 continue  # the quantile itself underflows
             x = inv_reg_inc_beta(p, *shapes)
             assert abs(x - ref) <= 1e-12 * ref + 1e-323, (shapes, x, ref)
+
+    @pytest.mark.parametrize("p, a, b", [(4.3e-238, 0.658, 0.0516), (5e-324, 1.0, 3.0)])
+    def test_underflowing_quantile_is_zero(self, p, a, b):
+        # the quantiles, 9.2e-360 and 1.6e-324, lie below half the smallest subnormal
+        assert inv_reg_inc_beta(p, a, b) == 0.0
 
 
 class TestFQuantile:
