@@ -1,14 +1,16 @@
 """Seeded Monte Carlo: the estimator-comparison study and the risk oracle.
 
 Everything is reproducible from a single root seed.  ``mc_compare`` spawns
-one child stream per theta2 cell (``numpy.random.SeedSequence.spawn``), so
-cells may be computed in any order, or concurrently, without changing any
-number; within a cell the draws happen in one fixed batch order, and each
-replicate's gaps are summed in record order, as the scalar record route
-sums them.  A cell is simulated in units of theta1 and its bias and MSE
-are scaled back at the end.  Every statistic, the efficiency SEs included,
-comes from elementwise numpy arithmetic and sums, not from a BLAS kernel
-that may differ between CPUs.
+one child stream per theta2 cell (``numpy.random.SeedSequence.spawn``), and
+a cell's numbers depend only on its own child stream, so the order in which
+cells are computed changes no number.  Each ``mc_compare`` call owns one
+workspace of reps-length arrays that its cells reuse in turn, so the cells
+of one call run one after another.  Within a cell the draws happen in one
+fixed batch order, and each replicate's gaps are summed in record order, as
+the scalar record route sums them.  A cell is simulated in units of theta1
+and its bias and MSE are scaled back at the end.  Every statistic, the
+efficiency SEs included, comes from elementwise numpy arithmetic and sums,
+not from a BLAS kernel that may differ between CPUs.
 ``mc_oracle_risk`` simulates the estimators straight from their chi-square
 pivot representations and is the independent check on every closed form in
 ``risk``.  ``convention_validation`` holds that check against the ratio
@@ -53,12 +55,8 @@ class SimConfig:
             raise ValueError("theta2_grid is empty")
         if not all(0.0 < t < math.inf for t in self.theta2_grid):
             raise ValueError("theta2 values must be positive and finite")
-        if not 0.0 < self.theta1 < math.inf:
-            raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (0.0 <= self.k <= 1.0):
-            raise ValueError(f"k must lie in [0, 1], got {self.k}")
+        # the closed forms' own alpha, k and theta1 checks
+        RiskParams(self.design, 1.0, self.alpha, self.k, self.theta1)
         if self.replicates < 1:
             raise ValueError(f"need at least one replicate, got {self.replicates}")
 
@@ -114,54 +112,103 @@ class McReport:
         }
 
 
+# doubles in one block of drawn uniforms (256 KiB): a block's gaps are
+# formed and summed while it is still in cache
+_BLOCK = 1 << 15
+
+
 def _mle_batch(rng: np.random.Generator, n: int, scale: float, reps: int,
-               variant: Variant) -> np.ndarray:
-    """Replicated record-sample MLEs.
+               variant: Variant, out: np.ndarray | None = None,
+               block: np.ndarray | None = None) -> np.ndarray:
+    """Replicated record-sample MLEs, written into ``out`` when it is given.
 
     Records are cumulative sums of inverse-CDF exponential gaps, matching
     ``records.sample_exponential_records``; the MLE only needs the gap sums,
-    so the cumulative sum itself is never materialized.  The gaps are formed
-    in place in the one draw and summed column by column in record order,
-    so each known-location row equals ``records.mle_scale`` of the record
+    so the cumulative sum itself is never materialized.  The uniforms are
+    drawn in blocks of whole replicates, at most ``_BLOCK`` doubles (or one
+    replicate) at a time, into ``block``.  Each block's gaps are formed in
+    place and summed column by column in record order into that block's rows
+    of ``out`` while the block is still in cache.  ``Generator.random`` makes
+    each double from one 64-bit draw of the bit generator and keeps nothing
+    between calls, so the blocks, filled in turn, hold exactly the uniforms
+    of one (reps, n) draw and leave the generator in the same state.  Each
+    known-location row therefore equals ``records.mle_scale`` of the record
     sample drawn from the same generator state, bit for bit.
     """
-    g = rng.random((reps, n))
-    np.negative(g, out=g)
-    np.log1p(g, out=g)
-    g *= -scale
+    if out is None:
+        out = np.empty(reps)
+    if block is None or block.size < n:
+        block = np.empty(max(_BLOCK, n))
+    rows = block.size // n
     first = 0 if variant is Variant.KNOWN_LOCATION else 1
-    total = g[:, first].copy()
-    for j in range(first + 1, n):
-        total += g[:, j]
-    total /= n                   # X_{U(n)} / n, or (X_{U(n)} - X_{U(1)}) / n
-    return total
+    for start in range(0, reps, rows):
+        total = out[start:start + rows]
+        g = block[:total.size * n].reshape(total.size, n)
+        rng.random(out=g)
+        np.negative(g, out=g)
+        np.log1p(g, out=g)
+        g *= -scale
+        np.copyto(total, g[:, first])
+        for j in range(first + 1, n):
+            total += g[:, j]
+    out /= n                     # X_{U(n)} / n, or (X_{U(n)} - X_{U(1)}) / n
+    return out
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    m = float(x.mean())
+def _var(x: np.ndarray, mean, scratch: np.ndarray | None = None):
+    """``x.var(ddof=1)`` about its mean, already computed, by numpy's own steps.
+
+    Subtract, square, sum, divide by n - 1: the same values as ``x.var``,
+    without the second pass for the mean (``var(mean=)`` needs numpy 2).
+    The squared deviations go to ``scratch``, which may be ``x`` itself.
+    """
+    dev = np.subtract(x, mean, out=scratch)
+    np.multiply(dev, dev, out=dev)
+    return dev.sum() / (x.size - 1)
+
+
+def _mean_se(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[float, float]:
+    m = x.mean()
     if x.size < 2:
-        return m, math.nan
-    return m, float(x.std(ddof=1) / math.sqrt(x.size))
+        return float(m), math.nan
+    return float(m), float(np.sqrt(_var(x, m, scratch)) / math.sqrt(x.size))
 
 
-def _ratio_se(num: np.ndarray, den: np.ndarray) -> float:
+def _ratio_se(num: np.ndarray, den: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """Delta-method SE of mean(num)/mean(den) from paired replicate values.
 
     The delta-method variance (r**2)*(v11/m1**2 + v22/m2**2 - 2*v12/(m1*m2)),
     with r = m1/m2, equals var(num - r*den)/(reps*m2**2).  The residual form
     sums squares where the three-term form cancels, and it needs no
-    covariance, so no ``np.cov`` and its BLAS product chosen per CPU.
+    covariance, so no ``np.cov`` and its BLAS product chosen per CPU.  The
+    residuals go to ``scratch``.
     """
     reps = num.size
     if reps < 2:
         return math.nan
     m2 = den.mean()
-    resid = num - (num.mean() / m2) * den
-    return math.sqrt(resid.var(ddof=1) / reps) / abs(m2)
+    resid = np.multiply(den, num.mean() / m2, out=scratch)
+    np.subtract(num, resid, out=resid)
+    return math.sqrt(_var(resid, resid.mean(), resid) / reps) / abs(m2)
+
+
+class _Workspace:
+    """The arrays of one ``mc_compare`` call, allocated once and reused by every cell.
+
+    Nine reps-length float arrays, two reps-length masks and one draw block:
+    the same memory whatever the design, so no cell maps fresh pages.
+    """
+
+    def __init__(self, reps: int):
+        (self.t1, self.t2, self.scratch, self.pool, self.pt, self.sh, self.err,
+         self.sq_mle, self.sq) = np.empty((9, reps))
+        self.accepted, self.mask = np.empty((2, reps), dtype=bool)
+        self.block = np.empty(_BLOCK)
 
 
 @np.errstate(all="raise")
-def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child) -> McRow:
+def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
+                  ws: _Workspace) -> McRow:
     """One theta2 cell of ``mc_compare``, simulated in units of theta1.
 
     t1 is drawn at scale 1 and t2 at delta = theta2/theta1, so every
@@ -171,34 +218,48 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child)
     delta, the draws or the scaled values, raises FloatingPointError.  theta1
     is a numpy scalar so that delta and each scaling are too: Python floats
     overflow and underflow without a signal, which ``np.errstate`` cannot see.
+    Every reps-length value is written into ``ws``, elementwise as if each
+    expression had its own array.
     """
     design = config.design
     theta1 = np.float64(config.theta1)
     delta = theta2 / theta1
     rng = np.random.default_rng(child)
-    t1 = _mle_batch(rng, design.n1, 1.0, config.replicates, design.variant)
-    t2 = _mle_batch(rng, design.n2, delta, config.replicates, design.variant)
-    ratio = t1 / t2
-    accepted = (ratio > c1) & (ratio < c2)
-    pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
-    pt = np.where(accepted, pool, t1)
-    sh = np.where(accepted, config.k * pool + (1.0 - config.k) * t1, t1)
+    reps, variant, scratch = config.replicates, design.variant, ws.scratch
+    t1 = _mle_batch(rng, design.n1, 1.0, reps, variant, ws.t1, ws.block)
+    t2 = _mle_batch(rng, design.n2, delta, reps, variant, ws.t2, ws.block)
+    ratio = np.divide(t1, t2, out=scratch)
+    accepted = np.greater(ratio, c1, out=ws.accepted)
+    accepted &= np.less(ratio, c2, out=ws.mask)
+    # (n1*t1 + n2*t2) / (n1 + n2)
+    pool = np.multiply(t1, design.n1, out=ws.pool)
+    pool += np.multiply(t2, design.n2, out=scratch)
+    pool /= design.n1 + design.n2
+    pt, sh = ws.pt, ws.sh
+    np.copyto(pt, t1)
+    np.copyto(pt, pool, where=accepted)
+    # k*pool + (1 - k)*t1 on every replicate, not only the accepted ones, so
+    # an underflow raises wherever the whole-array expression raised
+    blend = np.multiply(pool, config.k, out=scratch)
+    blend += np.multiply(t1, 1.0 - config.k, out=sh)
+    np.copyto(sh, t1)
+    np.copyto(sh, blend, where=accepted)
 
     stats = {}
-    for rule, est in (("mle", t1), ("pt", pt), ("s", sh)):
-        err = est - 1.0
-        sq = err**2
-        bias, se_bias = _mean_se(err)
-        mse, se_mse = _mean_se(sq)
+    for rule, est, sq in (("mle", t1, ws.sq_mle), ("pt", pt, ws.sq), ("s", sh, ws.sq)):
+        err = np.subtract(est, 1.0, out=ws.err)
+        np.square(err, out=sq)
+        bias, se_bias = _mean_se(err, scratch)
+        mse, se_mse = _mean_se(sq, scratch)
         stats[f"bias_{rule}"] = bias * theta1
         stats[f"se_bias_{rule}"] = se_bias * theta1
         stats[f"mse_{rule}"] = mse * theta1 * theta1
         stats[f"se_mse_{rule}"] = se_mse * theta1 * theta1
         if rule == "mle":
-            sq_mle, mse_mle = sq, mse
+            mse_mle = mse
         else:
             stats[f"eff_{rule}"] = mse_mle / mse
-            stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq)
+            stats[f"se_eff_{rule}"] = _ratio_se(ws.sq_mle, sq, scratch)
     return McRow(theta2=theta2, **{name: float(v) for name, v in stats.items()})
 
 
@@ -215,10 +276,11 @@ def mc_compare(config: SimConfig) -> McReport:
     """
     c1, c2 = critical_values(config.design, config.alpha)
     children = np.random.SeedSequence(config.seed).spawn(len(config.theta2_grid))
+    ws = _Workspace(config.replicates)
     rows = []
     for theta2, child in zip(config.theta2_grid, children):
         try:
-            rows.append(_compare_cell(config, c1, c2, theta2, child))
+            rows.append(_compare_cell(config, c1, c2, theta2, child, ws))
         except FloatingPointError:
             raise ValueError(
                 f"theta1={config.theta1:g}, theta2={theta2:g}: the simulated statistics "

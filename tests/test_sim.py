@@ -4,12 +4,15 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from recshrink.records import DesignPair, Variant, mle_scale, sample_exponential_records
+from recshrink.risk import RiskParams
 from recshrink.sim import (
+    _BLOCK,
     SimConfig,
     _mle_batch,
     _ratio_se,
@@ -50,6 +53,18 @@ class TestSimConfig:
             _config(replicates=0)
         with pytest.raises(ValueError):
             _config(theta1=-1.0)
+
+    @pytest.mark.parametrize("bad", [
+        dict(alpha=0.0), dict(k=1.5), dict(theta1=-1.0),
+        dict(alpha=1.5, k=-0.5, theta1=math.nan),     # alpha is checked first, theta1 last
+        dict(k=2.0, theta1=0.0),
+    ])
+    def test_messages_are_the_closed_forms(self, bad):
+        with pytest.raises(ValueError) as got:
+            _config(**bad)
+        with pytest.raises(ValueError) as want:
+            RiskParams(D22, 1.0, **(dict(alpha=0.16, k=0.17) | bad))   # _config's alpha, k
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_scales_rejected(self, bad):
@@ -187,6 +202,42 @@ class TestMleBatch:
         gaps = -scale * np.log1p(-np.random.default_rng(n).random((reps, n)))
         exact = np.array([math.fsum(row[1:]) / n for row in gaps])
         np.testing.assert_allclose(batch, exact, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n, variant", [
+        (n, variant) for variant in Variant for n in (1, 2, 7, 10, 13)
+        if n >= 2 or variant is Variant.KNOWN_LOCATION
+    ])
+    def test_blocks_keep_the_one_shot_bits(self, n, variant):
+        # several whole blocks and a ragged tail
+        reps = 3 * (_BLOCK // n) + 7
+        rng = np.random.default_rng(n)
+        batch = _mle_batch(rng, n, 0.37, reps, variant)
+        one_shot = np.random.default_rng(n)
+        gaps = -0.37 * np.log1p(-one_shot.random((reps, n)))
+        first = 0 if variant is Variant.KNOWN_LOCATION else 1
+        exact = gaps[:, first].copy()
+        for j in range(first + 1, n):
+            exact += gaps[:, j]
+        exact /= n
+        assert np.array_equal(batch, exact)
+        # the stream continues where the one-shot draw leaves it, so t2's draws stay put
+        assert rng.random() == one_shot.random()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_memory_does_not_grow_with_the_design(self, n):
+        # the draws go through one fixed block, not a (reps, n) array
+        def peak(size):
+            config = _config(design=DesignPair(size, size), theta2_grid=(1.0,), replicates=100_000)
+            tracemalloc.start()
+            try:
+                mc_compare(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(n) - peak(2) <= 2 * _BLOCK * 8
 
 
 def _cov_ratio_se(num, den):
