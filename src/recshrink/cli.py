@@ -74,7 +74,8 @@ def _render(args, csv_rows, json_obj) -> None:
 def read_series_csv(path: str) -> dict[str, list[float]]:
     """Read a header-row CSV, one numeric series per column.
 
-    Columns may have unequal lengths; trailing empty cells are allowed.
+    Columns may have unequal lengths: a column ends at its first empty or
+    missing cell, and a value after that end is an error.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -88,13 +89,19 @@ def read_series_csv(path: str) -> dict[str, list[float]]:
         series: dict[str, list[float]] = {name: [] for name in names}
         if len(series) != len(names):
             raise ValueError(f"{path}: duplicate column names in header")
+        ended = set()   # columns that have had an empty or missing cell
         for rownum, row in enumerate(reader, start=2):
+            ended.update(range(len(row), len(names)))
             for col, cell in enumerate(row):
                 cell = cell.strip()
                 if not cell:
+                    ended.add(col)
                     continue
                 if col >= len(names):
                     raise ValueError(f"{path}: row {rownum} has more cells than the header")
+                if col in ended:
+                    raise ValueError(f"{path}: row {rownum}, column {names[col]!r}: "
+                                     "value after an empty or missing cell")
                 try:
                     series[names[col]].append(float(cell))
                 except ValueError:

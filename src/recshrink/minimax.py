@@ -248,8 +248,6 @@ def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float
     The lower side is cut at the window's lower edge delta1, where the
     regret jumps up as its reference switches from 1/n1 to r0.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     region = pooling_region(design)
     grid = _fixed_grid(region[1], split=region[0])
     return _polished_sups(

@@ -115,17 +115,25 @@ def _shift_terms(x, a: float, b: float) -> dict:
     }
 
 
-def _brackets(design: DesignPair, d1: float, d2: float) -> dict:
-    """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j).
+def _brackets(design: DesignPair, d1, d2) -> dict:
+    """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j); float or array bounds.
 
     One incomplete beta per bound, at the base shapes (m1, m2); each bracket
-    is that base difference plus the difference of its shift terms.
+    is that base difference plus the difference of its shift terms.  Float
+    bounds take the scalar ``reg_inc_beta``, far cheaper than a size-1 grid
+    call; array bounds of one shape share one grid call and one ``_shift_terms``.
     """
     m1, m2 = design.shapes
-    base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
-    lo = _shift_terms(d1, m1, m2)
-    hi = _shift_terms(d2, m1, m2)
-    return {ij: base + (hi[ij] - lo[ij]) for ij in _SHIFTS}
+    if not isinstance(d1, np.ndarray):
+        base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
+        lo, hi = _shift_terms(d1, m1, m2), _shift_terms(d2, m1, m2)
+        return {ij: base + (hi[ij] - lo[ij]) for ij in _SHIFTS}
+    n = d1.size
+    x = np.concatenate((d1, d2), axis=None)
+    base = reg_inc_beta_grid(x, m1, m2)
+    base = base[n:] - base[:n]
+    return {ij: (base + (s[n:] - s[:n])).reshape(d1.shape)
+            for ij, s in _shift_terms(x, m1, m2).items()}
 
 
 def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
@@ -173,16 +181,7 @@ def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
         raise ValueError("delta must be positive and finite")
     c1, c2 = critical_values(design, alpha)
     n1, n2 = design.n1, design.n2
-    d1 = _beta_bound(c1, n1, n2, dv)
-    d2 = _beta_bound(c2, n1, n2, dv)
-    # one incomplete beta over both bounds at once, at the base shapes
-    x = np.concatenate((d1.reshape(-1), d2.reshape(-1)))
-    m1, m2 = design.shapes
-    n = dv.size
-    base = reg_inc_beta_grid(x, m1, m2)
-    base = base[n:] - base[:n]
-    br = {ij: (base + (s[n:] - s[:n])).reshape(dv.shape)
-          for ij, s in _shift_terms(x, m1, m2).items()}
+    br = _brackets(design, _beta_bound(c1, n1, n2, dv), _beta_bound(c2, n1, n2, dv))
     return _coeffs_from_brackets(design, dv, br)
 
 

@@ -118,9 +118,8 @@ _BLOCK = 1 << 15
 
 
 def _mle_batch(rng: np.random.Generator, n: int, scale: float, reps: int,
-               variant: Variant, out: np.ndarray | None = None,
-               block: np.ndarray | None = None) -> np.ndarray:
-    """Replicated record-sample MLEs, written into ``out`` when it is given.
+               variant: Variant, out: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Replicated record-sample MLEs, written into ``out`` and returned.
 
     Records are cumulative sums of inverse-CDF exponential gaps, matching
     ``records.sample_exponential_records``; the MLE only needs the gap sums,
@@ -135,9 +134,7 @@ def _mle_batch(rng: np.random.Generator, n: int, scale: float, reps: int,
     known-location row therefore equals ``records.mle_scale`` of the record
     sample drawn from the same generator state, bit for bit.
     """
-    if out is None:
-        out = np.empty(reps)
-    if block is None or block.size < n:
+    if block.size < n:
         block = np.empty(max(_BLOCK, n))
     rows = block.size // n
     first = 0 if variant is Variant.KNOWN_LOCATION else 1
@@ -155,7 +152,7 @@ def _mle_batch(rng: np.random.Generator, n: int, scale: float, reps: int,
     return out
 
 
-def _var(x: np.ndarray, mean, scratch: np.ndarray | None = None):
+def _var(x: np.ndarray, mean, scratch: np.ndarray):
     """``x.var(ddof=1)`` about its mean, already computed, by numpy's own steps.
 
     Subtract, square, sum, divide by n - 1: the same values as ``x.var``,
@@ -167,14 +164,14 @@ def _var(x: np.ndarray, mean, scratch: np.ndarray | None = None):
     return dev.sum() / (x.size - 1)
 
 
-def _mean_se(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[float, float]:
+def _mean_se(x: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
     m = x.mean()
     if x.size < 2:
         return float(m), math.nan
     return float(m), float(np.sqrt(_var(x, m, scratch)) / math.sqrt(x.size))
 
 
-def _ratio_se(num: np.ndarray, den: np.ndarray, scratch: np.ndarray | None = None) -> float:
+def _ratio_se(num: np.ndarray, den: np.ndarray, scratch: np.ndarray) -> float:
     """Delta-method SE of mean(num)/mean(den) from paired replicate values.
 
     The delta-method variance (r**2)*(v11/m1**2 + v22/m2**2 - 2*v12/(m1*m2)),
@@ -320,7 +317,8 @@ def mc_oracle_risk(
         accepted = (ratio > c1) & (ratio < c2)
         pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
         est = np.where(accepted, k * pool + (1.0 - k) * t1, t1)
-    return _mean_se((est - 1.0) ** 2)
+    sq = (est - 1.0) ** 2
+    return _mean_se(sq, sq)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ class TestReadSeriesCsv:
         ("a,\n1,2\n", "header row must name every column"),
         ("a,a\n1,2\n", "duplicate column names"),
         ("a,b\n1,2\n3,4,5\n", "row 3 has more cells than the header"),
-    ], ids=["empty-name", "duplicate-names", "long-row"])
+        ("a,b\n1.0,2.0\n,3.0\n1.5,4.0\n2.0,\n",
+         "row 4, column 'a': value after an empty or missing cell"),
+    ], ids=["empty-name", "duplicate-names", "long-row", "value-after-blank"])
     def test_malformed_layout(self, tmp_path, text, message):
         p = tmp_path / "m.csv"
         p.write_text(text)
@@ -322,13 +324,14 @@ class TestTables:
         assert err == ("cell (5, 2): K*(alpha*) has no equalizer; "
                        "regret_level is the larger regret maximum\n")
 
-    def test_location_scale_table2_solves_every_cell(self, capsys):
+    def test_location_scale_table2_solves_every_cell(self, capsys, frozen_table):
         code, out, err = run_cli(capsys, "tables", "2", "--variant", "locscale",
                                  "--format", "json")
         assert code == 0, err
         cells = json.loads(out)
         assert len(cells) == 36
         assert all(c["error"] is None for c in cells)
+        frozen_table("tables 2 --alpha 0.16 --variant locscale", cells)
 
 
 class TestSimulate:

@@ -395,7 +395,7 @@ class TestWindowEdgeJump:
 class TestLocationScaleTables:
     # table 2 (K_FIXED_ALPHA) runs through the CLI in test_cli.py
     @pytest.mark.parametrize("case", [TableCase.ALPHA, TableCase.K_OPTIMAL_ALPHA])
-    def test_every_cell_solves(self, case):
+    def test_every_cell_solves(self, case, frozen_table):
         from recshrink.minimax import TABLE_GRID
         from recshrink.records import Variant
 
@@ -404,6 +404,28 @@ class TestLocationScaleTables:
         cells = generate_tables(case, designs)
         assert len(cells) == 36
         assert [c for c in cells if c.error] == []
+        if case is TableCase.K_OPTIMAL_ALPHA:
+            frozen_table("tables 3 --variant locscale", [vars(c) for c in cells])
+
+
+class TestFrozenTables:
+    # the location-scale tables 2 and 3 are checked where test_cli.py and
+    # TestLocationScaleTables compute them
+    @pytest.mark.parametrize("key, case, variant, grid", [
+        ("tables 2 --alpha 0.16 --variant known",
+         TableCase.K_FIXED_ALPHA, Variant.KNOWN_LOCATION, None),
+        ("tables 3 --variant known", TableCase.K_OPTIMAL_ALPHA, Variant.KNOWN_LOCATION, None),
+        ("tables 3 --grid 40,150 --variant known",
+         TableCase.K_OPTIMAL_ALPHA, Variant.KNOWN_LOCATION, (40, 150)),
+        ("tables 3 --grid 40,150 --variant locscale",
+         TableCase.K_OPTIMAL_ALPHA, Variant.LOCATION_SCALE, (40, 150)),
+    ], ids=["2-known", "3-known", "3-large-known", "3-large-locscale"])
+    def test_cells_match_the_frozen_output(self, key, case, variant, grid, frozen_table):
+        from recshrink.minimax import TABLE_GRID
+
+        grid = grid or TABLE_GRID
+        cells = generate_tables(case, [DesignPair(a, b, variant) for b in grid for a in grid])
+        frozen_table(key, [vars(c) for c in cells])
 
 
 def _sample_designs(count=8, seed=20261018):

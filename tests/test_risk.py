@@ -1,5 +1,6 @@
 """Closed-form risk and moments against degeneracies and the Monte Carlo oracle."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -278,6 +279,48 @@ class TestMomentsAgainstScipy:
         bias, mse = shrink_moments(RiskParams(design, delta, alpha, k, theta1))
         assert bias == pytest.approx(bias_ref, abs=1e-13 * theta1)
         assert mse == pytest.approx(theta1**2 * risk_ref, rel=1e-12)
+
+
+def _mirrored_risk(design, delta, alpha, k):
+    """Shrinkage risk from scipy brackets in the mirrored form, for delta >= 1.
+
+    I_{d2}(a, b) - I_{d1}(a, b) = I_{e1}(b, a) - I_{e2}(b, a) with
+    e = 1 - d = n2/(c*n1*delta + n2) formed directly, so no bracket is the
+    difference of two values near 1; c2 = inf gives e2 = 0.  The brackets
+    become a risk as the moments of ``TestMomentsAgainstScipy`` do.
+    """
+    n1, n2 = design.n1, design.n2
+    m1, m2 = design.shapes
+    e1, e2 = (n2 / (c * n1 * delta + n2) for c in critical_values(design, alpha))
+    br = {(i, j): float(sp.betainc(m2 + j, m1 + i, e1) - sp.betainc(m2 + j, m1 + i, e2))
+          for i, j in _SHIFTS}
+    lam = n2 / (n1 + n2)
+    t1 = m1 / n1 * br[(1, 0)]
+    t2 = m2 / n2 * delta * br[(0, 1)]
+    t11 = m1 * (m1 + 1) / n1**2 * br[(2, 0)]
+    t22 = m2 * (m2 + 1) / n2**2 * delta**2 * br[(0, 2)]
+    t12 = m1 * m2 / (n1 * n2) * delta * br[(1, 1)]
+    return (
+        m1 * (m1 + 1) / n1**2 - 2.0 * m1 / n1 + 1.0
+        + 2.0 * k * lam * (t12 - t11 - t2 + t1)
+        + (k * lam) ** 2 * (t22 - 2.0 * t12 + t11)
+    )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: brackets lose all precision at large delta")
+def test_risk_is_exact_at_every_delta():
+    # one item over every design, variant and delta, so it cannot half-pass
+    misses = []
+    for (n1, n2), variant in itertools.product(((2, 2), (7, 2), (5, 6), (150, 40)), Variant):
+        design = DesignPair(n1, n2, variant)
+        for delta in np.geomspace(1.0, 1e16, 33).tolist():
+            for k, got in ((1.0, pt_risk(design, delta, 0.16)),
+                           (0.5, shrink_risk(design, delta, 0.16, 0.5))):
+                err = abs(got - _mirrored_risk(design, delta, 0.16, k))
+                if not err <= 1e-13:  # a NaN risk misses too
+                    misses.append((err, design, delta, k))
+    assert not misses, (len(misses), misses[:3])
 
 
 class TestMomentsAgainstOracle:

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import pathlib
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import recshrink
 from recshrink.records import DesignPair, Variant, mle_scale, sample_exponential_records
 from recshrink.risk import RiskParams
 from recshrink.sim import (
@@ -189,7 +194,8 @@ class TestMleBatch:
     @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5e3, 1e-20])
     def test_known_location_equals_scalar_record_route(self, n, scale):
         reps = 64
-        batch = _mle_batch(np.random.default_rng(n), n, scale, reps, Variant.KNOWN_LOCATION)
+        batch = _mle_batch(np.random.default_rng(n), n, scale, reps, Variant.KNOWN_LOCATION,
+                           np.empty(reps), np.empty(_BLOCK))
         rng = np.random.default_rng(n)
         scalar = [mle_scale(sample_exponential_records(n, scale, rng=rng)) for _ in range(reps)]
         assert batch.tolist() == scalar
@@ -198,7 +204,8 @@ class TestMleBatch:
     @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5e3, 1e-20])
     def test_location_scale_sums_the_gaps_after_the_first(self, n, scale):
         reps = 256
-        batch = _mle_batch(np.random.default_rng(n), n, scale, reps, Variant.LOCATION_SCALE)
+        batch = _mle_batch(np.random.default_rng(n), n, scale, reps, Variant.LOCATION_SCALE,
+                           np.empty(reps), np.empty(_BLOCK))
         gaps = -scale * np.log1p(-np.random.default_rng(n).random((reps, n)))
         exact = np.array([math.fsum(row[1:]) / n for row in gaps])
         np.testing.assert_allclose(batch, exact, rtol=1e-15, atol=0.0)
@@ -211,7 +218,7 @@ class TestMleBatch:
         # several whole blocks and a ragged tail
         reps = 3 * (_BLOCK // n) + 7
         rng = np.random.default_rng(n)
-        batch = _mle_batch(rng, n, 0.37, reps, variant)
+        batch = _mle_batch(rng, n, 0.37, reps, variant, np.empty(reps), np.empty(_BLOCK))
         one_shot = np.random.default_rng(n)
         gaps = -0.37 * np.log1p(-one_shot.random((reps, n)))
         first = 0 if variant is Variant.KNOWN_LOCATION else 1
@@ -239,6 +246,31 @@ class TestWorkspace:
 
         assert peak(n) - peak(2) <= 2 * _BLOCK * 8
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="checks glibc's dynamic mmap threshold")
+    def test_steady_state_maps_no_fresh_pages(self):
+        # The first call maps its workspace; freeing it raises glibc's mmap
+        # threshold, so later workspaces come from the reused heap.  A
+        # workspace that is never freed (kept across calls) leaves the
+        # threshold low, and every call maps and faults in fresh pages.
+        script = (
+            "import resource\n"
+            "from recshrink.records import DesignPair\n"
+            "from recshrink.sim import SimConfig, mc_compare\n"
+            "config = SimConfig(DesignPair(5, 6), (0.5, 1.0, 2.0), seed=1, replicates=100_000)\n"
+            "for _ in range(4):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    mc_compare(config)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(pathlib.Path(recshrink.__file__).parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        faults = [int(line) for line in run.stdout.split()]
+        assert len(faults) == 4 and max(faults[2:]) < 100, faults
+
 
 def _cov_ratio_se(num, den):
     reps = num.size
@@ -260,10 +292,10 @@ class TestRatioSe:
         t2 = rng.standard_gamma(4, reps) / 4
         shrunk = 0.3 * (3 * t1 + 4 * t2) / 7 + 0.7 * t1
         num, den = (t1 - 1.0) ** 2, (shrunk - 1.0) ** 2
-        assert _ratio_se(num, den) == pytest.approx(_cov_ratio_se(num, den), rel=1e-10)
+        assert _ratio_se(num, den, np.empty(reps)) == pytest.approx(_cov_ratio_se(num, den), rel=1e-10)
 
     def test_one_replicate_gives_nan(self):
-        assert math.isnan(_ratio_se(np.array([0.3]), np.array([0.7])))
+        assert math.isnan(_ratio_se(np.array([0.3]), np.array([0.7]), np.empty(1)))
 
 
 class TestMcOracleRisk:
