@@ -33,7 +33,9 @@ these grid sups.  For K* they are array arithmetic on one table of
 level costs one grid evaluation.  The golden-section polish with the scalar
 regret runs only at the root, which then takes one Newton step on the
 polished residual, and the polished sups at the corrected root are the
-reported solution.
+reported solution.  A K* solve holds its crossings, grid, table and the
+scalar (h2, h1, h0) of every delta a polish has visited in one search
+state, so the two polishes build nothing twice.
 
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
@@ -146,7 +148,11 @@ def regret_pt(design: DesignPair, delta: float, alpha: float) -> float:
     The floor absorbs the few delta where the pre-test rule beats both
     references at once, which the two-reference regret counts as negative.
     """
-    lo, hi = pooling_region(design)
+    return _regret_pt(design, delta, alpha, pooling_region(design))
+
+
+def _regret_pt(design, delta, alpha, region):
+    lo, hi = region
     r0, r1 = boundary_risks(design, delta)
     ref = r0 if lo < delta < hi else r1
     return max(0.0, pt_risk(design, delta, alpha) - ref)
@@ -253,7 +259,7 @@ def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float
     return _polished_sups(
         grid,
         _regret_pt_grid(design, grid[0], alpha, region),
-        lambda d: regret_pt(design, d, alpha),
+        lambda d: _regret_pt(design, d, alpha, region),
     )
 
 
@@ -368,13 +374,21 @@ def inf_k_risk(design: DesignPair, delta: float, alpha: float) -> tuple[float, f
     return _inf_quadratic(h2, h1, h0)
 
 
-def regret_shrink(design: DesignPair, delta: float, alpha: float, k: float) -> float:
-    """Excess risk of shrinkage weight k over the best weight at this delta."""
-    if not (0.0 <= k <= 1.0):
+def _check_k(k: float) -> None:
+    if not (0.0 <= k <= 1.0):  # NaN fails too
         raise ValueError(f"k must lie in [0, 1], got {k}")
-    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
+
+
+def _shrink_regret(h2: float, h1: float, h0: float, k: float) -> float:
+    """Excess of the risk h2*k^2 + h1*k + h0 over its minimum over weights."""
     _, rmin = _inf_quadratic(h2, h1, h0)
     return max(0.0, h2 * k * k + h1 * k + h0 - rmin)
+
+
+def regret_shrink(design: DesignPair, delta: float, alpha: float, k: float) -> float:
+    """Excess risk of shrinkage weight k over the best weight at this delta."""
+    _check_k(k)
+    return _shrink_regret(*risk_k_coefficients(design, delta, alpha), k)
 
 
 def _shrink_terms(design, deltas, alpha):
@@ -425,38 +439,72 @@ def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
     return lower, upper
 
 
+class _ShrinkSearch:
+    """What one K* search at a fixed design and level alpha reads, built once.
+
+    No coefficient depends on k, so every weight the search visits shares
+    the crossings, the fixed grid above and below the upper one, the grid
+    table of (h2, h1, h0 - rmin), and the scalar (h2, h1, h0) at each delta
+    the polish has evaluated.  The state belongs to one solve: the next
+    solve starts empty, as a fresh process would.
+    """
+
+    def __init__(self, design: DesignPair, alpha: float):
+        self.design = design
+        self.alpha = alpha
+        self.crossings = pt_risk_crossings(design, alpha)
+        self.grid = _fixed_grid(self.crossings[1])
+        self.terms = _shrink_terms(design, self.grid[0], alpha)
+        self._coefficients = {}
+
+    def coefficients(self, delta: float) -> tuple[float, float, float]:
+        """risk_k_coefficients at delta, computed on the first visit only."""
+        if delta not in self._coefficients:
+            self._coefficients[delta] = risk_k_coefficients(self.design, delta, self.alpha)
+        return self._coefficients[delta]
+
+    def regret(self, delta: float, k: float) -> float:
+        """regret_shrink(design, delta, alpha, k) from the memoized coefficients."""
+        _check_k(k)
+        return _shrink_regret(*self.coefficients(delta), k)
+
+
 def sup_regret_shrink(
     design: DesignPair,
     alpha: float,
     k: float,
-    crossings: tuple[float, float] | None = None,
+    search: _ShrinkSearch | None = None,
 ) -> tuple[float, float, float, float]:
-    """(delta_L, reg_L, delta_U, reg_U) for the shrinkage regret at weight k."""
-    if crossings is None:
-        crossings = pt_risk_crossings(design, alpha)
-    grid = _fixed_grid(crossings[1])
+    """(delta_L, reg_L, delta_U, reg_U) for the shrinkage regret at weight k.
+
+    ``search`` is the state of a K* solve at this design and alpha, so its
+    polishes share one grid table and each delta's coefficients; without
+    one, a fresh state is built.  The result is the same either way.
+    """
+    _check_k(k)  # a NaN table has no hump for the polish to check k in
+    if search is None:
+        search = _ShrinkSearch(design, alpha)
     return _polished_sups(
-        grid,
-        _regret_shrink_table(_shrink_terms(design, grid[0], alpha), k),
-        lambda d: regret_shrink(design, d, alpha, k),
+        search.grid,
+        _regret_shrink_table(search.terms, k),
+        lambda d: search.regret(d, k),
     )
 
 
 def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
     """Shrinkage weight equalizing the two regret maxima at a fixed level alpha.
 
-    No coefficient depends on k, so one grid of (h2, h1, h0 - rmin) serves
-    every k the search visits.
+    No coefficient depends on k, so one ``_ShrinkSearch`` serves every k
+    the solve visits: the scan and Brent read its grid table, and both
+    polishes its memo of scalar coefficients.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    crossings = pt_risk_crossings(design, alpha)
-    grid = _fixed_grid(crossings[1])
-    terms = _shrink_terms(design, grid[0], alpha)
+    search = _ShrinkSearch(design, alpha)
     return _solve(
-        lambda k: _grid_sups(grid, _regret_shrink_table(terms, k)),
-        lambda k: sup_regret_shrink(design, alpha, k, crossings),
-        crossings,
+        lambda k: _grid_sups(search.grid, _regret_shrink_table(search.terms, k)),
+        lambda k: sup_regret_shrink(design, alpha, k, search),
+        search.crossings,
         f"K* at {_design_label(design)}, alpha={alpha}",
     )
 

@@ -10,6 +10,7 @@ freedom.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,9 +78,12 @@ class DesignPair:
         off = 0 if self.variant is Variant.KNOWN_LOCATION else 2
         return 2 * self.n1 - off, 2 * self.n2 - off
 
-    @property
+    @functools.cached_property
     def shapes(self) -> tuple[int, int]:
-        """Gamma shape of n_i*mle_i/theta_i (half the degrees of freedom)."""
+        """Gamma shape of n_i*mle_i/theta_i (half the degrees of freedom).
+
+        Computed once per design: every risk evaluation reads it several times.
+        """
         d1, d2 = self.df
         return d1 // 2, d2 // 2
 

@@ -78,7 +78,14 @@ def _beta_bound(c, n1: int, n2: int, delta):
     delta = 1 it is evaluated as c*n1/(c*n1 + n2/delta), so no term
     overflows and every finite delta > 0, subnormal ones included, gives a
     finite bound.  An infinite c (c2 at alpha ~ 1e-308) maps to exactly 1.
+    A float delta takes the same formula in plain arithmetic, which gives
+    the same bits at a third of the cost of the numpy ufuncs or less.
     """
+    if not isinstance(delta, np.ndarray):
+        if c == math.inf:
+            return 1.0
+        t = c * n1 * min(delta, 1.0)
+        return t / (t + n2 / max(delta, 1.0))
     if c == math.inf:
         return np.ones_like(delta, dtype=float)
     t = c * n1 * np.minimum(delta, 1.0)

@@ -20,6 +20,7 @@ its shifted-shape recurrences from it.  It is 0 at x = 0 and x = 1, so both
 routes give exactly 0 and 1 there.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -37,12 +38,16 @@ def _stirling_err(x: float) -> float:
             - r / 1188.0) * r) * r) * r) / x
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln G(a) + ln G(b) - ln G(a+b).
 
     Large shapes go through Stirling-corrected forms: the plain lgamma
     difference loses digits to cancellation once the result is small against
-    the individual terms (e.g. B(1e4, 0.5)).
+    the individual terms (e.g. B(1e4, 0.5)).  Results are cached, since the
+    risk path asks for the same design's shapes at every bound; ``typed``
+    keeps an int and a float shape of equal value apart, so the result's
+    type is always that of a fresh call.
     """
     if not (a > 0.0) or not (b > 0.0):
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")

@@ -190,6 +190,16 @@ class TestRegretShrink:
         with pytest.raises(ValueError, match="k must lie in"):
             regret_shrink(D56, 1.0, 0.16, k)
 
+    @pytest.mark.parametrize("k", [1.5, -0.1, float("nan")])
+    def test_sup_k_domain(self, k):
+        from recshrink.minimax import _ShrinkSearch
+
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 1\], got"):
+            sup_regret_shrink(D56, 0.16, k)
+        # the memoized regret the polish reads checks k the same way
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 1\], got"):
+            _ShrinkSearch(D56, 0.16).regret(1.0, k)
+
     def test_crossings_bracket_the_dip(self):
         lo, hi = pt_risk_crossings(D56, 0.16)
         assert 0.0 <= lo < 1.0 < hi
@@ -206,6 +216,45 @@ class TestRegretShrink:
         assert r_hi == pytest.approx(brute_hi, abs=2e-5)
         assert r_lo >= brute_lo - 1e-9
         assert r_hi >= brute_hi - 1e-9
+
+
+class TestKSearchState:
+    """One K* solve builds its grid table once and each delta's coefficients once."""
+
+    @pytest.mark.parametrize("design, fallback", [
+        (D56, False),
+        (DesignPair(7, 2, Variant.LOCATION_SCALE), True),  # no equalizer
+    ])
+    def test_each_solve_computes_everything_once(self, monkeypatch, design, fallback):
+        import recshrink.minimax as mm
+
+        scalar_deltas, grid_calls = [], []
+        scalar, grid = mm.risk_k_coefficients, mm.risk_k_coefficients_grid
+
+        def counted_scalar(d, delta, alpha):
+            scalar_deltas.append(delta)
+            return scalar(d, delta, alpha)
+
+        def counted_grid(d, deltas, alpha):
+            grid_calls.append(len(deltas))
+            return grid(d, deltas, alpha)
+
+        monkeypatch.setattr(mm, "risk_k_coefficients", counted_scalar)
+        monkeypatch.setattr(mm, "risk_k_coefficients_grid", counted_grid)
+        sol = optimal_k(design, 0.16)
+        assert sol.fallback is fallback
+        assert len(grid_calls) == 1
+        assert scalar_deltas and len(set(scalar_deltas)) == len(scalar_deltas)
+
+        # the memo lives for one solve: a second one evaluates every delta again
+        first = list(scalar_deltas)
+        scalar_deltas.clear()
+        assert optimal_k(design, 0.16) == sol
+        assert scalar_deltas == first
+
+        # a sup on its own builds its own state and reads the same numbers
+        got = sup_regret_shrink(design, 0.16, sol.tuned_value)
+        assert got == (sol.delta_L, sol.regret_at_L, sol.delta_U, sol.regret_at_U)
 
 
 PUBLISHED_K_CELLS = [

@@ -67,6 +67,26 @@ class TestDBounds:
         assert g1[0] == d1
         assert d1 == (1.0 if delta > 1.0 else pytest.approx(0.0, abs=1e-299))
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float_route_equals_array_route_bit_for_bit(self, variant):
+        # a float delta takes plain arithmetic, an array numpy's ufuncs; the
+        # formula is the same, so each bound must be the same double
+        design = DesignPair(5, 6, variant)
+        n1, n2 = design.n1, design.n2
+        deltas = [1e-310, *np.geomspace(1e-300, 1e300, 41).tolist(), 1.0,
+                  float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))]
+        pairs = [critical_values(design, a) for a in (1e-300, 0.16, 1.0)]
+        pairs.append((pairs[1][0], math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for delta in deltas:
+                for c1, c2 in pairs:
+                    for d in (delta, np.float64(delta)):
+                        got = d_bounds(design, d, c1, c2)
+                        want = tuple(_beta_bound(c, n1, n2, np.array([delta]))[0]
+                                     for c in (c1, c2))
+                        assert got == want, (delta, c1, c2)
+
     def test_equal_critical_values(self):
         d1, d2 = d_bounds(D56, 1.3, 1.7, 1.7)
         assert d1 == d2

@@ -1,7 +1,8 @@
-"""Smoke run of scripts/run_simulation.py."""
+"""Smoke runs of scripts/run_simulation.py and scripts/bench_pairs.py."""
 
 import csv
 import importlib.util
+import json
 import pathlib
 
 from recshrink.sim import CSV_COLUMNS
@@ -29,3 +30,89 @@ def test_run_simulation(tmp_path, capsys):
     # one row per design and theta2 value
     assert len(rows) == 1 + len(script.DESIGNS) * len(script.THETA2_GRID) == 81
     assert {row[-2] for row in rows[1:]} == {"0.16"}
+
+
+# perfbench/run.py stand-in: run i of a tree reports wall_s[i], and failed[i]
+# of attempted[i] operations
+_STUB_RUN = '''import json, pathlib
+here = pathlib.Path(__file__).parent
+plan = json.loads((here / "plan.json").read_text())
+count = here / "count"
+i = int(count.read_text()) if count.exists() else 0
+count.write_text(str(i + 1))
+print("stub report line")
+print(json.dumps({"correct": True, "attempted": plan["attempted"][i],
+                  "failed": plan["failed"][i], "metrics": {
+    "wall_s": {"value": plan["wall_s"][i], "unit": "s"},
+    "solved_ratio": {"value": 1.0, "unit": "ratio"}}}))
+'''
+_STUB_BENCH = {"end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "solved_ratio", "unit": "ratio", "better": "higher", "bound": 0.01},
+]}
+
+
+def _bench_pairs(tmp_path, plans):
+    """Run bench_pairs for 10 rounds over stub trees; (stdout, stderr)."""
+    argv = ["--workload", "w", "--seed", "29", "--seconds", "0", "--rounds", "10"]
+    for name, (wall_s, failed, attempted) in plans.items():
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(_STUB_RUN)
+        (tree / "perfbench" / "plan.json").write_text(
+            json.dumps({"wall_s": wall_s, "failed": failed, "attempted": attempted}))
+        (tree / "BENCHMARK.json").write_text(json.dumps(_STUB_BENCH))
+        argv += [f"--{name}", str(tree)]
+    assert _load("bench_pairs").main(argv) == 0
+    return argv
+
+
+def _wall_lines(out):
+    return out.split("wall_s (lower is better, bound 0.25)")[1].split("solved_ratio")[0]
+
+
+def test_bench_pairs(tmp_path, capsys):
+    # the change runs twice the passes, so it attempts and fails twice as many
+    _bench_pairs(tmp_path, {"parent": ([1.0] * 10, [1] * 10, [18] * 10),
+                            "change": ([0.5] * 10, [2] * 10, [36] * 10),
+                            "null": ([1.0] * 10, [1] * 10, [18] * 10)})
+    out = capsys.readouterr()
+    assert "largest failed share: parent 0.05556, change 0.05556, null 0.05556" in out.out
+    wall = _wall_lines(out.out)
+    assert "  parent  median 1  quartiles [1, 1]" in wall
+    assert "  change  median 0.5  quartiles [0.5, 0.5]" in wall
+    assert "change vs parent: won 10/10 pairs, lost 0, median -50.0 %, parent IQR 0: gain" \
+        in wall
+    assert "null vs parent: won 0/10 pairs, lost 0, median +0.0 %, parent IQR 0: within bound" \
+        in wall
+    # each round rotates which side runs first
+    assert "round 1/10: parent -> change -> null" in out.err
+    assert "round 2/10: change -> null -> parent" in out.err
+
+
+def test_bench_pairs_spread_and_failures(tmp_path, capsys):
+    # the parent's IQR (1.0) is wider than the bound (0.25 x median 1.55)
+    parent = [1.0, 2.0, 1.0, 2.0, 1.5, 1.6, 1.0, 2.0, 1.0, 2.0]
+    _bench_pairs(tmp_path, {"parent": (parent, [0] * 10, [36] * 10),
+                            "change": ([0.9] * 10, [0] * 10, [36] * 10),
+                            "null": ([0.5] * 10, [0] * 9 + [1], [36] * 10)})
+    out = capsys.readouterr()
+    assert "largest failed share: parent 0, change 0, null 0.02778" in out.out
+    wall = _wall_lines(out.out)
+    # every change run beats every parent run, so the wide spread leaves it
+    # within bound, not unresolved, though the median moved less than the IQR
+    assert "change vs parent: won 10/10 pairs, lost 0, median -41.9 %, parent IQR 1: " \
+        "within bound" in wall
+    # a larger failed share than the parent in one round: no gain, however fast
+    assert "null vs parent: won 10/10 pairs, lost 0, median -67.7 %, parent IQR 1: " \
+        "within bound" in wall
+
+
+def test_bench_pairs_unresolved(tmp_path, capsys):
+    parent = [1.0, 2.0, 1.0, 2.0, 1.5, 1.6, 1.0, 2.0, 1.0, 2.0]
+    change = [1.1, 1.9, 1.1, 1.9, 1.4, 1.5, 1.1, 1.9, 1.1, 1.9]
+    _bench_pairs(tmp_path, {"parent": (parent, [0] * 10, [36] * 10),
+                            "change": (change, [0] * 10, [36] * 10)})
+    wall = _wall_lines(capsys.readouterr().out)
+    assert "change vs parent: won 6/10 pairs, lost 4, median -6.5 %, parent IQR 1: " \
+        "unresolved" in wall
