@@ -85,6 +85,12 @@ def preliminary_test(
     return shrinkage(inp, alpha, 1.0, target)
 
 
+def check_k(k: float) -> None:
+    """Reject a shrinkage coefficient outside [0, 1]; NaN fails too."""
+    if not (0.0 <= k <= 1.0):
+        raise ValueError(f"k must lie in [0, 1], got {k}")
+
+
 def shrinkage(
     inp: EstimationInput, alpha: float, k: float, target: Target = Target.THETA1
 ) -> tuple[float, TestDecision]:
@@ -92,8 +98,7 @@ def shrinkage(
 
     k = 1 recovers the pre-test estimator; k = 0 never moves off the MLE.
     """
-    if not (0.0 <= k <= 1.0):
-        raise ValueError(f"shrinkage coefficient must lie in [0, 1], got {k}")
+    check_k(k)
     decision = equal_scale_test(inp, alpha)
     own = inp.theta1_hat if target is Target.THETA1 else inp.theta2_hat
     estimate = k * pooled(inp) + (1.0 - k) * own if decision.accepted else own

@@ -33,20 +33,25 @@ these grid sups.  For K* they are array arithmetic on one table of
 level costs one grid evaluation.  The golden-section polish with the scalar
 regret runs only at the root, which then takes one Newton step on the
 polished residual, and the polished sups at the corrected root are the
-reported solution.  A K* solve holds its crossings, grid, table and the
-scalar (h2, h1, h0) of every delta a polish has visited in one search
-state, so the two polishes build nothing twice.
+reported solution.  Each solve, alpha* or K*, holds one search state: its
+window, grid, grid regret, scalar regret and the grid sups of every level
+it has read, so no level is tabulated twice.  A K* state also keeps the
+table of (h2, h1, h0 - rmin) and the scalar (h2, h1, h0) of every delta a
+polish has visited, so its two polishes build nothing twice.
 
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .estimators import check_k
 from .optim import brent_root, golden_section_max
 from .records import DesignPair
 from .risk import (
@@ -210,42 +215,88 @@ def _side_max(deltas, values, segments):
     return best
 
 
-def _grid_sups(grid, values) -> tuple[float, float, float, float]:
-    """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
-    deltas, segments = grid
-    _, d_lo, r_lo = _side_max(deltas, values, segments[:-1])
-    _, d_hi, r_hi = _side_max(deltas, values, segments[-1:])
-    return float(d_lo), float(r_lo), float(d_hi), float(r_hi)
+@dataclass
+class _Search:
+    """What one solve of alpha* or K* at a fixed design reads, built once.
 
-
-def _polished_sups(grid, values, regret) -> tuple[float, float, float, float]:
-    """Golden-section polish of each side's grid maxima with the scalar regret.
-
-    Every local maximum of a segment whose node lies within _TIE_MARGIN of
-    the node that wins the vertex scan is polished, since a kinked hump can
-    sit below its true height on the grid; usually that is the argmax alone.
-    A polish brackets its node by the neighbours inside the same segment,
-    and the node itself wins if the polish finds nothing higher.
+    ``window`` is the solution's (delta1, delta2) and ``grid`` the fixed
+    grid around delta2; ``table(t)`` is the regret over the grid at tuned
+    value t and ``regret(delta, t)`` the scalar regret the polish reads.
+    ``sups`` holds the four vertex-scan floats of every level read so far,
+    not its grid values, so the scan, Brent's root and the bracket slope
+    tabulate each level once.  The state belongs to one solve: the next
+    solve starts empty, as a fresh process would.
     """
-    deltas, segments = grid
-    out = []
-    for side in (segments[:-1], segments[-1:]):
-        floor = values[_side_max(deltas, values, side)[0]] * (1.0 - _TIE_MARGIN)
-        best = None
-        for start, stop in side:
-            seg = values[start:stop]
-            left = np.concatenate(([-np.inf], seg[:-1]))
-            right = np.concatenate((seg[1:], [-np.inf]))
-            for i in start + np.flatnonzero((seg > left) & (seg >= right) & (seg >= floor)):
-                lo = float(deltas[max(i - 1, start)])
-                hi = float(deltas[min(i + 1, stop - 1)])
-                x, fx = golden_section_max(regret, lo, hi)
-                if values[i] > fx:
-                    x, fx = deltas[i], values[i]
-                if best is None or fx > best[1]:
-                    best = (x, fx)
-        out += [float(best[0]), float(best[1])]
-    return tuple(out)
+
+    window: tuple[float, float]
+    grid: tuple
+    table: Callable[[float], np.ndarray]
+    regret: Callable[[float, float], float]
+    sups: dict = field(default_factory=dict, init=False)
+
+    def grid_sups(self, t: float) -> tuple[float, float, float, float]:
+        """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
+        if t not in self.sups:
+            deltas, segments = self.grid
+            values = self.table(t)
+            _, d_lo, r_lo = _side_max(deltas, values, segments[:-1])
+            _, d_hi, r_hi = _side_max(deltas, values, segments[-1:])
+            self.sups[t] = (float(d_lo), float(r_lo), float(d_hi), float(r_hi))
+        return self.sups[t]
+
+    def polished_sups(self, t: float) -> tuple[float, float, float, float]:
+        """Golden-section polish of each side's grid maxima with the scalar regret.
+
+        Every local maximum of a segment whose node lies within _TIE_MARGIN
+        of the node that wins the vertex scan is polished, since a kinked
+        hump can sit below its true height on the grid; usually that is the
+        argmax alone.  A polish brackets its node by the neighbours inside
+        the same segment, and the node itself wins if the polish finds
+        nothing higher.
+        """
+        deltas, segments = self.grid
+        values = self.table(t)
+        out = []
+        for side in (segments[:-1], segments[-1:]):
+            floor = values[_side_max(deltas, values, side)[0]] * (1.0 - _TIE_MARGIN)
+            best = None
+            for start, stop in side:
+                seg = values[start:stop]
+                left = np.concatenate(([-np.inf], seg[:-1]))
+                right = np.concatenate((seg[1:], [-np.inf]))
+                for i in start + np.flatnonzero((seg > left) & (seg >= right) & (seg >= floor)):
+                    lo = float(deltas[max(i - 1, start)])
+                    hi = float(deltas[min(i + 1, stop - 1)])
+                    x, fx = golden_section_max(lambda d: self.regret(d, t), lo, hi)
+                    if values[i] > fx:
+                        x, fx = deltas[i], values[i]
+                    if best is None or fx > best[1]:
+                        best = (x, fx)
+            out += [float(best[0]), float(best[1])]
+        return tuple(out)
+
+    def bracket_slope(self, root: float) -> float:
+        """Secant slope of the grid residual reg_L - reg_U across Brent's last bracket.
+
+        The far end is the level read nearest the root whose residual has
+        the opposite sign (any level if the root's residual is exactly 0),
+        so no new level is tabulated.
+        """
+        g = {t: s[1] - s[3] for t, s in self.sups.items()}
+        others = [t for t in g if t != root]
+        far = min(
+            [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
+            key=lambda t: abs(t - root),
+        )
+        return (g[far] - g[root]) / (far - root)
+
+
+def _alpha_search(design: DesignPair) -> _Search:
+    """alpha* state: the pooling window, with the grid's lower side cut at delta1."""
+    region = pooling_region(design)
+    grid = _fixed_grid(region[1], split=region[0])
+    return _Search(region, grid, lambda a: _regret_pt_grid(design, grid[0], a, region),
+                   lambda d, a: _regret_pt(design, d, a, region))
 
 
 def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float, float]:
@@ -254,13 +305,7 @@ def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float
     The lower side is cut at the window's lower edge delta1, where the
     regret jumps up as its reference switches from 1/n1 to r0.
     """
-    region = pooling_region(design)
-    grid = _fixed_grid(region[1], split=region[0])
-    return _polished_sups(
-        grid,
-        _regret_pt_grid(design, grid[0], alpha, region),
-        lambda d: _regret_pt(design, d, alpha, region),
-    )
+    return _alpha_search(design).polished_sups(alpha)
 
 
 def _equalize(sups):
@@ -287,48 +332,23 @@ def _equalize(sups):
     return t, True
 
 
-def _bracket_slope(sups: dict, root: float) -> float:
-    """Secant slope of the grid residual reg_L - reg_U across Brent's last bracket.
+def _solve(search: _Search, sup, what: str) -> RegretSolution:
+    """Equalized solution over the search's window, in plain floats.
 
-    ``sups`` holds every grid evaluation of the search.  The far end is the
-    point nearest the root whose residual has the opposite sign (any point
-    if the root's residual is exactly 0), so no new level is evaluated.
+    The scan and Brent's root run on the search's grid sups.  The root then
+    gets one Newton step: the residual of the polished sups ``sup`` over
+    the slope of the grid residual across Brent's last bracket.  The polish
+    runs only there and at the corrected root, whose polished sups are the
+    reported solution.  ``what`` names the inputs in a SearchError.
     """
-    g = {t: s[1] - s[3] for t, s in sups.items()}
-    others = [t for t in g if t != root]
-    far = min(
-        [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
-        key=lambda t: abs(t - root),
-    )
-    return (g[far] - g[root]) / (far - root)
-
-
-def _solve(grid_sups, sup, window, what: str) -> RegretSolution:
-    """Equalized solution over the window (delta1, delta2), in plain floats.
-
-    ``grid_sups`` maps the tuned value to the vertex-scan sups on the fixed
-    grid, and ``sup`` to the golden-polished sups.  The scan and Brent's root
-    run on the grid sups, each value evaluated once.  The root then gets one
-    Newton step: the residual of the polished sups over the slope of the grid
-    residual across Brent's last bracket.  The polish runs only there and at
-    the corrected root, whose polished sups are the reported solution.
-    ``what`` names the inputs in a SearchError.
-    """
-    memo = {}
-
-    def sups(t):
-        if t not in memo:
-            memo[t] = grid_sups(t)
-        return memo[t]
-
     try:
-        t, fallback = _equalize(sups)
+        t, fallback = _equalize(search.grid_sups)
         d_lo, r_lo, d_hi, r_hi = sup(t)
-        slope = 0.0 if fallback else _bracket_slope(memo, t)
+        slope = 0.0 if fallback else search.bracket_slope(t)
         if slope != 0.0:
             t -= (r_lo - r_hi) / slope
             d_lo, r_lo, d_hi, r_hi = sup(t)
-        values = (t, *window, d_lo, d_hi, r_lo, r_hi)
+        values = (t, *search.window, d_lo, d_hi, r_lo, r_hi)
         return RegretSolution(*(float(v) for v in values), fallback)
     except SearchError as exc:
         raise SearchError(f"{what}: {exc}") from exc
@@ -340,14 +360,8 @@ def _design_label(design: DesignPair) -> str:
 
 def optimal_alpha(design: DesignPair) -> RegretSolution:
     """Pre-test level equalizing the two regret maxima."""
-    region = pooling_region(design)
-    grid = _fixed_grid(region[1], split=region[0])
-    return _solve(
-        lambda a: _grid_sups(grid, _regret_pt_grid(design, grid[0], a, region)),
-        lambda a: sup_regret_pt(design, a),
-        region,
-        f"alpha* at {_design_label(design)}",
-    )
+    return _solve(_alpha_search(design), lambda a: sup_regret_pt(design, a),
+                  f"alpha* at {_design_label(design)}")
 
 
 def _inf_quadratic(h2: float, h1: float, h0: float) -> tuple[float, float]:
@@ -374,11 +388,6 @@ def inf_k_risk(design: DesignPair, delta: float, alpha: float) -> tuple[float, f
     return _inf_quadratic(h2, h1, h0)
 
 
-def _check_k(k: float) -> None:
-    if not (0.0 <= k <= 1.0):  # NaN fails too
-        raise ValueError(f"k must lie in [0, 1], got {k}")
-
-
 def _shrink_regret(h2: float, h1: float, h0: float, k: float) -> float:
     """Excess of the risk h2*k^2 + h1*k + h0 over its minimum over weights."""
     _, rmin = _inf_quadratic(h2, h1, h0)
@@ -387,7 +396,7 @@ def _shrink_regret(h2: float, h1: float, h0: float, k: float) -> float:
 
 def regret_shrink(design: DesignPair, delta: float, alpha: float, k: float) -> float:
     """Excess risk of shrinkage weight k over the best weight at this delta."""
-    _check_k(k)
+    check_k(k)
     return _shrink_regret(*risk_k_coefficients(design, delta, alpha), k)
 
 
@@ -416,6 +425,7 @@ def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
     """
     r1 = 1.0 / design.n1
 
+    @functools.cache  # Brent restarts from ends the scans have already evaluated
     def f(d):
         return pt_risk(design, d, alpha) - r1
 
@@ -439,74 +449,57 @@ def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
     return lower, upper
 
 
-class _ShrinkSearch:
-    """What one K* search at a fixed design and level alpha reads, built once.
+def _shrink_search(design: DesignPair, alpha: float) -> _Search:
+    """K* state at a fixed level alpha: the crossings' window and grid around the upper one.
 
-    No coefficient depends on k, so every weight the search visits shares
-    the crossings, the fixed grid above and below the upper one, the grid
-    table of (h2, h1, h0 - rmin), and the scalar (h2, h1, h0) at each delta
-    the polish has evaluated.  The state belongs to one solve: the next
-    solve starts empty, as a fresh process would.
+    No coefficient depends on k, so every weight the solve visits shares
+    the grid table of (h2, h1, h0 - rmin) and the scalar (h2, h1, h0) at
+    each delta a polish has evaluated.
     """
+    crossings = pt_risk_crossings(design, alpha)
+    grid = _fixed_grid(crossings[1])
+    terms = _shrink_terms(design, grid[0], alpha)
+    coefficients = {}
 
-    def __init__(self, design: DesignPair, alpha: float):
-        self.design = design
-        self.alpha = alpha
-        self.crossings = pt_risk_crossings(design, alpha)
-        self.grid = _fixed_grid(self.crossings[1])
-        self.terms = _shrink_terms(design, self.grid[0], alpha)
-        self._coefficients = {}
+    def regret(delta, k):
+        check_k(k)
+        if delta not in coefficients:
+            coefficients[delta] = risk_k_coefficients(design, delta, alpha)
+        return _shrink_regret(*coefficients[delta], k)
 
-    def coefficients(self, delta: float) -> tuple[float, float, float]:
-        """risk_k_coefficients at delta, computed on the first visit only."""
-        if delta not in self._coefficients:
-            self._coefficients[delta] = risk_k_coefficients(self.design, delta, self.alpha)
-        return self._coefficients[delta]
-
-    def regret(self, delta: float, k: float) -> float:
-        """regret_shrink(design, delta, alpha, k) from the memoized coefficients."""
-        _check_k(k)
-        return _shrink_regret(*self.coefficients(delta), k)
+    return _Search(crossings, grid, lambda k: _regret_shrink_table(terms, k), regret)
 
 
 def sup_regret_shrink(
     design: DesignPair,
     alpha: float,
     k: float,
-    search: _ShrinkSearch | None = None,
+    search: _Search | None = None,
 ) -> tuple[float, float, float, float]:
     """(delta_L, reg_L, delta_U, reg_U) for the shrinkage regret at weight k.
 
     ``search`` is the state of a K* solve at this design and alpha, so its
-    polishes share one grid table and each delta's coefficients; without
-    one, a fresh state is built.  The result is the same either way.
+    two polishes share one grid table and each delta's coefficients;
+    without one, a fresh state is built.  The result is the same either way.
     """
-    _check_k(k)  # a NaN table has no hump for the polish to check k in
+    check_k(k)  # a NaN table has no hump for the polish to check k in
     if search is None:
-        search = _ShrinkSearch(design, alpha)
-    return _polished_sups(
-        search.grid,
-        _regret_shrink_table(search.terms, k),
-        lambda d: search.regret(d, k),
-    )
+        search = _shrink_search(design, alpha)
+    return search.polished_sups(k)
 
 
 def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
     """Shrinkage weight equalizing the two regret maxima at a fixed level alpha.
 
-    No coefficient depends on k, so one ``_ShrinkSearch`` serves every k
-    the solve visits: the scan and Brent read its grid table, and both
-    polishes its memo of scalar coefficients.
+    One search state serves every k the solve visits: the scan and Brent
+    read its grid sups, and both polishes its table and memo of scalar
+    coefficients.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    search = _ShrinkSearch(design, alpha)
-    return _solve(
-        lambda k: _grid_sups(search.grid, _regret_shrink_table(search.terms, k)),
-        lambda k: sup_regret_shrink(design, alpha, k, search),
-        search.crossings,
-        f"K* at {_design_label(design)}, alpha={alpha}",
-    )
+    search = _shrink_search(design, alpha)
+    return _solve(search, lambda k: sup_regret_shrink(design, alpha, k, search),
+                  f"K* at {_design_label(design)}, alpha={alpha}")
 
 
 TABLE_GRID = (2, 3, 4, 5, 7, 10)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import critical_values
+from .estimators import check_k, critical_values
 from .records import DesignPair
 from .special import beta_front, reg_inc_beta, reg_inc_beta_grid
 
@@ -65,8 +65,7 @@ class RiskParams:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (0.0 <= self.k <= 1.0):
-            raise ValueError(f"k must lie in [0, 1], got {self.k}")
+        check_k(self.k)
         if not 0.0 < self.theta1 < math.inf:
             raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
 
@@ -194,8 +193,7 @@ def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
 
 def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> float:
     """Weighted-loss risk of the shrinkage rule; free of theta1."""
-    if not (0.0 <= k <= 1.0):
-        raise ValueError(f"k must lie in [0, 1], got {k}")
+    check_k(k)
     h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
     return h2 * k * k + h1 * k + h0
 
@@ -207,8 +205,7 @@ def pt_risk(design: DesignPair, delta: float, alpha: float) -> float:
 
 def shrink_risk_grid(design: DesignPair, deltas, alpha: float, k: float) -> np.ndarray:
     """Vectorized shrink_risk over an array of delta values."""
-    if not (0.0 <= k <= 1.0):
-        raise ValueError(f"k must lie in [0, 1], got {k}")
+    check_k(k)
     h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
     return h2 * k * k + h1 * k + h0
 

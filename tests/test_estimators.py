@@ -200,7 +200,7 @@ class TestShrinkage:
 
     @pytest.mark.parametrize("k", [-0.01, 1.01])
     def test_k_domain(self, k):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 1\], got"):
             shrinkage(_inp(1.0, 1.0, 3, 3), 0.2, k)
 
     @settings(max_examples=150, deadline=None)

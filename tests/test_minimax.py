@@ -192,19 +192,33 @@ class TestRegretShrink:
 
     @pytest.mark.parametrize("k", [1.5, -0.1, float("nan")])
     def test_sup_k_domain(self, k):
-        from recshrink.minimax import _ShrinkSearch
+        from recshrink.minimax import _shrink_search
 
         with pytest.raises(ValueError, match=r"k must lie in \[0, 1\], got"):
             sup_regret_shrink(D56, 0.16, k)
         # the memoized regret the polish reads checks k the same way
         with pytest.raises(ValueError, match=r"k must lie in \[0, 1\], got"):
-            _ShrinkSearch(D56, 0.16).regret(1.0, k)
+            _shrink_search(D56, 0.16).regret(1.0, k)
 
     def test_crossings_bracket_the_dip(self):
         lo, hi = pt_risk_crossings(D56, 0.16)
         assert 0.0 <= lo < 1.0 < hi
         assert pt_risk(D56, 1.0, 0.16) < 0.2
         assert pt_risk(D56, hi * 1.5, 0.16) > 0.2
+
+    @pytest.mark.parametrize("design", [D56, DesignPair(7, 2, Variant.LOCATION_SCALE)])
+    def test_crossings_evaluate_each_delta_once(self, monkeypatch, design):
+        import recshrink.minimax as mm
+
+        seen = []
+
+        def recorded(d, delta, alpha):
+            seen.append(delta)
+            return pt_risk(d, delta, alpha)
+
+        monkeypatch.setattr(mm, "pt_risk", recorded)
+        pt_risk_crossings(design, 0.16)
+        assert seen and len(set(seen)) == len(seen)
 
     def test_sup_against_dense_grid(self):
         crossings = pt_risk_crossings(D56, 0.16)
@@ -355,6 +369,50 @@ class TestEqualize:
         root, fallback = _equalize(sups)
         assert fallback
         assert root == pytest.approx(0.3, abs=1e-4)
+
+
+class TestSolve:
+    """The solve path shared by alpha* and K*, on a regret that uses no risk code."""
+
+    def test_equalizes_two_analytic_humps(self):
+        from collections import Counter
+
+        from recshrink.minimax import _SCAN, _Search, _fixed_grid, _solve
+
+        # Gaussian humps in log delta on either side of the edge 1.0, with
+        # heights 0.2 + t and 1 - t that cross at t* = 0.4, between scan nodes
+        centres, width, t_star = (0.3, 3.0), 0.3, 0.4
+        assert min(abs(t - t_star) for t in _SCAN) > 1e-3
+
+        def regret(delta, t):
+            z = np.log(delta)
+            lo = (0.2 + t) * np.exp(-0.5 * ((z - np.log(centres[0])) / width) ** 2)
+            hi = (1.0 - t) * np.exp(-0.5 * ((z - np.log(centres[1])) / width) ** 2)
+            return lo + hi
+
+        grid = _fixed_grid(1.0)
+        levels, polished = [], []
+
+        def table(t):
+            levels.append(t)
+            return regret(grid[0], t)
+
+        search = _Search((0.1, 1.0), grid, table, regret)
+
+        def sup(t):
+            polished.append(t)
+            return search.polished_sups(t)
+
+        sol = _solve(search, sup, "analytic humps")
+        assert not sol.fallback
+        assert sol.tuned_value == pytest.approx(t_star, abs=1e-6)
+        assert sol.delta_L == pytest.approx(centres[0], abs=1e-6)
+        assert sol.delta_U == pytest.approx(centres[1], abs=1e-6)
+        assert (sol.delta1, sol.delta2) == (0.1, 1.0)
+        # each polish tabulates its level again; the scan, Brent's root and
+        # the bracket slope tabulate every level they read exactly once
+        assert len(polished) == 2
+        assert set((Counter(levels) - Counter(polished)).values()) == {1}
 
 
 class TestLocationScaleVariant:
