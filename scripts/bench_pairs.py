@@ -1,19 +1,23 @@
 """Paired perfbench runs of a parent and a change, with a verdict per metric.
 
     python3 scripts/bench_pairs.py --parent A --change B [--null C] \\
-        --workload tables-locscale --seed 29 --seconds 5 --rounds 10
+        --workload large-designs,tables-known --seed 29 --seconds 5 --rounds 10
 
 A, B and C are checkouts of the repository (a null is a second copy of the
-parent, which shows how far two identical trees read apart).  Each round
-runs ``perfbench/run.py --trace 0`` once in every checkout, one after the
-other, and the order rotates from round to round, so no side always runs
-first.  The metrics and whether lower or higher is better come from each
-run's last output line and the parent's BENCHMARK.json.
+parent, which shows how far two identical trees read apart).  Run each from
+a copy without ``.git``, since ``perfbench/run.py`` writes ``perfbench/out/``
+in the tree it runs from.  ``--workload`` takes one workload or a
+comma-separated list.  Each round runs ``perfbench/run.py --trace 0`` once
+per listed workload in every checkout, one after the other, and the order
+of the checkouts rotates from round to round, so no side always runs
+first.  One set of rounds thus shows both a claimed gain and that no other
+workload got worse.  The metrics and whether lower or higher is better come
+from each run's last output line and the parent's BENCHMARK.json.
 
-For every metric it prints each side's median and quartiles over the rounds,
-and for the change (and the null) against the parent: the pairs won (the
-runs of one round form a pair; ties count for neither side), the median's
-relative move, the regression bound, and a verdict:
+For every workload and metric it prints each side's median and quartiles
+over the rounds, and for the change (and the null) against the parent: the
+pairs won (the runs of one round form a pair; ties count for neither side),
+the median's relative move, the regression bound, and a verdict:
 
 - ``gain``: won at least 9 pairs in 10, the medians differ in the better
   direction by more than the parent's interquartile range, and in no round
@@ -96,36 +100,8 @@ def directions(tree: Path) -> dict:
     return {m["name"]: (m.get("better", "lower"), m.get("bound")) for m in bench["end_to_end"]}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--null", type=Path, help="a second copy of the parent")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--rounds", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-
-    sides = {"parent": args.parent, "change": args.change}
-    if args.null is not None:
-        sides["null"] = args.null
-    names = list(sides)
-    runs = {name: [] for name in names}
-    failed_share = {name: [] for name in names}
-    for r in range(args.rounds):
-        order = names[r % len(names):] + names[:r % len(names)]
-        for name in order:
-            metrics, share = run_once(sides[name], args.workload, args.seed, args.seconds)
-            runs[name].append(metrics)
-            failed_share[name].append(share)
-        print(f"round {r + 1}/{args.rounds}: {' -> '.join(order)}", file=sys.stderr)
-
-    rules = directions(args.parent)
-    print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s runs, "
-          f"{args.rounds} rounds")
+def report(names: list[str], runs: dict, failed_share: dict, rules: dict) -> None:
+    """Print one workload's failed shares and, per metric, each side's quartiles and verdicts."""
     print("largest failed share: " + ", ".join(f"{name} {max(failed_share[name]):.4g}"
                                                for name in names))
     more_failed = {name: any(o > b for b, o in zip(failed_share["parent"], failed_share[name]))
@@ -142,6 +118,44 @@ def main(argv=None) -> int:
             print(f"  {name} vs parent: won {c['won']}/{c['pairs']} pairs, lost {c['lost']}, "
                   f"median {100.0 * c['rel']:+.1f} %, parent IQR {c['parent_iqr']:.3g}: "
                   f"{c['verdict']}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--null", type=Path, help="a second copy of the parent")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma-separated list of them")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=5.0)
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    sides = {"parent": args.parent, "change": args.change}
+    if args.null is not None:
+        sides["null"] = args.null
+    names = list(sides)
+    workloads = args.workload.split(",")
+    runs = {(w, name): [] for w in workloads for name in names}
+    failed_share = {(w, name): [] for w in workloads for name in names}
+    for r in range(args.rounds):
+        order = names[r % len(names):] + names[:r % len(names)]
+        for workload in workloads:
+            for name in order:
+                metrics, share = run_once(sides[name], workload, args.seed, args.seconds)
+                runs[workload, name].append(metrics)
+                failed_share[workload, name].append(share)
+        print(f"round {r + 1}/{args.rounds}: {' -> '.join(order)}", file=sys.stderr)
+
+    rules = directions(args.parent)
+    for workload in workloads:
+        print(f"workload {workload}, seed {args.seed}, {args.seconds:g} s runs, "
+              f"{args.rounds} rounds")
+        report(names, {name: runs[workload, name] for name in names},
+               {name: failed_share[workload, name] for name in names}, rules)
     return 0
 
 

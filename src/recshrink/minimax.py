@@ -34,10 +34,25 @@ level costs one grid evaluation.  The golden-section polish with the scalar
 regret runs only at the root, which then takes one Newton step on the
 polished residual, and the polished sups at the corrected root are the
 reported solution.  Each solve, alpha* or K*, holds one search state: its
-window, grid, grid regret, scalar regret and the grid sups of every level
-it has read, so no level is tabulated twice.  A K* state also keeps the
-table of (h2, h1, h0 - rmin) and the scalar (h2, h1, h0) of every delta a
-polish has visited, so its two polishes build nothing twice.
+window, grid, grid regret, scalar regret, and the grid sups and polish
+peaks of every level it has read, so no level is tabulated twice.  A K*
+state also keeps the table of (h2, h1, h0 - rmin) and the scalar
+(h2, h1, h0) of every delta a polish has visited, so its two polishes build
+nothing twice.
+
+An alpha* level reads only the part of the grid that a closed-form tail
+bound certifies (``risk._tail_bound``).  Outside the window the regret is
+max(0, h2 + h1), and the bound caps |h2| + |h1| at every delta beyond a
+given one from power-law tails of the five brackets: it falls like
+delta^-m2 above the edge and like delta^(m1+i+j) below it, with no
+incomplete beta.  Each side starts at 1e2 times the edge (the lower one
+also below delta1) and widens a decade at a time, up to the whole grid,
+while the bound at its end node exceeds its largest node value or that node
+is one of the peaks the polish reads.  Every node read is a node of the
+whole grid, so a certified level has the whole grid's sups and peaks and
+the solution its bits.  K* keeps the whole grid: its table is built once
+per solve, so a shorter span would save little, and widening it would take
+a second grid evaluation.
 
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
@@ -55,6 +70,7 @@ from .estimators import check_k
 from .optim import brent_root, golden_section_max
 from .records import DesignPair
 from .risk import (
+    _tail_bound,
     boundary_risks,
     pooled_risk_quadratic,
     pt_risk,
@@ -63,6 +79,7 @@ from .risk import (
 )
 
 _SPAN = 1e4                 # each side's grid spans this factor from the edge
+_START_SPAN = 1e2           # a certified side's first span; it widens a decade at a time
 _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
@@ -163,12 +180,20 @@ def _regret_pt(design, delta, alpha, region):
     return max(0.0, pt_risk(design, delta, alpha) - ref)
 
 
-def _regret_pt_grid(design, deltas, alpha, region):
+def _pt_reference(design, deltas, region):
+    """The alpha regret's reference over an array of delta: r0 inside the window, r1 outside."""
     lo, hi = region
-    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
     r0, r1 = boundary_risks(design, deltas)
-    ref = np.where((deltas > lo) & (deltas < hi), r0, r1)
+    return np.where((deltas > lo) & (deltas < hi), r0, r1)
+
+
+def _pt_excess(design, deltas, alpha, ref):
+    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
     return np.maximum(0.0, h2 + h1 + h0 - ref)
+
+
+def _regret_pt_grid(design, deltas, alpha, region):
+    return _pt_excess(design, deltas, alpha, _pt_reference(design, deltas, region))
 
 
 def _fixed_grid(edge: float, split: float | None = None):
@@ -192,27 +217,50 @@ def _fixed_grid(edge: float, split: float | None = None):
     return np.concatenate(pieces), tuple(zip([0] + stops[:-1], stops))
 
 
-def _side_max(deltas, values, segments):
-    """(node, delta, value) of the largest segment maximum on one side.
+def _side_scan(deltas, values, segments):
+    """(delta, value, top, peaks) of one side of a table, over its segments.
 
-    Each segment's argmax is lifted to the vertex of the parabola through it
-    and its two neighbours in log delta; an argmax at a segment end stays on
-    its node.
+    (delta, value) is the largest segment maximum: each segment's argmax
+    lifted to the vertex of the parabola through it and its two neighbours
+    in log delta, while an argmax at a segment end stays on its node.
+    ``top`` is the largest node value.  ``peaks`` are the local maxima of
+    the segments whose node lies within _TIE_MARGIN of the winning
+    segment's argmax, as (node, left, right, value): the indices of the
+    node and of its neighbours inside its segment (the node itself at a
+    segment end), and its value.  Values come out as plain floats.
     """
-    best = None
+    best, top, segs = None, -math.inf, []
     for start, stop in segments:
-        i = start + int(np.argmax(values[start:stop]))
-        delta, value = deltas[i], values[i]
-        if start < i < stop - 1:
-            fm, fp = values[i - 1], values[i + 1]
+        seg = values[start:stop]
+        segs.append(seg)
+        j = int(seg.argmax())
+        i = start + j
+        delta, value = float(deltas[i]), float(seg[j])
+        top = max(top, value)
+        if 0 < j < stop - start - 1:
+            fm, _, fp = seg[j - 1:j + 2].tolist()
             curv = fm - 2.0 * value + fp
             if curv < 0.0:
                 p = 0.5 * (fm - fp) / curv
-                delta = delta * (deltas[i + 1] / delta) ** p
+                delta = delta * (float(deltas[i + 1]) / delta) ** p
                 value = value - 0.25 * (fm - fp) * p
         if best is None or value > best[2]:
             best = (i, delta, value)
-    return best
+    floor = float(values[best[0]]) * (1.0 - _TIE_MARGIN)
+    peaks = []
+    for (start, stop), seg in zip(segments, segs):
+        hits = (seg >= floor).nonzero()[0].tolist()
+        if not hits:
+            continue
+        # the local-maximum test reads only the nodes above the floor and their neighbours
+        first, last = max(hits[0] - 1, 0), stop - start - 1
+        near = seg[first:min(hits[-1] + 2, last + 1)].tolist()
+        for j in hits:
+            v = near[j - first]
+            if (j == 0 or v > near[j - 1 - first]) and (j == last or v >= near[j + 1 - first]):
+                i = start + j
+                peaks.append((i, max(i - 1, start), min(i + 1, stop - 1), v))
+    return best[1], best[2], top, peaks
 
 
 @dataclass
@@ -220,58 +268,107 @@ class _Search:
     """What one solve of alpha* or K* at a fixed design reads, built once.
 
     ``window`` is the solution's (delta1, delta2) and ``grid`` the fixed
-    grid around delta2; ``table(t)`` is the regret over the grid at tuned
-    value t and ``regret(delta, t)`` the scalar regret the polish reads.
-    ``sups`` holds the four vertex-scan floats of every level read so far,
-    not its grid values, so the scan, Brent's root and the bracket slope
-    tabulate each level once.  The state belongs to one solve: the next
-    solve starts empty, as a fresh process would.
+    grid around delta2; ``table(t, nodes)`` is the regret at tuned value t
+    over ``grid[0][nodes]`` and ``regret(delta, t)`` the scalar regret the
+    polish reads.  Without a ``bound`` every level is tabulated over the
+    whole grid.  With one, ``bound(t, delta, upper)`` bounds the regret at
+    every delta' beyond delta (above it if ``upper``), and each side starts
+    at _START_SPAN from the edge, the lower one also no higher than delta1.
+    A side widens by a decade, up to the whole grid, while the bound at its
+    end node exceeds its largest node value or that node is one of its
+    polish peaks; the next level starts at the span the last one reached.
+    A side's nodes are thus a run of the whole grid's ending at the edge,
+    read the same at any span.  ``sups`` and ``peaks`` hold the vertex-scan
+    floats and the peaks to polish, as ``_side_scan`` gives them, of every
+    level read so far, not its grid values, so the scan, Brent's
+    root, the bracket slope and the polish tabulate each level once.  The
+    state belongs to one solve: the next solve starts empty, as a fresh
+    process would.
     """
 
     window: tuple[float, float]
     grid: tuple
-    table: Callable[[float], np.ndarray]
+    table: Callable[[float, object], np.ndarray]
     regret: Callable[[float, float], float]
+    bound: Callable[[float, float, bool], float] | None = None
     sups: dict = field(default_factory=dict, init=False)
+    peaks: dict = field(default_factory=dict, init=False)
+    # start (lower side) and stop (upper side) indices of the spans not yet
+    # outgrown, narrowest first: the first of each is the current span
+    _starts: list = field(init=False)
+    _stops: list = field(init=False)
+    _parts: list = field(init=False)  # each side's segments inside the current span
+
+    def __post_init__(self):
+        deltas, segments = self.grid
+        self._starts, self._stops = [0], [len(deltas)]
+        if self.bound is not None:
+            cut, edge = self.window
+            # the spans short of the whole grid: _START_SPAN and each decade above it
+            spans = _START_SPAN * 10.0 ** np.arange(round(math.log10(_SPAN / _START_SPAN)))
+            starts = np.searchsorted(deltas[:segments[-1][0]], edge / spans).tolist()
+            stops = np.searchsorted(deltas, edge * spans * (1.0 + _JUMP), side="right").tolist()
+            self._starts = [i for i in starts if deltas[i] <= cut] + self._starts
+            self._stops = stops + self._stops
+        self._parts = self._split()
+
+    def _tabulate(self, t: float):
+        deltas = self.grid[0]
+        lo, hi = self._starts[0], self._stops[0]
+        values = self.table(t, slice(lo, hi))
+        if hi - lo < len(deltas):  # place a narrower span at its grid indices
+            values = np.concatenate((np.empty(lo), values, np.empty(len(deltas) - hi)))
+        while True:
+            lo, hi = self._starts[0], self._stops[0]
+            sides = [_side_scan(deltas, values, part) for part in self._parts]
+            if self.bound is None:
+                break
+            for ends, (_, _, top, peaks), end, upper in ((self._starts, sides[0], lo, False),
+                                                         (self._stops, sides[1], hi - 1, True)):
+                if len(ends) > 1 and (any(p[0] == end for p in peaks)
+                                      or self.bound(t, float(deltas[end]), upper) > top):
+                    del ends[0]
+            if (lo, hi) == (self._starts[0], self._stops[0]):
+                break
+            nodes = np.r_[self._starts[0]:lo, hi:self._stops[0]]
+            values[nodes] = self.table(t, nodes)
+            self._parts = self._split()
+        self.sups[t] = (*sides[0][:2], *sides[1][:2])
+        self.peaks[t] = (sides[0][3], sides[1][3])
+
+    def _split(self):
+        """Each side's segments clipped to the current span."""
+        lo, hi = self._starts[0], self._stops[0]
+        segments = self.grid[1]
+        return [tuple((max(a, lo), min(b, hi)) for a, b in part if max(a, lo) < min(b, hi))
+                for part in (segments[:-1], segments[-1:])]
 
     def grid_sups(self, t: float) -> tuple[float, float, float, float]:
         """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
         if t not in self.sups:
-            deltas, segments = self.grid
-            values = self.table(t)
-            _, d_lo, r_lo = _side_max(deltas, values, segments[:-1])
-            _, d_hi, r_hi = _side_max(deltas, values, segments[-1:])
-            self.sups[t] = (float(d_lo), float(r_lo), float(d_hi), float(r_hi))
+            self._tabulate(t)
         return self.sups[t]
 
     def polished_sups(self, t: float) -> tuple[float, float, float, float]:
         """Golden-section polish of each side's grid maxima with the scalar regret.
 
-        Every local maximum of a segment whose node lies within _TIE_MARGIN
-        of the node that wins the vertex scan is polished, since a kinked
-        hump can sit below its true height on the grid; usually that is the
-        argmax alone.  A polish brackets its node by the neighbours inside
-        the same segment, and the node itself wins if the polish finds
-        nothing higher.
+        Every peak of the level is polished, since a kinked hump can sit
+        below its true height on the grid; usually that is the argmax
+        alone.  A polish brackets its node by its neighbours, and the node
+        itself wins if the polish finds nothing higher.
         """
-        deltas, segments = self.grid
-        values = self.table(t)
+        self.grid_sups(t)
+        deltas = self.grid[0]
         out = []
-        for side in (segments[:-1], segments[-1:]):
-            floor = values[_side_max(deltas, values, side)[0]] * (1.0 - _TIE_MARGIN)
+        for peaks in self.peaks[t]:
             best = None
-            for start, stop in side:
-                seg = values[start:stop]
-                left = np.concatenate(([-np.inf], seg[:-1]))
-                right = np.concatenate((seg[1:], [-np.inf]))
-                for i in start + np.flatnonzero((seg > left) & (seg >= right) & (seg >= floor)):
-                    lo = float(deltas[max(i - 1, start)])
-                    hi = float(deltas[min(i + 1, stop - 1)])
-                    x, fx = golden_section_max(lambda d: self.regret(d, t), lo, hi)
-                    if values[i] > fx:
-                        x, fx = deltas[i], values[i]
-                    if best is None or fx > best[1]:
-                        best = (x, fx)
+            for i, left, right, f0 in peaks:
+                x, fx = golden_section_max(lambda d: self.regret(d, t),
+                                           float(deltas[left]), float(deltas[right]))
+                if f0 > fx:
+                    x, fx = deltas[i], f0
+                if best is None or fx > best[1]:
+                    best = (x, fx)
             out += [float(best[0]), float(best[1])]
         return tuple(out)
 
@@ -292,20 +389,35 @@ class _Search:
 
 
 def _alpha_search(design: DesignPair) -> _Search:
-    """alpha* state: the pooling window, with the grid's lower side cut at delta1."""
+    """alpha* state: the pooling window, with the grid's lower side cut at delta1.
+
+    The reference over the grid is built once; a level tabulates only the
+    nodes its certified span reads, and ``_tail_bound`` certifies them.
+    """
     region = pooling_region(design)
     grid = _fixed_grid(region[1], split=region[0])
-    return _Search(region, grid, lambda a: _regret_pt_grid(design, grid[0], a, region),
-                   lambda d, a: _regret_pt(design, d, a, region))
+    deltas = grid[0]
+    ref = _pt_reference(design, deltas, region)
+    return _Search(region, grid,
+                   lambda a, nodes: _pt_excess(design, deltas[nodes], a, ref[nodes]),
+                   lambda d, a: _regret_pt(design, d, a, region),
+                   functools.partial(_tail_bound, design))
 
 
-def sup_regret_pt(design: DesignPair, alpha: float) -> tuple[float, float, float, float]:
+def sup_regret_pt(
+    design: DesignPair, alpha: float, search: _Search | None = None
+) -> tuple[float, float, float, float]:
     """(delta_L, reg_L, delta_U, reg_U) for the pre-test regret at level alpha.
 
     The lower side is cut at the window's lower edge delta1, where the
-    regret jumps up as its reference switches from 1/n1 to r0.
+    regret jumps up as its reference switches from 1/n1 to r0.  ``search``
+    is the state of an alpha* solve at this design, so a level it has read
+    is polished without being tabulated again; without one, a fresh state
+    is built.  The result is the same either way.
     """
-    return _alpha_search(design).polished_sups(alpha)
+    if search is None:
+        search = _alpha_search(design)
+    return search.polished_sups(alpha)
 
 
 def _equalize(sups):
@@ -359,8 +471,13 @@ def _design_label(design: DesignPair) -> str:
 
 
 def optimal_alpha(design: DesignPair) -> RegretSolution:
-    """Pre-test level equalizing the two regret maxima."""
-    return _solve(_alpha_search(design), lambda a: sup_regret_pt(design, a),
+    """Pre-test level equalizing the two regret maxima.
+
+    One search state serves every level the solve visits: the scan and
+    Brent read its grid sups, and both polishes its memo of peaks.
+    """
+    search = _alpha_search(design)
+    return _solve(search, lambda a: sup_regret_pt(design, a, search),
                   f"alpha* at {_design_label(design)}")
 
 
@@ -415,7 +532,12 @@ def _shrink_terms(design, deltas, alpha):
 
 def _regret_shrink_table(terms, k):
     h2, h1, c = terms
-    return np.maximum(0.0, h2 * k * k + h1 * k + c)
+    # h2*k*k + h1*k + c, in place and in that order
+    out = h2 * k
+    out *= k
+    out += h1 * k
+    out += c
+    return np.maximum(0.0, out, out=out)
 
 
 def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
@@ -467,7 +589,8 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
             coefficients[delta] = risk_k_coefficients(design, delta, alpha)
         return _shrink_regret(*coefficients[delta], k)
 
-    return _Search(crossings, grid, lambda k: _regret_shrink_table(terms, k), regret)
+    return _Search(crossings, grid, lambda k, nodes: _regret_shrink_table(terms, k)[nodes],
+                   regret)
 
 
 def sup_regret_shrink(

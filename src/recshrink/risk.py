@@ -43,11 +43,12 @@ import numpy as np
 
 from .estimators import check_k, critical_values
 from .records import DesignPair
-from .special import beta_front, reg_inc_beta, reg_inc_beta_grid
+from .special import beta_front, log_beta, reg_inc_beta, reg_inc_beta_grid
 
 
 # shape shifts (i, j) of the regularized-beta brackets the moments need
 _SHIFTS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+_LOG_HUGE = 700.0  # math.exp overflows a little above 709.78
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,49 @@ def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
     h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * b11 + q2 * b02)
     h1 = 2.0 * lam * (-q1 * br[(2, 0)] + q12 * b11 + e1 * br[(1, 0)] - v2 * b01)
     return h2, h1, 1.0 / n1
+
+
+def _tail_bound(design: DesignPair, alpha: float, delta: float, upper: bool) -> float:
+    """Bound on |h2| + |h1| at every delta' >= delta (``upper``) or every delta' <= delta.
+
+    By the triangle inequality |h2| + |h1| is at most the sum over the five
+    brackets B_ij (all >= 0) of delta^j B_ij, each weighted by the absolute
+    values of its coefficients in h2 and h1, which ``_coeffs_from_brackets``
+    gives at delta = 1 for a unit bracket: (lam^2 + 2 lam) q1,
+    2 (lam^2 + lam) q12, lam^2 q2, 2 lam e1 and 2 lam v2.  With
+    (a, b) = (m1+i, m2+j):
+
+    - above, B_ij <= Q_{d1}(a, b) <= (1-d1)^b / (b B(a, b)) as a >= 1, and
+      1 - d1 <= n2/(c1 n1 delta), so delta^j B_ij is at most
+      (n2/(c1 n1))^b delta^-m2 / (b B(a, b)), which falls as delta grows;
+    - below, B_ij <= I_{d2}(a, b) <= d2^a / (a B(a, b)) as b >= 1, and
+      d2 <= c2 n1 delta/n2, so delta^j B_ij is at most
+      (c2 n1/n2)^a delta^(a+j) / (a B(a, b)), which falls as delta shrinks.
+
+    Outside the alpha window the regret is max(0, h2 + h1), since the
+    reference there is r1 = h0, and the K* regret is at most |h2| + |h1| at
+    every delta; so the bound at a grid end bounds the regret beyond it.
+    It is evaluated in logs and needs no incomplete beta; it is +inf above
+    when c1 = 0 and below when c2 = inf.
+    """
+    c1, c2 = critical_values(design, alpha)
+    if (c1 == 0.0) if upper else (c2 == math.inf):
+        return math.inf
+    n1, n2 = design.n1, design.n2
+    m1, m2 = design.shapes
+    log_ratio = math.log(n2 / (c1 * n1)) if upper else math.log(c2 * n1 / n2)
+    log_delta = math.log(delta)
+    total = 0.0
+    for i, j in _SHIFTS:
+        h2, h1, _ = _coeffs_from_brackets(design, 1.0, {ij: float(ij == (i, j)) for ij in _SHIFTS})
+        a, b = m1 + i, m2 + j
+        if upper:
+            log_term = b * log_ratio - m2 * log_delta - math.log(b)
+        else:
+            log_term = a * log_ratio + (a + j) * log_delta - math.log(a)
+        log_term -= log_beta(a, b)
+        total += (abs(h2) + abs(h1)) * (math.exp(log_term) if log_term < _LOG_HUGE else math.inf)
+    return total
 
 
 def coefficients_at_bounds(

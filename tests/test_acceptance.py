@@ -237,6 +237,29 @@ def test_criterion_6_simulation_spot_checks():
     assert ok, failures
 
 
+def test_criterion_6_published_values_fit_design_10_7():
+    """The diagnosis of criterion 6, executable: the published numbers are (10,7)'s.
+
+    At (10,7), level 0.16, the exact risk gives all three published
+    efficiencies within their stated tolerances: eff = (1/n1)/risk, with
+    the shrinkage rule at (10,7)'s own tuned K*(0.16).  Criterion 6 keeps
+    its (2,2) assertions as published.
+    """
+    design, alpha = DesignPair(10, 7), 0.16
+    k_star = optimal_k(design, alpha).tuned_value
+    assert k_star == pytest.approx(0.2805, abs=5e-5)
+    checks = [
+        ("eff_pt(theta2=1.0)", 0.1 / pt_risk(design, 1.0, alpha), 1.229, 1.240, 0.03),
+        ("eff_s(theta2=1.0)", 0.1 / shrink_risk(design, 1.0, alpha, k_star), 1.098, 1.095, 0.02),
+        ("eff_pt(theta2=2.0)", 0.1 / pt_risk(design, 2.0, alpha), 0.680, 0.661, 0.03),
+    ]
+    for name, got, exact, published, tol in checks:
+        assert got == pytest.approx(exact, abs=5e-4), name
+        assert abs(got - published) <= tol, name
+    _verdict("criterion 6 diagnosis: the published efficiencies fit (10,7)", True,
+             ", ".join(f"{name} = {got:.3f}" for name, got, *_ in checks))
+
+
 def test_criterion_7_degeneracy_suite():
     designs = [DesignPair(n1, n2) for n1 in (2, 5, 10) for n2 in (2, 6, 7)]
     deltas = (0.3, 1.0, 2.4)

@@ -374,28 +374,35 @@ class TestEqualize:
 class TestSolve:
     """The solve path shared by alpha* and K*, on a regret that uses no risk code."""
 
+    WIDTH = 0.3
+
+    @classmethod
+    def _humps(cls, humps):
+        """regret(delta, t): Gaussian humps in log delta, one per (centre, height(t))."""
+
+        def regret(delta, t):
+            z = np.log(delta)
+            return sum(h(t) * np.exp(-0.5 * ((z - np.log(c)) / cls.WIDTH) ** 2) for c, h in humps)
+
+        return regret
+
     def test_equalizes_two_analytic_humps(self):
         from collections import Counter
 
         from recshrink.minimax import _SCAN, _Search, _fixed_grid, _solve
 
-        # Gaussian humps in log delta on either side of the edge 1.0, with
-        # heights 0.2 + t and 1 - t that cross at t* = 0.4, between scan nodes
-        centres, width, t_star = (0.3, 3.0), 0.3, 0.4
+        # humps on either side of the edge 1.0, with heights 0.2 + t and
+        # 1 - t that cross at t* = 0.4, between scan nodes
+        centres, t_star = (0.3, 3.0), 0.4
         assert min(abs(t - t_star) for t in _SCAN) > 1e-3
-
-        def regret(delta, t):
-            z = np.log(delta)
-            lo = (0.2 + t) * np.exp(-0.5 * ((z - np.log(centres[0])) / width) ** 2)
-            hi = (1.0 - t) * np.exp(-0.5 * ((z - np.log(centres[1])) / width) ** 2)
-            return lo + hi
+        regret = self._humps(((centres[0], lambda t: 0.2 + t), (centres[1], lambda t: 1.0 - t)))
 
         grid = _fixed_grid(1.0)
         levels, polished = [], []
 
-        def table(t):
+        def table(t, nodes):
             levels.append(t)
-            return regret(grid[0], t)
+            return regret(grid[0][nodes], t)
 
         search = _Search((0.1, 1.0), grid, table, regret)
 
@@ -409,10 +416,144 @@ class TestSolve:
         assert sol.delta_L == pytest.approx(centres[0], abs=1e-6)
         assert sol.delta_U == pytest.approx(centres[1], abs=1e-6)
         assert (sol.delta1, sol.delta2) == (0.1, 1.0)
-        # each polish tabulates its level again; the scan, Brent's root and
-        # the bracket slope tabulate every level they read exactly once
-        assert len(polished) == 2
-        assert set((Counter(levels) - Counter(polished)).values()) == {1}
+        # the scan, Brent's root, the bracket slope and both polishes
+        # tabulate every level they read exactly once: the polish at Brent's
+        # root reads the level the root already tabulated
+        assert len(polished) == 2 and polished[0] in levels[:-1]
+        assert set(Counter(levels).values()) == {1}
+
+    def test_certified_span_finds_a_planted_far_hump(self):
+        from recshrink.minimax import _SCAN, _Search, _fixed_grid, _solve
+
+        # the two humps above plus a third of height 0.75 at 1e3 times the
+        # edge: the upper sup is max(1 - t, 0.75), which ties 0.2 + t at 0.55
+        humps = ((0.3, lambda t: 0.2 + t), (3.0, lambda t: 1.0 - t), (1e3, lambda t: 0.75))
+        regret = self._humps(humps)
+        assert min(abs(t - 0.55) for t in _SCAN) > 1e-3
+
+        def honest(t, delta, upper):
+            # each hump's largest value at or beyond delta
+            total = 0.0
+            for centre, height in humps:
+                gap = np.log(delta / centre) if upper else np.log(centre / delta)
+                total += height(t) * (np.exp(-0.5 * (gap / self.WIDTH) ** 2) if gap > 0 else 1.0)
+            return total
+
+        grid = _fixed_grid(1.0)
+
+        def solve(bound):
+            search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
+                             regret, bound)
+            return _solve(search, search.polished_sups, "planted hump")
+
+        full = solve(None)  # the whole grid, out to 1e4 times the edge
+        assert full.tuned_value == pytest.approx(0.55, abs=1e-6)
+        assert full.delta_U == pytest.approx(1e3, rel=1e-6)
+        assert solve(honest) == full
+        # a span held at 1e2 by a bound that certifies everything misses it
+        held = solve(lambda t, delta, upper: 0.0)
+        assert held.tuned_value == pytest.approx(0.4, abs=1e-6)
+        assert held.delta_U == pytest.approx(3.0, abs=1e-6)
+
+
+    def test_a_peak_on_the_span_end_widens_the_span(self):
+        from recshrink.minimax import _Search, _fixed_grid, _solve
+
+        # a bound that certifies everything, and an upper hump just past
+        # 1e2 times the edge: the span's end node is a peak, so the side
+        # widens and finds the hump's top as the whole grid does
+        regret = self._humps(((0.3, lambda t: 0.2 + t), (1.2e2, lambda t: 1.0 - t)))
+        grid = _fixed_grid(1.0)
+
+        def solve(bound):
+            search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
+                             regret, bound)
+            return _solve(search, search.polished_sups, "hump past the span end")
+
+        full = solve(None)
+        assert full.delta_U == pytest.approx(1.2e2, rel=1e-6)
+        assert solve(lambda t, delta, upper: 0.0) == full
+
+    def test_certified_lower_side_ends_below_delta1(self):
+        from recshrink.minimax import _Search, _fixed_grid
+
+        # with delta1 = 0.005 the lower side cannot end at edge/1e2 = 0.01,
+        # inside the window, where the tail bound says nothing; it starts a
+        # decade wider, although the bound certifies everything
+        regret = self._humps(((0.3, lambda t: 0.5), (3.0, lambda t: 0.5)))
+        grid = _fixed_grid(1.0, split=0.005)
+        read = []
+
+        def table(t, nodes):
+            read.extend(grid[0][nodes].tolist())
+            return regret(grid[0][nodes], t)
+
+        _Search((0.005, 1.0), grid, table, regret, lambda t, delta, upper: 0.0).grid_sups(0.5)
+        assert 1e-3 <= min(read) < 1.02e-3
+        assert 1e2 / 1.02 < max(read) <= 1e2 * (1 + 1e-9)
+
+
+class TestCertifiedSpans:
+    """Every level an alpha* solve reads is certified by the tail bound, or spans the grid."""
+
+    @pytest.mark.parametrize("designs", [
+        [DesignPair(a, b, v) for v in Variant for b in (2, 3, 4, 5, 7, 10)
+         for a in (2, 3, 4, 5, 7, 10)],
+        [DesignPair(a, b, v) for v in Variant for b in (40, 150) for a in (40, 150)],
+    ], ids=["6x6", "40-150"])
+    def test_every_alpha_level_is_certified(self, monkeypatch, designs):
+        import recshrink.minimax as mm
+        from recshrink.risk import _tail_bound
+
+        build, searches = mm._alpha_search, []
+
+        def recording(design):
+            # record the nodes and values every level of the solve tabulates
+            search = build(design)
+            table, reads = search.table, {}
+
+            def recorded(t, nodes):
+                values = table(t, nodes)
+                index = np.arange(len(search.grid[0]))[nodes]
+                reads.setdefault(t, {}).update(zip(index.tolist(), values.tolist()))
+                return values
+
+            search.table = recorded
+            searches.append((design, search, reads))
+            return search
+
+        monkeypatch.setattr(mm, "_alpha_search", recording)
+        for design in designs:
+            mm.optimal_alpha(design)
+        # both polishes read the solve's own search: one search per solve
+        assert [s[0] for s in searches] == designs
+
+        levels = narrow = 0
+        for design, search, reads in searches:
+            deltas, segments = search.grid
+            delta1, edge = search.window
+            first_upper, last = segments[-1][0], len(deltas) - 1
+            for t, read in reads.items():
+                nodes = sorted(read)
+                assert nodes == list(range(nodes[0], nodes[-1] + 1))  # one run around the edge
+                lower = [i for i in nodes if i < first_upper]
+                upper = [i for i in nodes if i >= first_upper]
+                for side, end, cap, is_upper in ((lower, lower[0], 0, False),
+                                                 (upper, upper[-1], last, True)):
+                    if end == cap:
+                        continue
+                    values = [read[i] for i in side]
+                    top = max(values)
+                    assert _tail_bound(design, t, float(deltas[end]), is_upper) <= top
+                    assert side[int(np.argmax(values))] != end
+                    if not is_upper:
+                        assert deltas[end] <= delta1
+                levels += 1
+                narrow += (lower[0] > 0 and deltas[lower[0]] >= edge / 1e2 / (1 + 1e-9)
+                           and upper[-1] < last and deltas[upper[-1]] <= edge * 1e2 * (1 + 1e-9))
+        # most levels stop both sides at 1e2 times the edge, so the checks
+        # above do not just read the whole grid
+        assert narrow > levels / 2
 
 
 class TestLocationScaleVariant:

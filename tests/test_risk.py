@@ -343,6 +343,94 @@ def test_risk_is_exact_at_every_delta():
     assert not misses, (len(misses), misses[:3])
 
 
+def _weighted_brackets(design, delta, alpha, upper):
+    """The sum the tail bound bounds: each bracket times delta^j and its weight in |h2| + |h1|.
+
+    Above the edge the brackets are mirrored, as in ``_mirrored_risk``, so
+    none is a difference of two values near 1; below it they are plain.
+    """
+    n1, n2 = design.n1, design.n2
+    m1, m2 = design.shapes
+    lam = n2 / (n1 + n2)
+    c1, c2 = critical_values(design, alpha)
+    if upper:
+        e1, e2 = (n2 / (c * n1 * delta + n2) for c in (c1, c2))
+        br = {(i, j): sp.betainc(m2 + j, m1 + i, e1) - sp.betainc(m2 + j, m1 + i, e2)
+              for i, j in _SHIFTS}
+    else:
+        d1, d2 = (c * n1 * delta / (c * n1 * delta + n2) for c in (c1, c2))
+        br = {(i, j): sp.betainc(m1 + i, m2 + j, d2) - sp.betainc(m1 + i, m2 + j, d1)
+              for i, j in _SHIFTS}
+    weights = {
+        (2, 0): (lam * lam + 2.0 * lam) * m1 * (m1 + 1) / n1**2,
+        (1, 1): 2.0 * (lam * lam + lam) * m1 * m2 / (n1 * n2),
+        (0, 2): lam * lam * m2 * (m2 + 1) / n2**2,
+        (1, 0): 2.0 * lam * m1 / n1,
+        (0, 1): 2.0 * lam * m2 / n2,
+    }
+    return float(sum(w * delta**j * br[i, j] for (i, j), w in weights.items()))
+
+
+class TestTailBound:
+    """The closed-form bound on the regret beyond a grid end."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 2), (5, 6), (10, 3), (40, 150), (150, 40),
+                                       (150, 150)])
+    def test_bounds_the_brackets_and_is_monotone(self, n1, n2, variant):
+        from recshrink.minimax import pooling_region
+        from recshrink.risk import _tail_bound
+
+        design = DesignPair(n1, n2, variant)
+        delta1, delta2 = pooling_region(design)
+        # 17 points from each alpha* grid end at 1e2 times the edge out to
+        # 1e4 times beyond it; the lower side only where the reference is r1
+        above = np.geomspace(1e2 * delta2, 1e6 * delta2, 17).tolist()
+        below = [d for d in np.geomspace(delta2 / 1e6, delta2 / 1e2, 17).tolist() if d < delta1]
+        assert below
+        for alpha in (0.01, 0.08, 0.16, 0.5, 0.99):
+            for upper, deltas in ((True, above), (False, below)):
+                bounds = [_tail_bound(design, alpha, d, upper) for d in deltas]
+                exact = [_weighted_brackets(design, d, alpha, upper) for d in deltas]
+                assert all(b >= e for b, e in zip(bounds, exact)), (alpha, upper)
+                # non-increasing away from the edge, so its value at an end
+                # bounds everything beyond
+                steps = np.diff(bounds) if upper else -np.diff(bounds)
+                assert np.all(steps <= 0.0), (alpha, upper)
+
+    def test_infinite_critical_value_gives_no_bound_below(self):
+        from recshrink.risk import _tail_bound
+
+        # design (1, 1) has c2 = inf at alpha = 1e-310, as in the risk tests
+        assert critical_values(DesignPair(1, 1), 1e-310)[1] == math.inf
+        assert _tail_bound(DesignPair(1, 1), 1e-310, 1e-3, upper=False) == math.inf
+
+    @pytest.mark.parametrize("key", [
+        "tables 2 --alpha 0.16 --variant known", "tables 2 --alpha 0.16 --variant locscale",
+        "tables 3 --variant known", "tables 3 --variant locscale",
+        "tables 3 --grid 40,150 --variant known", "tables 3 --grid 40,150 --variant locscale",
+    ])
+    def test_k_star_fixed_span_is_certified(self, key):
+        # K* keeps its grid at 1e4 times the edge on each side; on the
+        # frozen tables the bound at both ends already lies below the sup
+        import json
+        import pathlib
+
+        from recshrink.minimax import pt_risk_crossings, regret_shrink
+        from recshrink.risk import _tail_bound
+
+        path = pathlib.Path(__file__).parent / "data" / "tables_frozen.json"
+        variant = Variant(key.rsplit(" ", 1)[1])
+        for cell in json.loads(path.read_text())[key]:
+            design = DesignPair(cell["n1"], cell["n2"], variant)
+            alpha, k = cell["alpha_star"], cell["k_star"]
+            delta2 = pt_risk_crossings(design, alpha)[1]
+            reg_lo = regret_shrink(design, cell["delta_L"], alpha, k)
+            reg_hi = regret_shrink(design, cell["delta_U"], alpha, k)
+            assert _tail_bound(design, alpha, delta2 / 1e4, upper=False) <= reg_lo, cell
+            assert _tail_bound(design, alpha, delta2 * 1e4, upper=True) <= reg_hi, cell
+
+
 class TestMomentsAgainstOracle:
     def test_pt_mse_matches_simulation(self):
         # exact MSE vs a 1e6-replicate simulation of the estimator itself

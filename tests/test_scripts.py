@@ -33,11 +33,13 @@ def test_run_simulation(tmp_path, capsys):
 
 
 # perfbench/run.py stand-in: run i of a tree reports wall_s[i], and failed[i]
-# of attempted[i] operations
-_STUB_RUN = '''import json, pathlib
+# of attempted[i] operations, from the plan of its workload if it has one
+_STUB_RUN = '''import json, pathlib, sys
 here = pathlib.Path(__file__).parent
+workload = sys.argv[sys.argv.index("--workload") + 1]
 plan = json.loads((here / "plan.json").read_text())
-count = here / "count"
+plan = plan.get(workload, plan)
+count = here / f"count-{workload}"
 i = int(count.read_text()) if count.exists() else 0
 count.write_text(str(i + 1))
 print("stub report line")
@@ -52,15 +54,23 @@ _STUB_BENCH = {"end_to_end": [
 ]}
 
 
-def _bench_pairs(tmp_path, plans):
-    """Run bench_pairs for 10 rounds over stub trees; (stdout, stderr)."""
-    argv = ["--workload", "w", "--seed", "29", "--seconds", "0", "--rounds", "10"]
-    for name, (wall_s, failed, attempted) in plans.items():
+def _plan(wall_s, failed, attempted):
+    return {"wall_s": wall_s, "failed": failed, "attempted": attempted}
+
+
+def _bench_pairs(tmp_path, plans, workload="w"):
+    """Run bench_pairs for 10 rounds over stub trees; (stdout, stderr).
+
+    A side's plan is (wall_s, failed, attempted), or {workload: plan} for several.
+    """
+    argv = ["--workload", workload, "--seed", "29", "--seconds", "0", "--rounds", "10"]
+    for name, plan in plans.items():
         tree = tmp_path / name
         (tree / "perfbench").mkdir(parents=True)
         (tree / "perfbench" / "run.py").write_text(_STUB_RUN)
-        (tree / "perfbench" / "plan.json").write_text(
-            json.dumps({"wall_s": wall_s, "failed": failed, "attempted": attempted}))
+        plan = ({w: _plan(*p) for w, p in plan.items()} if isinstance(plan, dict)
+                else _plan(*plan))
+        (tree / "perfbench" / "plan.json").write_text(json.dumps(plan))
         (tree / "BENCHMARK.json").write_text(json.dumps(_STUB_BENCH))
         argv += [f"--{name}", str(tree)]
     assert _load("bench_pairs").main(argv) == 0
@@ -116,3 +126,24 @@ def test_bench_pairs_unresolved(tmp_path, capsys):
     wall = _wall_lines(capsys.readouterr().out)
     assert "change vs parent: won 6/10 pairs, lost 4, median -6.5 %, parent IQR 1: " \
         "unresolved" in wall
+
+
+def test_bench_pairs_several_workloads(tmp_path, capsys):
+    # one set of rounds: the change gains on "fast" and regresses on "slow"
+    ones = ([0] * 10, [36] * 10)
+    _bench_pairs(tmp_path, {"parent": {"fast": ([1.0] * 10, *ones), "slow": ([1.0] * 10, *ones)},
+                            "change": {"fast": ([0.5] * 10, *ones), "slow": ([1.5] * 10, *ones)}},
+                 workload="fast,slow")
+    out = capsys.readouterr()
+    fast, slow = out.out.split("workload slow, seed 29, 0 s runs, 10 rounds")
+    assert fast.startswith("workload fast, seed 29, 0 s runs, 10 rounds")
+    assert "change vs parent: won 10/10 pairs, lost 0, median -50.0 %, parent IQR 0: gain" \
+        in _wall_lines(fast)
+    assert "change vs parent: won 0/10 pairs, lost 10, median +50.0 %, parent IQR 0: worse" \
+        in _wall_lines(slow)
+    # every workload runs on every side in each round, and each tree ran 10 times per workload
+    assert out.err.count("round ") == 10
+    assert "round 2/10: change -> parent" in out.err
+    for side in ("parent", "change"):
+        for workload in ("fast", "slow"):
+            assert (tmp_path / side / "perfbench" / f"count-{workload}").read_text() == "10"
