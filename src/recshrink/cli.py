@@ -195,7 +195,10 @@ def cmd_risk_curve(args) -> int:
 def cmd_tables(args) -> int:
     variant = Variant(args.variant)
     case = (TableCase.ALPHA, TableCase.K_FIXED_ALPHA, TableCase.K_OPTIMAL_ALPHA)[args.which - 1]
-    grid = [int(t) for t in args.grid.split(",")] if args.grid else TABLE_GRID
+    try:  # only an absent --grid means the default; an empty one is an error
+        grid = TABLE_GRID if args.grid is None else [int(t) for t in args.grid.split(",")]
+    except ValueError:
+        raise ValueError(f"--grid needs comma-separated integers, got {args.grid!r}") from None
     designs = [DesignPair(a, b, variant) for b in grid for a in grid]
     cells = generate_tables(case, designs, alpha=args.alpha)
     for cell in cells:

@@ -34,25 +34,26 @@ level costs one grid evaluation.  The golden-section polish with the scalar
 regret runs only at the root, which then takes one Newton step on the
 polished residual, and the polished sups at the corrected root are the
 reported solution.  Each solve, alpha* or K*, holds one search state: its
-window, grid, grid regret, scalar regret, and the grid sups and polish
-peaks of every level it has read, so no level is tabulated twice.  A K*
-state also keeps the table of (h2, h1, h0 - rmin) and the scalar
-(h2, h1, h0) of every delta a polish has visited, so its two polishes build
-nothing twice.
+window, grid, grid regret, scalar regret, tail bound, and the grid sups
+and polish peaks of every level it has read, so no level is tabulated
+twice.  A K* state also keeps the table of (h2, h1, h0 - rmin) and the
+scalar (h2, h1, h0) of every delta a polish has visited, so its two
+polishes build nothing twice.
 
-An alpha* level reads only the part of the grid that a closed-form tail
-bound certifies (``risk._tail_bound``).  Outside the window the regret is
-max(0, h2 + h1), and the bound caps |h2| + |h1| at every delta beyond a
-given one from power-law tails of the five brackets: it falls like
-delta^-m2 above the edge and like delta^(m1+i+j) below it, with no
+A level reads only the part of the grid that a closed-form tail bound
+certifies (``risk._tail_bound``), for alpha* and K* alike.  Outside the
+alpha window the regret is max(0, h2 + h1), and the K* regret is at most
+|h2| + |h1| at every delta; the bound caps |h2| + |h1| at every delta
+beyond a given one from power-law tails of the five brackets: it falls
+like delta^-m2 above the edge and like delta^(m1+i+j) below it, with no
 incomplete beta.  Each side starts at 1e2 times the edge (the lower one
 also below delta1) and widens a decade at a time, up to the whole grid,
 while the bound at its end node exceeds its largest node value or that node
 is one of the peaks the polish reads.  Every node read is a node of the
 whole grid, so a certified level has the whole grid's sups and peaks and
-the solution its bits.  K* keeps the whole grid: its table is built once
-per solve, so a shorter span would save little, and widening it would take
-a second grid evaluation.
+the solution its bits.  A K* level reads its nodes off the table built once
+per solve; the bound does not depend on k, so each solve evaluates it once
+per node it is asked at.
 
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
@@ -263,6 +264,16 @@ def _side_scan(deltas, values, segments):
     return best[1], best[2], top, peaks
 
 
+@functools.lru_cache(maxsize=1024)
+def _clip(segments, lo: int, hi: int) -> tuple:
+    """The lower side's segments, then the upper side's, clipped to the span [lo, hi).
+
+    Cached: every level of a solve clips the same segments to one of a few spans.
+    """
+    return tuple(tuple((max(a, lo), min(b, hi)) for a, b in part if max(a, lo) < min(b, hi))
+                 for part in (segments[:-1], segments[-1:]))
+
+
 @dataclass
 class _Search:
     """What one solve of alpha* or K* at a fixed design reads, built once.
@@ -270,59 +281,49 @@ class _Search:
     ``window`` is the solution's (delta1, delta2) and ``grid`` the fixed
     grid around delta2; ``table(t, nodes)`` is the regret at tuned value t
     over ``grid[0][nodes]`` and ``regret(delta, t)`` the scalar regret the
-    polish reads.  Without a ``bound`` every level is tabulated over the
-    whole grid.  With one, ``bound(t, delta, upper)`` bounds the regret at
-    every delta' beyond delta (above it if ``upper``), and each side starts
-    at _START_SPAN from the edge, the lower one also no higher than delta1.
+    polish reads.  ``bound(t, delta, upper)`` bounds the regret at every
+    delta' beyond delta (above it if ``upper``), and each side starts at
+    _START_SPAN from the edge, the lower one also no higher than delta1.
     A side widens by a decade, up to the whole grid, while the bound at its
     end node exceeds its largest node value or that node is one of its
     polish peaks; the next level starts at the span the last one reached.
     A side's nodes are thus a run of the whole grid's ending at the edge,
-    read the same at any span.  ``sups`` and ``peaks`` hold the vertex-scan
-    floats and the peaks to polish, as ``_side_scan`` gives them, of every
-    level read so far, not its grid values, so the scan, Brent's
-    root, the bracket slope and the polish tabulate each level once.  The
-    state belongs to one solve: the next solve starts empty, as a fresh
-    process would.
+    read the same at any span.  ``levels`` holds, for every level read so
+    far, its vertex-scan floats and its peaks to polish, as ``_side_scan``
+    gives them, not its grid values, so the scan, Brent's root, the bracket
+    slope and the polish tabulate each level once.  The state belongs to
+    one solve: the next solve starts empty, as a fresh process would.
     """
 
     window: tuple[float, float]
     grid: tuple
     table: Callable[[float, object], np.ndarray]
     regret: Callable[[float, float], float]
-    bound: Callable[[float, float, bool], float] | None = None
-    sups: dict = field(default_factory=dict, init=False)
-    peaks: dict = field(default_factory=dict, init=False)
+    bound: Callable[[float, float, bool], float]
+    levels: dict = field(default_factory=dict, init=False)
     # start (lower side) and stop (upper side) indices of the spans not yet
     # outgrown, narrowest first: the first of each is the current span
     _starts: list = field(init=False)
     _stops: list = field(init=False)
-    _parts: list = field(init=False)  # each side's segments inside the current span
 
     def __post_init__(self):
         deltas, segments = self.grid
-        self._starts, self._stops = [0], [len(deltas)]
-        if self.bound is not None:
-            cut, edge = self.window
-            # the spans short of the whole grid: _START_SPAN and each decade above it
-            spans = _START_SPAN * 10.0 ** np.arange(round(math.log10(_SPAN / _START_SPAN)))
-            starts = np.searchsorted(deltas[:segments[-1][0]], edge / spans).tolist()
-            stops = np.searchsorted(deltas, edge * spans * (1.0 + _JUMP), side="right").tolist()
-            self._starts = [i for i in starts if deltas[i] <= cut] + self._starts
-            self._stops = stops + self._stops
-        self._parts = self._split()
+        cut, edge = self.window
+        # the spans short of the whole grid: _START_SPAN and each decade above it
+        spans = _START_SPAN * 10.0 ** np.arange(round(math.log10(_SPAN / _START_SPAN)))
+        starts = np.searchsorted(deltas[:segments[-1][0]], edge / spans).tolist()
+        stops = np.searchsorted(deltas, edge * spans * (1.0 + _JUMP), side="right").tolist()
+        self._starts = [i for i in starts if deltas[i] <= cut] + [0]
+        self._stops = stops + [len(deltas)]
 
     def _tabulate(self, t: float):
         deltas = self.grid[0]
+        values = np.empty(len(deltas))  # a side's nodes sit at their grid indices
         lo, hi = self._starts[0], self._stops[0]
-        values = self.table(t, slice(lo, hi))
-        if hi - lo < len(deltas):  # place a narrower span at its grid indices
-            values = np.concatenate((np.empty(lo), values, np.empty(len(deltas) - hi)))
+        nodes = slice(lo, hi)
         while True:
-            lo, hi = self._starts[0], self._stops[0]
-            sides = [_side_scan(deltas, values, part) for part in self._parts]
-            if self.bound is None:
-                break
+            values[nodes] = self.table(t, nodes)
+            sides = [_side_scan(deltas, values, part) for part in _clip(self.grid[1], lo, hi)]
             for ends, (_, _, top, peaks), end, upper in ((self._starts, sides[0], lo, False),
                                                          (self._stops, sides[1], hi - 1, True)):
                 if len(ends) > 1 and (any(p[0] == end for p in peaks)
@@ -331,23 +332,14 @@ class _Search:
             if (lo, hi) == (self._starts[0], self._stops[0]):
                 break
             nodes = np.r_[self._starts[0]:lo, hi:self._stops[0]]
-            values[nodes] = self.table(t, nodes)
-            self._parts = self._split()
-        self.sups[t] = (*sides[0][:2], *sides[1][:2])
-        self.peaks[t] = (sides[0][3], sides[1][3])
-
-    def _split(self):
-        """Each side's segments clipped to the current span."""
-        lo, hi = self._starts[0], self._stops[0]
-        segments = self.grid[1]
-        return [tuple((max(a, lo), min(b, hi)) for a, b in part if max(a, lo) < min(b, hi))
-                for part in (segments[:-1], segments[-1:])]
+            lo, hi = self._starts[0], self._stops[0]
+        self.levels[t] = ((*sides[0][:2], *sides[1][:2]), (sides[0][3], sides[1][3]))
 
     def grid_sups(self, t: float) -> tuple[float, float, float, float]:
         """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
-        if t not in self.sups:
+        if t not in self.levels:
             self._tabulate(t)
-        return self.sups[t]
+        return self.levels[t][0]
 
     def polished_sups(self, t: float) -> tuple[float, float, float, float]:
         """Golden-section polish of each side's grid maxima with the scalar regret.
@@ -360,7 +352,7 @@ class _Search:
         self.grid_sups(t)
         deltas = self.grid[0]
         out = []
-        for peaks in self.peaks[t]:
+        for peaks in self.levels[t][1]:
             best = None
             for i, left, right, f0 in peaks:
                 x, fx = golden_section_max(lambda d: self.regret(d, t),
@@ -379,7 +371,7 @@ class _Search:
         the opposite sign (any level if the root's residual is exactly 0),
         so no new level is tabulated.
         """
-        g = {t: s[1] - s[3] for t, s in self.sups.items()}
+        g = {t: s[1] - s[3] for t, (s, _) in self.levels.items()}
         others = [t for t in g if t != root]
         far = min(
             [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
@@ -575,8 +567,10 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
     """K* state at a fixed level alpha: the crossings' window and grid around the upper one.
 
     No coefficient depends on k, so every weight the solve visits shares
-    the grid table of (h2, h1, h0 - rmin) and the scalar (h2, h1, h0) at
-    each delta a polish has evaluated.
+    the grid table of (h2, h1, h0 - rmin), of which a level reads only its
+    certified nodes, and the scalar (h2, h1, h0) at each delta a polish has
+    evaluated.  ``_tail_bound`` bounds the K* regret at every delta and not
+    through k, so it is evaluated once per end node and side.
     """
     crossings = pt_risk_crossings(design, alpha)
     grid = _fixed_grid(crossings[1])
@@ -589,8 +583,10 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
             coefficients[delta] = risk_k_coefficients(design, delta, alpha)
         return _shrink_regret(*coefficients[delta], k)
 
-    return _Search(crossings, grid, lambda k, nodes: _regret_shrink_table(terms, k)[nodes],
-                   regret)
+    tail = functools.cache(functools.partial(_tail_bound, design, alpha))
+    return _Search(crossings, grid,
+                   lambda k, nodes: _regret_shrink_table([x[nodes] for x in terms], k),
+                   regret, lambda k, delta, upper: tail(delta, upper))
 
 
 def sup_regret_shrink(

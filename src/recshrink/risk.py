@@ -36,6 +36,7 @@ the base difference plus the difference of its shift terms, so it stays an
 exact 0 when both bounds coincide.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -187,26 +188,39 @@ def _tail_bound(design: DesignPair, alpha: float, delta: float, upper: bool) -> 
     reference there is r1 = h0, and the K* regret is at most |h2| + |h1| at
     every delta; so the bound at a grid end bounds the regret beyond it.
     It is evaluated in logs and needs no incomplete beta; it is +inf above
-    when c1 = 0 and below when c2 = inf.
+    when c1 = 0 and below when c2 = inf.  Per design and side, the weights
+    and shape constants come from ``_tail_constants``.
     """
     c1, c2 = critical_values(design, alpha)
     if (c1 == 0.0) if upper else (c2 == math.inf):
         return math.inf
     n1, n2 = design.n1, design.n2
-    m1, m2 = design.shapes
     log_ratio = math.log(n2 / (c1 * n1)) if upper else math.log(c2 * n1 / n2)
     log_delta = math.log(delta)
     total = 0.0
+    for weight, p, q, log_p, log_b_ab in _tail_constants(design, upper):
+        log_term = p * log_ratio + q * log_delta - log_p - log_b_ab
+        total += weight * (math.exp(log_term) if log_term < _LOG_HUGE else math.inf)
+    return total
+
+
+@functools.lru_cache(maxsize=1024)
+def _tail_constants(design: DesignPair, upper: bool) -> tuple:
+    """(weight, p, q, log p, log B(a, b)) of each bracket's term in ``_tail_bound``.
+
+    The term is weight * exp(p log_ratio + q log_delta - log p - log B(a, b))
+    with (a, b) = (m1+i, m2+j): p = b, q = -m2 above and p = a, q = a + j
+    below.  The weight is |h2| + |h1| of a unit bracket at delta = 1.
+    None of it depends on alpha or delta.
+    """
+    m1, m2 = design.shapes
+    out = []
     for i, j in _SHIFTS:
         h2, h1, _ = _coeffs_from_brackets(design, 1.0, {ij: float(ij == (i, j)) for ij in _SHIFTS})
         a, b = m1 + i, m2 + j
-        if upper:
-            log_term = b * log_ratio - m2 * log_delta - math.log(b)
-        else:
-            log_term = a * log_ratio + (a + j) * log_delta - math.log(a)
-        log_term -= log_beta(a, b)
-        total += (abs(h2) + abs(h1)) * (math.exp(log_term) if log_term < _LOG_HUGE else math.inf)
-    return total
+        p, q = (b, -m2) if upper else (a, a + j)
+        out.append((abs(h2) + abs(h1), p, q, math.log(p), log_beta(a, b)))
+    return tuple(out)
 
 
 def coefficients_at_bounds(

@@ -289,6 +289,14 @@ class TestTables:
         assert float(rows[1][2]) == pytest.approx(0.38, abs=0.015)
         assert rows[1][3] == ""
 
+    @pytest.mark.parametrize("grid", ["", "2,,3"], ids=["empty-value", "empty-entry"])
+    def test_empty_grid_rejected(self, capsys, grid):
+        # an empty value is not the default grid
+        code, out, err = run_cli(capsys, "tables", "1", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --grid needs comma-separated integers, got {grid!r}\n"
+
     def test_table2_cell(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "2", "--grid", "5", "--format", "json")
         assert code == 0

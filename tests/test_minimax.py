@@ -386,6 +386,19 @@ class TestSolve:
 
         return regret
 
+    @classmethod
+    def _honest(cls, humps):
+        """bound(t, delta, upper): each hump's largest value at or beyond delta."""
+
+        def bound(t, delta, upper):
+            total = 0.0
+            for centre, height in humps:
+                gap = np.log(delta / centre) if upper else np.log(centre / delta)
+                total += height(t) * (np.exp(-0.5 * (gap / cls.WIDTH) ** 2) if gap > 0 else 1.0)
+            return total
+
+        return bound
+
     def test_equalizes_two_analytic_humps(self):
         from collections import Counter
 
@@ -395,7 +408,8 @@ class TestSolve:
         # 1 - t that cross at t* = 0.4, between scan nodes
         centres, t_star = (0.3, 3.0), 0.4
         assert min(abs(t - t_star) for t in _SCAN) > 1e-3
-        regret = self._humps(((centres[0], lambda t: 0.2 + t), (centres[1], lambda t: 1.0 - t)))
+        humps = ((centres[0], lambda t: 0.2 + t), (centres[1], lambda t: 1.0 - t))
+        regret = self._humps(humps)
 
         grid = _fixed_grid(1.0)
         levels, polished = [], []
@@ -404,7 +418,7 @@ class TestSolve:
             levels.append(t)
             return regret(grid[0][nodes], t)
 
-        search = _Search((0.1, 1.0), grid, table, regret)
+        search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps))
 
         def sup(t):
             polished.append(t)
@@ -431,14 +445,6 @@ class TestSolve:
         regret = self._humps(humps)
         assert min(abs(t - 0.55) for t in _SCAN) > 1e-3
 
-        def honest(t, delta, upper):
-            # each hump's largest value at or beyond delta
-            total = 0.0
-            for centre, height in humps:
-                gap = np.log(delta / centre) if upper else np.log(centre / delta)
-                total += height(t) * (np.exp(-0.5 * (gap / self.WIDTH) ** 2) if gap > 0 else 1.0)
-            return total
-
         grid = _fixed_grid(1.0)
 
         def solve(bound):
@@ -446,10 +452,10 @@ class TestSolve:
                              regret, bound)
             return _solve(search, search.polished_sups, "planted hump")
 
-        full = solve(None)  # the whole grid, out to 1e4 times the edge
+        full = solve(lambda t, delta, upper: np.inf)  # the whole grid, out to 1e4 times the edge
         assert full.tuned_value == pytest.approx(0.55, abs=1e-6)
         assert full.delta_U == pytest.approx(1e3, rel=1e-6)
-        assert solve(honest) == full
+        assert solve(self._honest(humps)) == full
         # a span held at 1e2 by a bound that certifies everything misses it
         held = solve(lambda t, delta, upper: 0.0)
         assert held.tuned_value == pytest.approx(0.4, abs=1e-6)
@@ -470,7 +476,7 @@ class TestSolve:
                              regret, bound)
             return _solve(search, search.polished_sups, "hump past the span end")
 
-        full = solve(None)
+        full = solve(lambda t, delta, upper: np.inf)  # the whole grid
         assert full.delta_U == pytest.approx(1.2e2, rel=1e-6)
         assert solve(lambda t, delta, upper: 0.0) == full
 
@@ -493,23 +499,28 @@ class TestSolve:
         assert 1e2 / 1.02 < max(read) <= 1e2 * (1 + 1e-9)
 
 
+DESIGN_SETS = pytest.mark.parametrize("designs", [
+    [DesignPair(a, b, v) for v in Variant for b in (2, 3, 4, 5, 7, 10)
+     for a in (2, 3, 4, 5, 7, 10)],
+    [DesignPair(a, b, v) for v in Variant for b in (40, 150) for a in (40, 150)],
+], ids=["6x6", "40-150"])
+
+
 class TestCertifiedSpans:
-    """Every level an alpha* solve reads is certified by the tail bound, or spans the grid."""
+    """Every level an alpha* or K* solve reads is certified by the tail bound, or spans the grid."""
 
-    @pytest.mark.parametrize("designs", [
-        [DesignPair(a, b, v) for v in Variant for b in (2, 3, 4, 5, 7, 10)
-         for a in (2, 3, 4, 5, 7, 10)],
-        [DesignPair(a, b, v) for v in Variant for b in (40, 150) for a in (40, 150)],
-    ], ids=["6x6", "40-150"])
-    def test_every_alpha_level_is_certified(self, monkeypatch, designs):
+    @staticmethod
+    def _record(monkeypatch, name):
+        """Wrap the search builder ``name`` to record the nodes and values each level reads.
+
+        Returns the list it fills with (builder args, search, {level: {node: value}}).
+        """
         import recshrink.minimax as mm
-        from recshrink.risk import _tail_bound
 
-        build, searches = mm._alpha_search, []
+        build, searches = getattr(mm, name), []
 
-        def recording(design):
-            # record the nodes and values every level of the solve tabulates
-            search = build(design)
+        def recording(*args):
+            search = build(*args)
             table, reads = search.table, {}
 
             def recorded(t, nodes):
@@ -519,40 +530,81 @@ class TestCertifiedSpans:
                 return values
 
             search.table = recorded
-            searches.append((design, search, reads))
+            searches.append((args, search, reads))
             return search
 
-        monkeypatch.setattr(mm, "_alpha_search", recording)
+        monkeypatch.setattr(mm, name, recording)
+        return searches
+
+    @staticmethod
+    def _check(search, reads, bound):
+        """Assert each level's reads are one run of nodes, certified by ``bound`` or at the cap.
+
+        Returns (levels, narrow): how many levels were read, and how many
+        of them stopped both sides at 1e2 times the edge.
+        """
+        deltas, segments = search.grid
+        delta1, edge = search.window
+        first_upper, last = segments[-1][0], len(deltas) - 1
+        levels = narrow = 0
+        for t, read in reads.items():
+            nodes = sorted(read)
+            assert nodes == list(range(nodes[0], nodes[-1] + 1))  # one run around the edge
+            lower = [i for i in nodes if i < first_upper]
+            upper = [i for i in nodes if i >= first_upper]
+            for side, end, cap, is_upper in ((lower, lower[0], 0, False),
+                                             (upper, upper[-1], last, True)):
+                if end == cap:
+                    continue
+                values = [read[i] for i in side]
+                top = max(values)
+                assert bound(t, float(deltas[end]), is_upper) <= top
+                assert side[int(np.argmax(values))] != end
+                if not is_upper:
+                    assert deltas[end] <= delta1
+            levels += 1
+            narrow += (lower[0] > 0 and deltas[lower[0]] >= edge / 1e2 / (1 + 1e-9)
+                       and upper[-1] < last and deltas[upper[-1]] <= edge * 1e2 * (1 + 1e-9))
+        return levels, narrow
+
+    @DESIGN_SETS
+    def test_every_alpha_level_is_certified(self, monkeypatch, designs):
+        import recshrink.minimax as mm
+        from recshrink.risk import _tail_bound
+
+        searches = self._record(monkeypatch, "_alpha_search")
         for design in designs:
             mm.optimal_alpha(design)
         # both polishes read the solve's own search: one search per solve
-        assert [s[0] for s in searches] == designs
+        assert [args for args, _, _ in searches] == [(d,) for d in designs]
 
         levels = narrow = 0
-        for design, search, reads in searches:
-            deltas, segments = search.grid
-            delta1, edge = search.window
-            first_upper, last = segments[-1][0], len(deltas) - 1
-            for t, read in reads.items():
-                nodes = sorted(read)
-                assert nodes == list(range(nodes[0], nodes[-1] + 1))  # one run around the edge
-                lower = [i for i in nodes if i < first_upper]
-                upper = [i for i in nodes if i >= first_upper]
-                for side, end, cap, is_upper in ((lower, lower[0], 0, False),
-                                                 (upper, upper[-1], last, True)):
-                    if end == cap:
-                        continue
-                    values = [read[i] for i in side]
-                    top = max(values)
-                    assert _tail_bound(design, t, float(deltas[end]), is_upper) <= top
-                    assert side[int(np.argmax(values))] != end
-                    if not is_upper:
-                        assert deltas[end] <= delta1
-                levels += 1
-                narrow += (lower[0] > 0 and deltas[lower[0]] >= edge / 1e2 / (1 + 1e-9)
-                           and upper[-1] < last and deltas[upper[-1]] <= edge * 1e2 * (1 + 1e-9))
+        for (design,), search, reads in searches:
+            counts = self._check(search, reads,
+                                 lambda a, delta, upper: _tail_bound(design, a, delta, upper))
+            levels, narrow = levels + counts[0], narrow + counts[1]
         # most levels stop both sides at 1e2 times the edge, so the checks
         # above do not just read the whole grid
+        assert narrow > levels / 2
+
+    @DESIGN_SETS
+    def test_every_k_level_is_certified(self, monkeypatch, designs):
+        import recshrink.minimax as mm
+        from recshrink.risk import _tail_bound
+
+        searches = self._record(monkeypatch, "_shrink_search")
+        # tables 2 and 3: K* at alpha = 0.16 and at alpha*
+        cells = (mm.generate_tables(mm.TableCase.K_FIXED_ALPHA, designs, alpha=0.16)
+                 + mm.generate_tables(mm.TableCase.K_OPTIMAL_ALPHA, designs))
+        assert not [c for c in cells if c.error]
+        alphas = [0.16] * len(designs) + [c.alpha_star for c in cells[len(designs):]]
+        assert [args for args, _, _ in searches] == list(zip(designs + designs, alphas))
+
+        levels = narrow = 0
+        for (design, alpha), search, reads in searches:
+            counts = self._check(search, reads,
+                                 lambda k, delta, upper: _tail_bound(design, alpha, delta, upper))
+            levels, narrow = levels + counts[0], narrow + counts[1]
         assert narrow > levels / 2
 
 
@@ -715,6 +767,18 @@ class TestDenseScan:
             _assert_sups_dominate_scan(
                 sol_k, lambda g: _regret_shrink_table(_shrink_terms(d, g, alpha), k)
             )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: a K* sup beyond the grid cap goes unreported")
+def test_k_star_sup_beyond_the_grid_cap_is_reported():
+    # at alpha = 1e-30 the K* solve falls back to k = 0.01 and its upper side
+    # stops at the cap, 1e4 times the edge, where the regret still rises:
+    # it reports 7.2e3 there, while the regret at delta = 1e6 is 3.1e7
+    alpha = 1e-30
+    sol = optimal_k(D56, alpha)
+    assert max(sol.regret_at_L, sol.regret_at_U) >= regret_shrink(D56, 1e6, alpha,
+                                                                  sol.tuned_value)
 
 
 class TestSearchErrorsNameInputs:
