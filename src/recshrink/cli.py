@@ -238,7 +238,11 @@ def cmd_optimal_k(args) -> int:
 
 def cmd_simulate(args) -> int:
     design = DesignPair(args.n1, args.n2, Variant(args.variant))
-    grid = tuple(float(t) for t in args.theta2_grid.split(","))
+    try:
+        grid = tuple(float(t) for t in args.theta2_grid.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--theta2-grid needs comma-separated numbers, got {args.theta2_grid!r}") from None
     config = SimConfig(
         design=design,
         theta2_grid=grid,

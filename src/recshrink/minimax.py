@@ -477,17 +477,18 @@ def _inf_quadratic(h2: float, h1: float, h0: float) -> tuple[float, float]:
     """Minimum of h2*k^2 + h1*k + h0 over k in [0, 1]; smallest k wins ties.
 
     A non-convex or degenerate quadratic (h2 <= 0) compares endpoints only.
+    The candidates are taken in ascending k, each by a strict comparison.
     """
     best_k, best_r = 0.0, h0
-    cands = []
     if h2 > 0.0:
         k0 = -h1 / (2.0 * h2)
         if 0.0 < k0 < 1.0:
-            cands.append((k0, h0 - h1 * h1 / (4.0 * h2)))
-    cands.append((1.0, h2 + h1 + h0))
-    for k, r in sorted(cands):
-        if r < best_r:
-            best_k, best_r = k, r
+            r = h0 - h1 * h1 / (4.0 * h2)
+            if r < best_r:
+                best_k, best_r = k0, r
+    r = h2 + h1 + h0
+    if r < best_r:
+        best_k, best_r = 1.0, r
     return best_k, best_r
 
 

@@ -67,6 +67,22 @@ class DesignPair:
                     f"{self.variant.value!r}, got {n!r}"
                 )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """A hash of ints alone, computed once per design.
+
+        The generated hash would go through ``Enum.__hash__``, a Python-level
+        hash of the member's name, on every ``critical_values`` lookup, and
+        PYTHONHASHSEED salts it per process.  This one is the same in every
+        process, so it stays valid after a pickle round trip.  The variant
+        enters as a bool; equal designs, with int or numpy-integer counts,
+        hash equally.
+        """
+        return hash((self.n1, self.n2, self.variant is Variant.KNOWN_LOCATION))
+
     @property
     def lam(self) -> float:
         """Pooling weight n2/(n1+n2)."""

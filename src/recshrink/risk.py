@@ -34,6 +34,16 @@ I_x(a+1, b) = I_x(a, b) - t/a and I_x(a, b+1) = I_x(a, b) + t/b
 (Abramowitz & Stegun 26.5.16), every shift is a multiple of t.  A bracket is
 the base difference plus the difference of its shift terms, so it stays an
 exact 0 when both bounds coincide.
+
+Float bounds take one route, ``_quadratic``: a single pass from
+(design, delta, d1, d2) to (h2, h1, h0), with one scalar ``reg_inc_beta``
+and one front factor per bound, the five brackets as locals and the
+per-design constants cached by ``_quadratic_constants``.
+``risk_k_coefficients``, ``coefficients_at_bounds``, ``pt_risk`` and
+``shrink_moments`` all read it.  Arrays of bounds take ``_brackets`` (one
+``reg_inc_beta_grid`` call) and ``_coeffs_from_brackets``, whose arithmetic
+``_quadratic`` repeats operand for operand; a size-1 grid call costs more
+than ten times the float route, which is why both exist.
 """
 
 import functools
@@ -44,7 +54,7 @@ import numpy as np
 
 from .estimators import check_k, critical_values
 from .records import DesignPair
-from .special import beta_front, log_beta, reg_inc_beta, reg_inc_beta_grid
+from .special import _front, beta_front, log_beta, reg_inc_beta, reg_inc_beta_grid
 
 
 # shape shifts (i, j) of the regularized-beta brackets the moments need
@@ -72,21 +82,15 @@ class RiskParams:
             raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
 
 
-def _beta_bound(c, n1: int, n2: int, delta):
-    """Beta-scale acceptance bound for the critical value c; delta a float or an array.
+def _beta_bound(c, n1: int, n2: int, delta: np.ndarray) -> np.ndarray:
+    """Beta-scale acceptance bound for the critical value c over an array of delta.
 
     The ratio form t/(t + n2), t = c*n1*delta, lies in [0, 1]; above
     delta = 1 it is evaluated as c*n1/(c*n1 + n2/delta), so no term
     overflows and every finite delta > 0, subnormal ones included, gives a
     finite bound.  An infinite c (c2 at alpha ~ 1e-308) maps to exactly 1.
-    A float delta takes the same formula in plain arithmetic, which gives
-    the same bits at a third of the cost of the numpy ufuncs or less.
+    ``d_bounds`` is the same formula in plain float arithmetic.
     """
-    if not isinstance(delta, np.ndarray):
-        if c == math.inf:
-            return 1.0
-        t = c * n1 * min(delta, 1.0)
-        return t / (t + n2 / max(delta, 1.0))
     if c == math.inf:
         return np.ones_like(delta, dtype=float)
     t = c * n1 * np.minimum(delta, 1.0)
@@ -94,21 +98,30 @@ def _beta_bound(c, n1: int, n2: int, delta):
 
 
 def d_bounds(design: DesignPair, delta: float, c1: float, c2: float) -> tuple[float, float]:
-    """(d1, d2): Beta-scale acceptance bounds for the given critical values, within [0, 1]."""
+    """(d1, d2): Beta-scale acceptance bounds for the given critical values, within [0, 1].
+
+    ``_beta_bound``'s formula in plain float arithmetic, which gives its
+    bits at a fraction of the cost of the numpy ufuncs.
+    """
     # a plain comparison: np.all on a float would cost more than the bounds
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if c1 > c2:
         raise ValueError(f"need c1 <= c2, got ({c1}, {c2})")
-    n1, n2 = design.n1, design.n2
-    return float(_beta_bound(c1, n1, n2, delta)), float(_beta_bound(c2, n1, n2, delta))
+    n1 = design.n1
+    small, far = min(delta, 1.0), design.n2 / max(delta, 1.0)
+    t = c1 * n1 * small
+    d1 = 1.0 if c1 == math.inf else float(t / (t + far))
+    t = c2 * n1 * small
+    return d1, 1.0 if c2 == math.inf else float(t / (t + far))
 
 
-def _shift_terms(x, a: float, b: float) -> dict:
-    """I_x(a+i, b+j) - I_x(a, b) for each shift (i, j) in ``_SHIFTS``.
+def _shift_terms(x: np.ndarray, a: float, b: float) -> dict:
+    """I_x(a+i, b+j) - I_x(a, b) for each shift (i, j) in ``_SHIFTS``, over an array x.
 
     By A&S 26.5.16 every shift is a multiple of the front factor
-    t = x^a (1-x)^b / B(a, b); x may be a float or an array.
+    t = x^a (1-x)^b / B(a, b).  ``_quadratic`` writes the same terms for a
+    float bound.
     """
     t = beta_front(x, a, b)
     s = a + b
@@ -123,19 +136,15 @@ def _shift_terms(x, a: float, b: float) -> dict:
     }
 
 
-def _brackets(design: DesignPair, d1, d2) -> dict:
-    """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j); float or array bounds.
+def _brackets(design: DesignPair, d1: np.ndarray, d2: np.ndarray) -> dict:
+    """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j), over arrays of bounds.
 
-    One incomplete beta per bound, at the base shapes (m1, m2); each bracket
-    is that base difference plus the difference of its shift terms.  Float
-    bounds take the scalar ``reg_inc_beta``, far cheaper than a size-1 grid
-    call; array bounds of one shape share one grid call and one ``_shift_terms``.
+    One grid call at the base shapes (m1, m2) on the concatenated bounds and
+    one ``_shift_terms``; each bracket is the base difference plus the
+    difference of its shift terms, in the bounds' shape.  Float bounds take
+    ``_quadratic`` instead, far cheaper than a size-1 grid call.
     """
     m1, m2 = design.shapes
-    if not isinstance(d1, np.ndarray):
-        base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
-        lo, hi = _shift_terms(d1, m1, m2), _shift_terms(d2, m1, m2)
-        return {ij: base + (hi[ij] - lo[ij]) for ij in _SHIFTS}
     n = d1.size
     x = np.concatenate((d1, d2), axis=None)
     base = reg_inc_beta_grid(x, m1, m2)
@@ -145,26 +154,72 @@ def _brackets(design: DesignPair, d1, d2) -> dict:
 
 
 def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
-    """(h2, h1, h0) of the risk quadratic; delta may be a scalar or an array.
+    """(h2, h1, h0) of the risk quadratic from a dict of brackets; delta a float or an array.
 
     delta multiplies into a bracket before anything else does, so a bracket
     that is exactly 0 (both bounds at 1 for huge delta) contributes exactly
-    0 and no product overflows on its way there.
+    0 and no product overflows on its way there.  ``_quadratic`` is the
+    same arithmetic for float bounds; both read the constants of
+    ``_quadratic_constants``.
     """
-    n1, n2 = design.n1, design.n2
-    m1, m2 = design.shapes
-    lam = design.lam
-    e1 = m1 / n1
-    v2 = m2 / n2
-    q1 = m1 * (m1 + 1) / n1**2
-    q2 = m2 * (m2 + 1) / n2**2
-    q12 = m1 * m2 / (n1 * n2)
+    *_, lam2, lam_2, q1, q12, q12_2, q2, e1, v2, h0 = _quadratic_constants(design)
     b01 = delta * br[(0, 1)]
     b11 = delta * br[(1, 1)]
     b02 = delta * (delta * br[(0, 2)])
-    h2 = lam * lam * (q1 * br[(2, 0)] - 2.0 * q12 * b11 + q2 * b02)
-    h1 = 2.0 * lam * (-q1 * br[(2, 0)] + q12 * b11 + e1 * br[(1, 0)] - v2 * b01)
-    return h2, h1, 1.0 / n1
+    h2 = lam2 * (q1 * br[(2, 0)] - q12_2 * b11 + q2 * b02)
+    h1 = lam_2 * (-q1 * br[(2, 0)] + q12 * b11 + e1 * br[(1, 0)] - v2 * b01)
+    return h2, h1, h0
+
+
+@functools.lru_cache(maxsize=1024)
+def _quadratic_constants(design: DesignPair) -> tuple:
+    """Per-design constants of the risk quadratic; none depends on delta or alpha.
+
+    The shapes, ln B(m1, m2), the shift factors (m1+m2)/(m1+1),
+    (m1+m2)/(m2+1) and (m1+m2)/m2 of the float route, then lam^2, 2 lam,
+    q1 = m1 (m1+1)/n1^2, q12 = m1 m2/(n1 n2), 2 q12, q2 = m2 (m2+1)/n2^2,
+    e1 = m1/n1, v2 = m2/n2 and h0 = 1/n1, each a factor of the risk
+    quadratic as written, so lam^2 X is (lam * lam) * X.  Counts are taken
+    as Python ints, so the constants are Python numbers whichever equal
+    design (int or numpy-integer counts) filled the cache entry.
+    """
+    n1, n2 = int(design.n1), int(design.n2)
+    m1, m2 = (int(m) for m in design.shapes)
+    s = m1 + m2
+    lam = float(design.lam)
+    q12 = m1 * m2 / (n1 * n2)
+    return (m1, m2, log_beta(m1, m2), s / (m1 + 1), s / (m2 + 1), s / m2,
+            lam * lam, 2.0 * lam, m1 * (m1 + 1) / n1**2, q12, 2.0 * q12,
+            m2 * (m2 + 1) / n2**2, m1 / n1, m2 / n2, 1.0 / n1)
+
+
+def _quadratic(design: DesignPair, delta: float, d1: float, d2: float) -> tuple:
+    """(h2, h1, h0, shift) at float bounds 0 <= d1 <= d2 <= 1, in one pass.
+
+    The scalar route of the risk: ``_brackets`` and ``_coeffs_from_brackets``
+    in plain floats, with the five brackets as locals and the per-design
+    constants from ``_quadratic_constants``; every expression keeps their
+    operand order, so the bits are theirs.  One ``reg_inc_beta`` and one
+    front factor per bound.  ``shift`` = v2 delta B01 - e1 B10 is the
+    bracket part of the shrinkage bias.
+    """
+    m1, m2, log_b, sa, sb, sab, lam2, lam_2, q1, q12, q12_2, q2, e1, v2, h0 = (
+        _quadratic_constants(design))
+    base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
+    t = _front(d1, m1, m2, log_b)
+    ta1, tb1 = t / m1, t / m2
+    t = _front(d2, m1, m2, log_b)
+    ta2, tb2 = t / m1, t / m2
+    # each bracket: base + (shift term at d2 - shift term at d1), delta first
+    b10 = base + ((-ta2) - (-ta1))
+    b01 = delta * (base + (tb2 - tb1))
+    b20 = base + ((-ta2 - ta2 * d2 * sa) - (-ta1 - ta1 * d1 * sa))
+    b02 = delta * (delta * (base + ((tb2 + tb2 * (1.0 - d2) * sb)
+                                    - (tb1 + tb1 * (1.0 - d1) * sb))))
+    b11 = delta * (base + ((-ta2 + ta2 * d2 * sab) - (-ta1 + ta1 * d1 * sab)))
+    h2 = lam2 * (q1 * b20 - q12_2 * b11 + q2 * b02)
+    h1 = lam_2 * (-q1 * b20 + q12 * b11 + e1 * b10 - v2 * b01)
+    return h2, h1, h0, v2 * b01 - e1 * b10
 
 
 def _tail_bound(design: DesignPair, alpha: float, delta: float, upper: bool) -> float:
@@ -227,7 +282,7 @@ def coefficients_at_bounds(
     design: DesignPair, delta: float, d1: float, d2: float
 ) -> tuple[float, float, float]:
     """(h2, h1, h0) of the risk quadratic for the acceptance bounds 0 <= d1 <= d2 <= 1."""
-    return _coeffs_from_brackets(design, delta, _brackets(design, d1, d2))
+    return _quadratic(design, delta, d1, d2)[:3]
 
 
 def risk_k_coefficients(
@@ -235,18 +290,24 @@ def risk_k_coefficients(
 ) -> tuple[float, float, float]:
     """(h2, h1, h0) with risk(delta, k) = h2*k^2 + h1*k + h0."""
     c1, c2 = critical_values(design, alpha)
-    return coefficients_at_bounds(design, delta, *d_bounds(design, delta, c1, c2))
+    return _quadratic(design, delta, *d_bounds(design, delta, c1, c2))[:3]
 
 
 def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
-    """Vectorized risk_k_coefficients over an array of delta values."""
+    """Vectorized risk_k_coefficients over an array of delta values.
+
+    A 0-d delta gives numpy-scalar bounds, which take the float route, so
+    it returns the bits of ``risk_k_coefficients``.
+    """
     dv = np.asarray(deltas, dtype=float)
     if not np.all((dv > 0.0) & (dv < np.inf)):  # NaN fails both comparisons
         raise ValueError("delta must be positive and finite")
     c1, c2 = critical_values(design, alpha)
     n1, n2 = design.n1, design.n2
-    br = _brackets(design, _beta_bound(c1, n1, n2, dv), _beta_bound(c2, n1, n2, dv))
-    return _coeffs_from_brackets(design, dv, br)
+    d1, d2 = _beta_bound(c1, n1, n2, dv), _beta_bound(c2, n1, n2, dv)
+    if dv.ndim == 0:
+        return _quadratic(design, dv, d1, d2)[:3]
+    return _coeffs_from_brackets(design, dv, _brackets(design, d1, d2))
 
 
 def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> float:
@@ -257,8 +318,12 @@ def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> flo
 
 
 def pt_risk(design: DesignPair, delta: float, alpha: float) -> float:
-    """Weighted-loss risk of the pre-test rule (shrinkage at k = 1)."""
-    return shrink_risk(design, delta, alpha, 1.0)
+    """Weighted-loss risk of the pre-test rule (shrinkage at k = 1).
+
+    h2 + h1 + h0 is ``shrink_risk`` at k = 1 bit for bit, since x*1.0 == x.
+    """
+    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
+    return h2 + h1 + h0
 
 
 def shrink_risk_grid(design: DesignPair, deltas, alpha: float, k: float) -> np.ndarray:
@@ -276,15 +341,11 @@ def shrink_moments(params: RiskParams) -> tuple[float, float]:
     """
     design = params.design
     th1, delta, k = params.theta1, params.delta, params.k
-    n1, n2 = design.n1, design.n2
-    m1, m2 = design.shapes
     c1, c2 = critical_values(design, params.alpha)
-    br = _brackets(design, *d_bounds(design, delta, c1, c2))
-    h2, h1, h0 = _coeffs_from_brackets(design, delta, br)
-    # delta multiplies into the bracket first, as in the risk, so a zero
-    # bracket stays 0 even where theta2 = delta*theta1 would overflow
-    shift = m2 / n2 * (delta * br[(0, 1)]) - m1 / n1 * br[(1, 0)]
-    bias = th1 * (m1 / n1 - 1.0 + k * design.lam * shift)
+    # shift multiplies delta into the bracket first, as the risk does, so a
+    # zero bracket stays 0 even where theta2 = delta*theta1 would overflow
+    h2, h1, h0, shift = _quadratic(design, delta, *d_bounds(design, delta, c1, c2))
+    bias = th1 * (design.shapes[0] / design.n1 - 1.0 + k * design.lam * shift)
     return bias, th1 * th1 * (h2 * k * k + h1 * k + h0)
 
 

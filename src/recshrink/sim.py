@@ -171,20 +171,20 @@ def _mean_se(x: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
     return float(m), float(np.sqrt(_var(x, m, scratch)) / math.sqrt(x.size))
 
 
-def _ratio_se(num: np.ndarray, den: np.ndarray, scratch: np.ndarray) -> float:
-    """Delta-method SE of mean(num)/mean(den) from paired replicate values.
+def _ratio_se(num: np.ndarray, den: np.ndarray, m1: float, m2: float,
+              scratch: np.ndarray) -> float:
+    """Delta-method SE of m1/m2 from paired replicate values, m1 = mean(num), m2 = mean(den).
 
     The delta-method variance (r**2)*(v11/m1**2 + v22/m2**2 - 2*v12/(m1*m2)),
     with r = m1/m2, equals var(num - r*den)/(reps*m2**2).  The residual form
     sums squares where the three-term form cancels, and it needs no
     covariance, so no ``np.cov`` and its BLAS product chosen per CPU.  The
-    residuals go to ``scratch``.
+    caller has the two means already.  The residuals go to ``scratch``.
     """
     reps = num.size
     if reps < 2:
         return math.nan
-    m2 = den.mean()
-    resid = np.multiply(den, num.mean() / m2, out=scratch)
+    resid = np.multiply(den, m1 / m2, out=scratch)
     np.subtract(num, resid, out=resid)
     return math.sqrt(_var(resid, resid.mean(), resid) / reps) / abs(m2)
 
@@ -256,7 +256,7 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
             mse_mle = mse
         else:
             stats[f"eff_{rule}"] = mse_mle / mse
-            stats[f"se_eff_{rule}"] = _ratio_se(ws.sq_mle, sq, scratch)
+            stats[f"se_eff_{rule}"] = _ratio_se(ws.sq_mle, sq, mse_mle, mse, scratch)
     return McRow(theta2=theta2, **{name: float(v) for name, v in stats.items()})
 
 

@@ -16,8 +16,10 @@ Any other shapes go through the modified-Lentz continued fraction; the grid
 has no array form of it and takes such shapes point by point through the
 scalar ``reg_inc_beta``.  ``beta_front`` is the front factor
 x^a (1-x)^b / B(a, b) both routes start from; the risk module also builds
-its shifted-shape recurrences from it.  It is 0 at x = 0 and x = 1, so both
-routes give exactly 0 and 1 there.
+its shifted-shape recurrences from it.  Its float form is written once, in
+``_front``, which takes ln B(a, b) so that a caller holding it per design
+(the risk module's scalar route) does not look it up again.  It is 0 at
+x = 0 and x = 1, so both routes give exactly 0 and 1 there.
 """
 
 import functools
@@ -143,6 +145,17 @@ def _binom_tail_vec(a: int, b: int, t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return total
 
 
+def _front(x: float, a: float, b: float, log_b: float) -> float:
+    """``beta_front`` at a float x, given log_b = ln B(a, b); 0 at x = 0 and x = 1.
+
+    The one float form of the front factor: ``reg_inc_beta``, ``beta_front``
+    and the risk module's scalar route, which holds ln B per design, use it.
+    """
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_b)
+
+
 def beta_front(x, a: float, b: float):
     """Front factor t = x^a (1-x)^b / B(a, b) of I_x(a, b); x a float or an array.
 
@@ -153,9 +166,7 @@ def beta_front(x, a: float, b: float):
     if isinstance(x, np.ndarray):
         with np.errstate(divide="ignore"):
             return np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta(a, b))
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    return _front(x, a, b, log_beta(a, b))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -164,8 +175,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    front = beta_front(x, a, b)
-    if _integer_shapes(a, b):
+    front = _front(x, a, b, log_beta(a, b))
+    if float(a).is_integer() and float(b).is_integer():  # as ``_integer_shapes``, inline
         if x * (a + b - 1.0) < a:
             return _binom_tail(int(a), int(b), front / (a * (1.0 - x)), x / (1.0 - x))
         return 1.0 - _binom_tail(int(b), int(a), front / (b * x), (1.0 - x) / x)

@@ -362,6 +362,14 @@ class TestSimulate:
         run_cli(capsys, *self.ARGS, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("grid", ["", "1,,2", "1,a"],
+                             ids=["empty-value", "empty-entry", "not-a-number"])
+    def test_bad_theta2_grid_names_the_option(self, capsys, grid):
+        code, out, err = run_cli(capsys, *self.ARGS, "--theta2-grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --theta2-grid needs comma-separated numbers, got {grid!r}\n"
+
     @pytest.mark.parametrize("flags", [("--theta2-grid", "1,nan"), ("--theta1", "inf")])
     def test_non_finite_scales_rejected(self, capsys, flags):
         code, out, err = run_cli(capsys, *self.ARGS, *flags)

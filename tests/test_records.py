@@ -5,11 +5,17 @@ they exercise the code path users call.
 """
 
 import math
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from recshrink.estimators import critical_values
 from recshrink.records import (
     DesignPair,
     RecordSample,
@@ -108,6 +114,44 @@ class TestDesignPair:
             DesignPair(1, 3, Variant.LOCATION_SCALE)
         with pytest.raises(ValueError):
             DesignPair(2.5, 3)
+
+
+class TestDesignPairHash:
+    """The hash comes from ints alone: equal designs share it in every process."""
+
+    def test_equal_designs_hash_equally(self):
+        for variant in Variant:
+            ref = DesignPair(5, 6, variant)
+            for n1, n2 in ((5, 6), (np.int64(5), 6), (5, np.int32(6)), (np.int64(5), np.int64(6))):
+                d = DesignPair(n1, n2, variant)
+                assert d == ref and hash(d) == hash(ref)
+        assert hash(DesignPair(5, 6)) != hash(DesignPair(5, 6, Variant.LOCATION_SCALE))
+
+    def test_hash_survives_pickle_into_another_process(self):
+        designs = [DesignPair(5, 6), DesignPair(np.int64(7), 2, Variant.LOCATION_SCALE)]
+        want = [hash(d) for d in designs[:1]] + [hash(DesignPair(7, 2, Variant.LOCATION_SCALE))]
+        payload = pickle.dumps(designs)  # the first with its hash computed, the second without
+        code = ("import pickle, sys\n"
+                "from recshrink.records import DesignPair\n"
+                "ds = pickle.loads(sys.stdin.buffer.read())\n"
+                "print([hash(d) for d in ds])\n"
+                "print([hash(DesignPair(d.n1, d.n2, d.variant)) for d in ds])\n")
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            done = subprocess.run([sys.executable, "-c", code], input=payload, env=env,
+                                  capture_output=True, check=True, timeout=60)
+            unpickled, fresh = done.stdout.decode().splitlines()
+            assert unpickled == fresh == str(want), seed
+
+    def test_critical_values_hits_on_an_equal_design(self):
+        a, b = DesignPair(9, 4), DesignPair(np.int64(9), 4)
+        first = critical_values(a, 0.123)
+        before = critical_values.cache_info()
+        assert critical_values(b, 0.123) is first
+        after = critical_values.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestSampler:

@@ -1,4 +1,4 @@
-"""Smoke runs of scripts/run_simulation.py and scripts/bench_pairs.py."""
+"""Smoke runs of scripts/run_simulation.py, scripts/bench_pairs.py and scripts/same_output.py."""
 
 import csv
 import importlib.util
@@ -147,3 +147,60 @@ def test_bench_pairs_several_workloads(tmp_path, capsys):
     for side in ("parent", "change"):
         for workload in ("fast", "slow"):
             assert (tmp_path / side / "perfbench" / f"count-{workload}").read_text() == "10"
+
+
+# recshrink.cli stand-in: prints what its tree's plan says for the command line
+_STUB_CLI = '''import json, pathlib, sys
+plan = json.loads((pathlib.Path(__file__).parent / "plan.json").read_text())
+args = " ".join(sys.argv[1:])
+out, err, code = plan.get(args, ["output of " + args + "\\n", "", 0])
+sys.stdout.write(out)
+sys.stderr.write(err)
+sys.exit(code)
+'''
+
+
+def _same_output(tmp_path, plans):
+    """Run same_output over stub trees, one per side; its exit status."""
+    argv = []
+    for name, plan in plans.items():
+        package = tmp_path / name / "src" / "recshrink"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(_STUB_CLI)
+        (package / "plan.json").write_text(json.dumps(plan))
+        argv += [f"--{name}", str(tmp_path / name)]
+    return _load("same_output").main(argv)
+
+
+def test_same_output_identical_trees(tmp_path, capsys):
+    failing = {"optimal-k --n1 5 --n2 6 --alpha 1e-30": ["", "error: no\n", 2]}
+    assert _same_output(tmp_path, {"parent": failing, "change": failing}) == 0
+    lines = capsys.readouterr().out.splitlines()
+    script = _load("same_output")
+    assert len(lines) == len(script.COMMANDS) + 1 == 14
+    assert lines[0] == "same (exit 0): recshrink tables 1 --format json --variant known"
+    assert "same (exit 2): recshrink optimal-k --n1 5 --n2 6 --alpha 1e-30" in lines
+    assert lines[-1] == "0 of 13 commands differ"
+
+
+def test_same_output_names_each_difference(tmp_path, capsys):
+    change = {
+        "simulate --n1 2 --n2 2 --seed 1 --format json": ["{}\n", "", 0],
+        "tables 2 --alpha 0.16 --variant locscale": [
+            "output of tables 2 --alpha 0.16 --variant locscale\n", "cell (7, 2): note\n", 0],
+        "optimal-k --n1 5 --n2 6 --alpha 1e-30": [
+            "output of optimal-k --n1 5 --n2 6 --alpha 1e-30\n", "", 1],
+        "tables 3 --grid 40,150 --format json --variant known": ["x\n", "y\n", 1],
+    }
+    assert _same_output(tmp_path, {"parent": {}, "change": change}) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS in stdout: recshrink simulate --n1 2 --n2 2 --seed 1 --format json\n" in out
+    assert "DIFFERS in stderr: recshrink tables 2 --alpha 0.16 --variant locscale\n" in out
+    assert "DIFFERS in exit code: recshrink optimal-k --n1 5 --n2 6 --alpha 1e-30\n" in out
+    assert ("DIFFERS in stdout, stderr, exit code: "
+            "recshrink tables 3 --grid 40,150 --format json --variant locscale\n") not in out
+    assert ("DIFFERS in stdout, stderr, exit code: "
+            "recshrink tables 3 --grid 40,150 --format json --variant known\n") in out
+    assert out.count("same (exit 0)") == 9
+    assert out.endswith("4 of 13 commands differ\n")

@@ -292,10 +292,11 @@ class TestRatioSe:
         t2 = rng.standard_gamma(4, reps) / 4
         shrunk = 0.3 * (3 * t1 + 4 * t2) / 7 + 0.7 * t1
         num, den = (t1 - 1.0) ** 2, (shrunk - 1.0) ** 2
-        assert _ratio_se(num, den, np.empty(reps)) == pytest.approx(_cov_ratio_se(num, den), rel=1e-10)
+        got = _ratio_se(num, den, float(num.mean()), float(den.mean()), np.empty(reps))
+        assert got == pytest.approx(_cov_ratio_se(num, den), rel=1e-10)
 
     def test_one_replicate_gives_nan(self):
-        assert math.isnan(_ratio_se(np.array([0.3]), np.array([0.7]), np.empty(1)))
+        assert math.isnan(_ratio_se(np.array([0.3]), np.array([0.7]), 0.3, 0.7, np.empty(1)))
 
 
 class TestMcOracleRisk:
