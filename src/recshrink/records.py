@@ -24,6 +24,12 @@ class Variant(enum.Enum):
     LOCATION_SCALE = "locscale"
 
 
+# a member read off the Enum class takes the slow path that EnumType's
+# Python-level __getattr__ imposes, which costs more than the rest of
+# DesignPair.__hash__; the hash reads this module-level alias instead
+_KNOWN = Variant.KNOWN_LOCATION
+
+
 @dataclass(frozen=True)
 class RecordSample:
     """An ordered sequence of upper record values under one model variant."""
@@ -68,20 +74,14 @@ class DesignPair:
                 )
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        """A hash of ints alone, computed once per design.
+        """A hash of ints alone: the same in every process and after a pickle round trip.
 
         The generated hash would go through ``Enum.__hash__``, a Python-level
-        hash of the member's name, on every ``critical_values`` lookup, and
-        PYTHONHASHSEED salts it per process.  This one is the same in every
-        process, so it stays valid after a pickle round trip.  The variant
-        enters as a bool; equal designs, with int or numpy-integer counts,
-        hash equally.
+        hash of the member's name that PYTHONHASHSEED salts per process, on
+        every ``critical_values`` lookup.  The variant enters as a bool;
+        equal designs, with int or numpy-integer counts, hash equally.
         """
-        return hash((self.n1, self.n2, self.variant is Variant.KNOWN_LOCATION))
+        return hash((self.n1, self.n2, self.variant is _KNOWN))
 
     @property
     def lam(self) -> float:

@@ -35,15 +35,13 @@ I_x(a+1, b) = I_x(a, b) - t/a and I_x(a, b+1) = I_x(a, b) + t/b
 the base difference plus the difference of its shift terms, so it stays an
 exact 0 when both bounds coincide.
 
-Float bounds take one route, ``_quadratic``: a single pass from
-(design, delta, d1, d2) to (h2, h1, h0), with one scalar ``reg_inc_beta``
-and one front factor per bound, the five brackets as locals and the
-per-design constants cached by ``_quadratic_constants``.
-``risk_k_coefficients``, ``coefficients_at_bounds``, ``pt_risk`` and
-``shrink_moments`` all read it.  Arrays of bounds take ``_brackets`` (one
-``reg_inc_beta_grid`` call) and ``_coeffs_from_brackets``, whose arithmetic
-``_quadratic`` repeats operand for operand; a size-1 grid call costs more
-than ten times the float route, which is why both exist.
+Floats and arrays of bounds share one arithmetic.  ``_brackets`` takes the
+base difference and the front factors at both bounds, from two scalar
+``reg_inc_beta`` calls and ``special._front`` for float bounds (a size-1 grid
+call would cost more than ten times as much) or from one
+``reg_inc_beta_grid`` call over both arrays, and forms the five brackets
+elementwise; ``_coeffs`` turns them into (h2, h1, h0).  Both read the
+per-design constants that ``_quadratic_constants`` caches.
 """
 
 import functools
@@ -116,72 +114,17 @@ def d_bounds(design: DesignPair, delta: float, c1: float, c2: float) -> tuple[fl
     return d1, 1.0 if c2 == math.inf else float(t / (t + far))
 
 
-def _shift_terms(x: np.ndarray, a: float, b: float) -> dict:
-    """I_x(a+i, b+j) - I_x(a, b) for each shift (i, j) in ``_SHIFTS``, over an array x.
-
-    By A&S 26.5.16 every shift is a multiple of the front factor
-    t = x^a (1-x)^b / B(a, b).  ``_quadratic`` writes the same terms for a
-    float bound.
-    """
-    t = beta_front(x, a, b)
-    s = a + b
-    ta = t / a
-    tb = t / b
-    return {
-        (1, 0): -ta,
-        (0, 1): tb,
-        (2, 0): -ta - ta * x * (s / (a + 1)),
-        (0, 2): tb + tb * (1.0 - x) * (s / (b + 1)),
-        (1, 1): -ta + ta * x * (s / b),
-    }
-
-
-def _brackets(design: DesignPair, d1: np.ndarray, d2: np.ndarray) -> dict:
-    """I_{d2} - I_{d1} at the five shifted shape pairs (m1+i, m2+j), over arrays of bounds.
-
-    One grid call at the base shapes (m1, m2) on the concatenated bounds and
-    one ``_shift_terms``; each bracket is the base difference plus the
-    difference of its shift terms, in the bounds' shape.  Float bounds take
-    ``_quadratic`` instead, far cheaper than a size-1 grid call.
-    """
-    m1, m2 = design.shapes
-    n = d1.size
-    x = np.concatenate((d1, d2), axis=None)
-    base = reg_inc_beta_grid(x, m1, m2)
-    base = base[n:] - base[:n]
-    return {ij: (base + (s[n:] - s[:n])).reshape(d1.shape)
-            for ij, s in _shift_terms(x, m1, m2).items()}
-
-
-def _coeffs_from_brackets(design: DesignPair, delta, br) -> tuple:
-    """(h2, h1, h0) of the risk quadratic from a dict of brackets; delta a float or an array.
-
-    delta multiplies into a bracket before anything else does, so a bracket
-    that is exactly 0 (both bounds at 1 for huge delta) contributes exactly
-    0 and no product overflows on its way there.  ``_quadratic`` is the
-    same arithmetic for float bounds; both read the constants of
-    ``_quadratic_constants``.
-    """
-    *_, lam2, lam_2, q1, q12, q12_2, q2, e1, v2, h0 = _quadratic_constants(design)
-    b01 = delta * br[(0, 1)]
-    b11 = delta * br[(1, 1)]
-    b02 = delta * (delta * br[(0, 2)])
-    h2 = lam2 * (q1 * br[(2, 0)] - q12_2 * b11 + q2 * b02)
-    h1 = lam_2 * (-q1 * br[(2, 0)] + q12 * b11 + e1 * br[(1, 0)] - v2 * b01)
-    return h2, h1, h0
-
-
 @functools.lru_cache(maxsize=1024)
 def _quadratic_constants(design: DesignPair) -> tuple:
     """Per-design constants of the risk quadratic; none depends on delta or alpha.
 
-    The shapes, ln B(m1, m2), the shift factors (m1+m2)/(m1+1),
-    (m1+m2)/(m2+1) and (m1+m2)/m2 of the float route, then lam^2, 2 lam,
+    The shapes, ln B(m1, m2) and the shift factors (m1+m2)/(m1+1),
+    (m1+m2)/(m2+1) and (m1+m2)/m2 of ``_brackets``, then lam^2, 2 lam,
     q1 = m1 (m1+1)/n1^2, q12 = m1 m2/(n1 n2), 2 q12, q2 = m2 (m2+1)/n2^2,
-    e1 = m1/n1, v2 = m2/n2 and h0 = 1/n1, each a factor of the risk
-    quadratic as written, so lam^2 X is (lam * lam) * X.  Counts are taken
-    as Python ints, so the constants are Python numbers whichever equal
-    design (int or numpy-integer counts) filled the cache entry.
+    e1 = m1/n1, v2 = m2/n2 and h0 = 1/n1 of ``_coeffs``, each a factor of
+    the risk quadratic as written, so lam^2 X is (lam * lam) * X.  Counts
+    are taken as Python ints, so the constants are Python numbers whichever
+    equal design (int or numpy-integer counts) filled the cache entry.
     """
     n1, n2 = int(design.n1), int(design.n2)
     m1, m2 = (int(m) for m in design.shapes)
@@ -193,33 +136,47 @@ def _quadratic_constants(design: DesignPair) -> tuple:
             m2 * (m2 + 1) / n2**2, m1 / n1, m2 / n2, 1.0 / n1)
 
 
-def _quadratic(design: DesignPair, delta: float, d1: float, d2: float) -> tuple:
-    """(h2, h1, h0, shift) at float bounds 0 <= d1 <= d2 <= 1, in one pass.
+def _brackets(consts: tuple, delta, d1, d2) -> tuple:
+    """The five brackets I_{d2} - I_{d1} at (m1+i, m2+j), in ``_SHIFTS`` order, times delta^j.
 
-    The scalar route of the risk: ``_brackets`` and ``_coeffs_from_brackets``
-    in plain floats, with the five brackets as locals and the per-design
-    constants from ``_quadratic_constants``; every expression keeps their
-    operand order, so the bits are theirs.  One ``reg_inc_beta`` and one
-    front factor per bound.  ``shift`` = v2 delta B01 - e1 B10 is the
-    bracket part of the shrinkage bias.
+    Bounds 0 <= d1 <= d2 <= 1 are floats or arrays of one shape, with delta
+    a float or an array of that shape.  Float bounds take one scalar
+    ``reg_inc_beta`` and one front factor each; arrays one grid call and
+    one ``beta_front`` on the concatenated bounds.  The rest is elementwise:
+    each bracket is the base difference plus the difference of its
+    A&S 26.5.16 shift terms at the two bounds.  delta multiplies into a
+    bracket before anything else does, so a bracket that is exactly 0 (both
+    bounds at 1 for huge delta) contributes exactly 0 and no product
+    overflows on its way there.
     """
-    m1, m2, log_b, sa, sb, sab, lam2, lam_2, q1, q12, q12_2, q2, e1, v2, h0 = (
-        _quadratic_constants(design))
-    base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
-    t = _front(d1, m1, m2, log_b)
-    ta1, tb1 = t / m1, t / m2
-    t = _front(d2, m1, m2, log_b)
-    ta2, tb2 = t / m1, t / m2
-    # each bracket: base + (shift term at d2 - shift term at d1), delta first
-    b10 = base + ((-ta2) - (-ta1))
-    b01 = delta * (base + (tb2 - tb1))
-    b20 = base + ((-ta2 - ta2 * d2 * sa) - (-ta1 - ta1 * d1 * sa))
-    b02 = delta * (delta * (base + ((tb2 + tb2 * (1.0 - d2) * sb)
-                                    - (tb1 + tb1 * (1.0 - d1) * sb))))
-    b11 = delta * (base + ((-ta2 + ta2 * d2 * sab) - (-ta1 + ta1 * d1 * sab)))
+    m1, m2, log_b, sa, sb, sab = consts[:6]
+    if isinstance(d1, np.ndarray):
+        n, shape = d1.size, d1.shape
+        x = np.concatenate((d1, d2), axis=None)
+        base, t = reg_inc_beta_grid(x, m1, m2), beta_front(x, m1, m2)
+        base = (base[n:] - base[:n]).reshape(shape)
+        t1, t2 = t[:n].reshape(shape), t[n:].reshape(shape)
+    else:
+        base = reg_inc_beta(d2, m1, m2) - reg_inc_beta(d1, m1, m2)
+        t1, t2 = _front(d1, m1, m2, log_b), _front(d2, m1, m2, log_b)
+    ta1, tb1, ta2, tb2 = t1 / m1, t1 / m2, t2 / m1, t2 / m2
+    return (
+        base + ((-ta2) - (-ta1)),
+        delta * (base + (tb2 - tb1)),
+        base + ((-ta2 - ta2 * d2 * sa) - (-ta1 - ta1 * d1 * sa)),
+        delta * (delta * (base + ((tb2 + tb2 * (1.0 - d2) * sb)
+                                  - (tb1 + tb1 * (1.0 - d1) * sb)))),
+        delta * (base + ((-ta2 + ta2 * d2 * sab) - (-ta1 + ta1 * d1 * sab))),
+    )
+
+
+def _coeffs(consts: tuple, brackets: tuple) -> tuple:
+    """(h2, h1, h0) of the risk quadratic from the delta-weighted ``_brackets``."""
+    lam2, lam_2, q1, q12, q12_2, q2, e1, v2, h0 = consts[6:]
+    b10, b01, b20, b02, b11 = brackets
     h2 = lam2 * (q1 * b20 - q12_2 * b11 + q2 * b02)
     h1 = lam_2 * (-q1 * b20 + q12 * b11 + e1 * b10 - v2 * b01)
-    return h2, h1, h0, v2 * b01 - e1 * b10
+    return h2, h1, h0
 
 
 def _tail_bound(design: DesignPair, alpha: float, delta: float, upper: bool) -> float:
@@ -227,10 +184,9 @@ def _tail_bound(design: DesignPair, alpha: float, delta: float, upper: bool) -> 
 
     By the triangle inequality |h2| + |h1| is at most the sum over the five
     brackets B_ij (all >= 0) of delta^j B_ij, each weighted by the absolute
-    values of its coefficients in h2 and h1, which ``_coeffs_from_brackets``
-    gives at delta = 1 for a unit bracket: (lam^2 + 2 lam) q1,
-    2 (lam^2 + lam) q12, lam^2 q2, 2 lam e1 and 2 lam v2.  With
-    (a, b) = (m1+i, m2+j):
+    values of its coefficients in h2 and h1, which ``_coeffs`` gives for a
+    unit bracket: (lam^2 + 2 lam) q1, 2 (lam^2 + lam) q12, lam^2 q2,
+    2 lam e1 and 2 lam v2.  With (a, b) = (m1+i, m2+j):
 
     - above, B_ij <= Q_{d1}(a, b) <= (1-d1)^b / (b B(a, b)) as a >= 1, and
       1 - d1 <= n2/(c1 n1 delta), so delta^j B_ij is at most
@@ -269,9 +225,10 @@ def _tail_constants(design: DesignPair, upper: bool) -> tuple:
     None of it depends on alpha or delta.
     """
     m1, m2 = design.shapes
+    consts = _quadratic_constants(design)
     out = []
     for i, j in _SHIFTS:
-        h2, h1, _ = _coeffs_from_brackets(design, 1.0, {ij: float(ij == (i, j)) for ij in _SHIFTS})
+        h2, h1, _ = _coeffs(consts, tuple(float(ij == (i, j)) for ij in _SHIFTS))
         a, b = m1 + i, m2 + j
         p, q = (b, -m2) if upper else (a, a + j)
         out.append((abs(h2) + abs(h1), p, q, math.log(p), log_beta(a, b)))
@@ -282,7 +239,8 @@ def coefficients_at_bounds(
     design: DesignPair, delta: float, d1: float, d2: float
 ) -> tuple[float, float, float]:
     """(h2, h1, h0) of the risk quadratic for the acceptance bounds 0 <= d1 <= d2 <= 1."""
-    return _quadratic(design, delta, d1, d2)[:3]
+    consts = _quadratic_constants(design)
+    return _coeffs(consts, _brackets(consts, delta, d1, d2))
 
 
 def risk_k_coefficients(
@@ -290,24 +248,20 @@ def risk_k_coefficients(
 ) -> tuple[float, float, float]:
     """(h2, h1, h0) with risk(delta, k) = h2*k^2 + h1*k + h0."""
     c1, c2 = critical_values(design, alpha)
-    return _quadratic(design, delta, *d_bounds(design, delta, c1, c2))[:3]
+    consts = _quadratic_constants(design)
+    return _coeffs(consts, _brackets(consts, delta, *d_bounds(design, delta, c1, c2)))
 
 
 def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
-    """Vectorized risk_k_coefficients over an array of delta values.
-
-    A 0-d delta gives numpy-scalar bounds, which take the float route, so
-    it returns the bits of ``risk_k_coefficients``.
-    """
+    """Vectorized risk_k_coefficients over an array of delta values."""
     dv = np.asarray(deltas, dtype=float)
     if not np.all((dv > 0.0) & (dv < np.inf)):  # NaN fails both comparisons
         raise ValueError("delta must be positive and finite")
     c1, c2 = critical_values(design, alpha)
     n1, n2 = design.n1, design.n2
-    d1, d2 = _beta_bound(c1, n1, n2, dv), _beta_bound(c2, n1, n2, dv)
-    if dv.ndim == 0:
-        return _quadratic(design, dv, d1, d2)[:3]
-    return _coeffs_from_brackets(design, dv, _brackets(design, d1, d2))
+    consts = _quadratic_constants(design)
+    return _coeffs(consts, _brackets(consts, dv, _beta_bound(c1, n1, n2, dv),
+                                     _beta_bound(c2, n1, n2, dv)))
 
 
 def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> float:
@@ -318,12 +272,8 @@ def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> flo
 
 
 def pt_risk(design: DesignPair, delta: float, alpha: float) -> float:
-    """Weighted-loss risk of the pre-test rule (shrinkage at k = 1).
-
-    h2 + h1 + h0 is ``shrink_risk`` at k = 1 bit for bit, since x*1.0 == x.
-    """
-    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
-    return h2 + h1 + h0
+    """Weighted-loss risk of the pre-test rule (shrinkage at k = 1)."""
+    return shrink_risk(design, delta, alpha, 1.0)
 
 
 def shrink_risk_grid(design: DesignPair, deltas, alpha: float, k: float) -> np.ndarray:
@@ -342,10 +292,13 @@ def shrink_moments(params: RiskParams) -> tuple[float, float]:
     design = params.design
     th1, delta, k = params.theta1, params.delta, params.k
     c1, c2 = critical_values(design, params.alpha)
-    # shift multiplies delta into the bracket first, as the risk does, so a
-    # zero bracket stays 0 even where theta2 = delta*theta1 would overflow
-    h2, h1, h0, shift = _quadratic(design, delta, *d_bounds(design, delta, c1, c2))
-    bias = th1 * (design.shapes[0] / design.n1 - 1.0 + k * design.lam * shift)
+    consts = _quadratic_constants(design)
+    br = _brackets(consts, delta, *d_bounds(design, delta, c1, c2))
+    h2, h1, h0 = _coeffs(consts, br)
+    # br[1] is delta*B01: delta multiplies into the bracket first, as in the
+    # risk, so a zero bracket stays 0 even where theta2 = delta*theta1 would overflow
+    e1, v2 = consts[12:14]
+    bias = th1 * (e1 - 1.0 + k * design.lam * (v2 * br[1] - e1 * br[0]))
     return bias, th1 * th1 * (h2 * k * k + h1 * k + h0)
 
 

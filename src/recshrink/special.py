@@ -176,7 +176,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     front = _front(x, a, b, log_beta(a, b))
-    if float(a).is_integer() and float(b).is_integer():  # as ``_integer_shapes``, inline
+    if _integer_shapes(a, b):
         if x * (a + b - 1.0) < a:
             return _binom_tail(int(a), int(b), front / (a * (1.0 - x)), x / (1.0 - x))
         return 1.0 - _binom_tail(int(b), int(a), front / (b * x), (1.0 - x) / x)

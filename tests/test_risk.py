@@ -18,7 +18,7 @@ from recshrink.risk import (
     RiskParams,
     _beta_bound,
     _brackets,
-    _coeffs_from_brackets,
+    _quadratic_constants,
     boundary_risks,
     coefficients_at_bounds,
     d_bounds,
@@ -116,23 +116,17 @@ class TestBrackets:
     @example(m1=156, m2=138, u=0.52, v=0.54)  # around the mean 156/294
     def test_recurrence_matches_scipy(self, m1, m2, u, v):
         # every shifted-shape bracket comes from one incomplete beta per
-        # bound plus the A&S 26.5.16 shift terms: the array route's brackets
-        # each, and the float route's through the coefficients they make at
-        # delta = 1, within 1e-13 per bracket times each bracket's weight
+        # bound plus the A&S 26.5.16 shift terms, for float bounds and for
+        # arrays of bounds alike; at delta = 1 no bracket is scaled
         x1, x2 = sorted((u, v))
-        design = DesignPair(m1, m2)
-        br = _brackets(design, np.array([x1]), np.array([x2]))
-        ref = {}
-        for i, j in _SHIFTS:
+        consts = _quadratic_constants(DesignPair(m1, m2))
+        scalar = _brackets(consts, 1.0, x1, x2)
+        grid = _brackets(consts, 1.0, np.array([x1]), np.array([x2]))
+        for (i, j), got, got_grid in zip(_SHIFTS, scalar, grid, strict=True):
             a, b = m1 + i, m2 + j
-            ref[(i, j)] = float(sp.betainc(a, b, x2) - sp.betainc(a, b, x1))
-            assert br[(i, j)][0] == pytest.approx(ref[(i, j)], abs=1e-13), (i, j)
-        weight = sum(abs(h2) + abs(h1) for h2, h1, _ in (
-            _coeffs_from_brackets(design, 1.0, {ij: float(ij == unit) for ij in _SHIFTS})
-            for unit in _SHIFTS))
-        h2, h1, _ = coefficients_at_bounds(design, 1.0, x1, x2)
-        r2, r1, _ = _coeffs_from_brackets(design, 1.0, ref)
-        assert abs(h2 - r2) + abs(h1 - r1) <= 1e-13 * weight
+            ref = float(sp.betainc(a, b, x2) - sp.betainc(a, b, x1))
+            assert got == pytest.approx(ref, abs=1e-13), (i, j)
+            assert got_grid[0] == pytest.approx(ref, abs=1e-13), (i, j)
 
 
 class TestDegeneracies:
