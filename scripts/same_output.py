@@ -7,8 +7,9 @@ A and B are checkouts of the repository.  Each command runs as
 ``src`` as PYTHONPATH, so each side runs its own code.  The commands are the
 CLI outputs a change that claims the same bits must leave alone: tables 1-3
 under both variants, table 2 as CSV, table 3 on the {40, 150} grid, one
-alpha* and two K* solves (one of them a fallback at alpha = 1e-30) and a
-seeded Monte Carlo comparison.
+alpha* and two K* solves (one of them a fallback at alpha = 1e-30), a
+seeded Monte Carlo comparison, three risk curves on the grid route, the
+estimator on the example records and the seeded convention validation.
 
 One line per command says whether its stdout, stderr and exit code are
 the same on both sides, and names those that differ.  The exit status is 1
@@ -34,6 +35,10 @@ COMMANDS = (
      "--format", "json"),
     ("optimal-k", "--n1", "5", "--n2", "6", "--alpha", "1e-30"),
     ("simulate", "--n1", "2", "--n2", "2", "--seed", "1", "--format", "json"),
+    ("risk-curve", "--n1", "5", "--n2", "6", "--alpha", "0.16", "--k", "0", "--k", "0.21",
+     "--k", "1", "--format", "json"),
+    ("estimate", "tests/data/example_records.csv", "--k", "0.24", "--format", "json"),
+    ("validate", "--reps", "2000"),
 )
 
 

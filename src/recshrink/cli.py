@@ -193,6 +193,9 @@ def cmd_risk_curve(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.alpha is not None and args.which != 2:
+        raise ValueError(
+            f"--alpha is table 2's fixed level; table {args.which} tunes its own alpha*")
     variant = Variant(args.variant)
     case = (TableCase.ALPHA, TableCase.K_FIXED_ALPHA, TableCase.K_OPTIMAL_ALPHA)[args.which - 1]
     try:  # only an absent --grid means the default; an empty one is an error
@@ -200,7 +203,7 @@ def cmd_tables(args) -> int:
     except ValueError:
         raise ValueError(f"--grid needs comma-separated integers, got {args.grid!r}") from None
     designs = [DesignPair(a, b, variant) for b in grid for a in grid]
-    cells = generate_tables(case, designs, alpha=args.alpha)
+    cells = generate_tables(case, designs, alpha=0.16 if args.alpha is None else args.alpha)
     for cell in cells:
         if cell.fallback:
             print(f"cell ({cell.n1}, {cell.n2}): {cell.fallback} has no equalizer; "
@@ -320,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce a tuning reference table")
     p.add_argument("which", type=int, choices=(1, 2, 3))
-    p.add_argument("--alpha", type=float, default=0.16,
-                   help="fixed level for table 2")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="fixed level for table 2 only (default 0.16)")
     p.add_argument("--grid", default=None,
                    help=f"comma list of record counts (default {','.join(map(str, TABLE_GRID))})")
     p.add_argument("--variant", choices=("known", "locscale"), default="known")

@@ -34,11 +34,12 @@ level costs one grid evaluation.  The golden-section polish with the scalar
 regret runs only at the root, which then takes one Newton step on the
 polished residual, and the polished sups at the corrected root are the
 reported solution.  Each solve, alpha* or K*, holds one search state: its
-window, grid, grid regret, scalar regret, tail bound, and the grid sups
-and polish peaks of every level it has read, so no level is tabulated
-twice.  A K* state also keeps the table of (h2, h1, h0 - rmin) and the
-scalar (h2, h1, h0) of every delta a polish has visited, so its two
-polishes build nothing twice.
+window, grid, grid regret, scalar regret, tail bound, and the grid sups,
+node values, span and argmax nodes of every level it has read, so no
+level is tabulated twice; only the polish looks for peaks, at the two
+levels it reads.  A K* state also keeps the table of (h2, h1, h0 - rmin)
+and the scalar (h2, h1, h0) of every delta a polish has visited, so its
+two polishes build nothing twice.
 
 A level reads only the part of the grid that a closed-form tail bound
 certifies (``risk._tail_bound``), for alpha* and K* alike.  Outside the
@@ -48,12 +49,14 @@ beyond a given one from power-law tails of the five brackets: it falls
 like delta^-m2 above the edge and like delta^(m1+i+j) below it, with no
 incomplete beta.  Each side starts at 1e2 times the edge (the lower one
 also below delta1) and widens a decade at a time, up to the whole grid,
-while the bound at its end node exceeds its largest node value or that node
-is one of the peaks the polish reads.  Every node read is a node of the
-whole grid, so a certified level has the whole grid's sups and peaks and
-the solution its bits.  A K* level reads its nodes off the table built once
-per solve; the bound does not depend on k, so each solve evaluates it once
-per node it is asked at.
+while its argmax sits on its end node or the bound at that node exceeds its
+largest node value.  Once the bound is at or below that value, nothing
+beyond the end can exceed it, so a lesser peak on the end node cannot
+change the side's polished sup.  Every node read is a node of the whole
+grid, so a certified level has the whole grid's sups and the solution its
+bits.  A K* level reads its nodes off the table built once per solve; the
+bound does not depend on k, so each solve evaluates it once per node it is
+asked at.
 
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
@@ -176,9 +179,9 @@ def regret_pt(design: DesignPair, delta: float, alpha: float) -> float:
 
 def _regret_pt(design, delta, alpha, region):
     lo, hi = region
-    r0, r1 = boundary_risks(design, delta)
-    ref = r0 if lo < delta < hi else r1
-    return max(0.0, pt_risk(design, delta, alpha) - ref)
+    h2, h1, h0 = risk_k_coefficients(design, delta, alpha)
+    ref = boundary_risks(design, delta)[0] if lo < delta < hi else h0
+    return max(0.0, h2 + h1 + h0 - ref)
 
 
 def _pt_reference(design, deltas, region):
@@ -218,22 +221,21 @@ def _fixed_grid(edge: float, split: float | None = None):
     return np.concatenate(pieces), tuple(zip([0] + stops[:-1], stops))
 
 
-def _side_scan(deltas, values, segments):
-    """(delta, value, top, peaks) of one side of a table, over its segments.
+def _side_scan(deltas, values, segments, lo, hi):
+    """(delta, value, top, node) of one side of a table, over its segments clipped to [lo, hi).
 
     (delta, value) is the largest segment maximum: each segment's argmax
     lifted to the vertex of the parabola through it and its two neighbours
     in log delta, while an argmax at a segment end stays on its node.
-    ``top`` is the largest node value.  ``peaks`` are the local maxima of
-    the segments whose node lies within _TIE_MARGIN of the winning
-    segment's argmax, as (node, left, right, value): the indices of the
-    node and of its neighbours inside its segment (the node itself at a
-    segment end), and its value.  Values come out as plain floats.
+    ``top`` is the largest node value and ``node`` the index of the winning
+    segment's argmax.  Values come out as plain floats.
     """
-    best, top, segs = None, -math.inf, []
+    best, top = None, -math.inf
     for start, stop in segments:
+        start, stop = max(start, lo), min(stop, hi)
+        if start >= stop:
+            continue
         seg = values[start:stop]
-        segs.append(seg)
         j = int(seg.argmax())
         i = start + j
         delta, value = float(deltas[i]), float(seg[j])
@@ -247,31 +249,7 @@ def _side_scan(deltas, values, segments):
                 value = value - 0.25 * (fm - fp) * p
         if best is None or value > best[2]:
             best = (i, delta, value)
-    floor = float(values[best[0]]) * (1.0 - _TIE_MARGIN)
-    peaks = []
-    for (start, stop), seg in zip(segments, segs):
-        hits = (seg >= floor).nonzero()[0].tolist()
-        if not hits:
-            continue
-        # the local-maximum test reads only the nodes above the floor and their neighbours
-        first, last = max(hits[0] - 1, 0), stop - start - 1
-        near = seg[first:min(hits[-1] + 2, last + 1)].tolist()
-        for j in hits:
-            v = near[j - first]
-            if (j == 0 or v > near[j - 1 - first]) and (j == last or v >= near[j + 1 - first]):
-                i = start + j
-                peaks.append((i, max(i - 1, start), min(i + 1, stop - 1), v))
-    return best[1], best[2], top, peaks
-
-
-@functools.lru_cache(maxsize=1024)
-def _clip(segments, lo: int, hi: int) -> tuple:
-    """The lower side's segments, then the upper side's, clipped to the span [lo, hi).
-
-    Cached: every level of a solve clips the same segments to one of a few spans.
-    """
-    return tuple(tuple((max(a, lo), min(b, hi)) for a, b in part if max(a, lo) < min(b, hi))
-                 for part in (segments[:-1], segments[-1:]))
+    return best[1], best[2], top, best[0]
 
 
 @dataclass
@@ -284,13 +262,13 @@ class _Search:
     polish reads.  ``bound(t, delta, upper)`` bounds the regret at every
     delta' beyond delta (above it if ``upper``), and each side starts at
     _START_SPAN from the edge, the lower one also no higher than delta1.
-    A side widens by a decade, up to the whole grid, while the bound at its
-    end node exceeds its largest node value or that node is one of its
-    polish peaks; the next level starts at the span the last one reached.
-    A side's nodes are thus a run of the whole grid's ending at the edge,
+    A side widens by a decade, up to the whole grid, while its argmax sits
+    on its end node or the bound at that node exceeds its largest node
+    value; the next level starts at the span the last one reached.  A
+    side's nodes are thus a run of the whole grid's ending at the edge,
     read the same at any span.  ``levels`` holds, for every level read so
-    far, its vertex-scan floats and its peaks to polish, as ``_side_scan``
-    gives them, not its grid values, so the scan, Brent's root, the bracket
+    far, its four vertex-scan floats, its node values, its span (lo, hi)
+    and each side's argmax node, so the scan, Brent's root, the bracket
     slope and the polish tabulate each level once.  The state belongs to
     one solve: the next solve starts empty, as a fresh process would.
     """
@@ -317,23 +295,25 @@ class _Search:
         self._stops = stops + [len(deltas)]
 
     def _tabulate(self, t: float):
-        deltas = self.grid[0]
+        deltas, segments = self.grid
         values = np.empty(len(deltas))  # a side's nodes sit at their grid indices
         lo, hi = self._starts[0], self._stops[0]
         nodes = slice(lo, hi)
         while True:
             values[nodes] = self.table(t, nodes)
-            sides = [_side_scan(deltas, values, part) for part in _clip(self.grid[1], lo, hi)]
-            for ends, (_, _, top, peaks), end, upper in ((self._starts, sides[0], lo, False),
-                                                         (self._stops, sides[1], hi - 1, True)):
-                if len(ends) > 1 and (any(p[0] == end for p in peaks)
+            sides = [_side_scan(deltas, values, part, lo, hi)
+                     for part in (segments[:-1], segments[-1:])]
+            for ends, (_, _, top, node), end, upper in ((self._starts, sides[0], lo, False),
+                                                        (self._stops, sides[1], hi - 1, True)):
+                if len(ends) > 1 and (node == end
                                       or self.bound(t, float(deltas[end]), upper) > top):
                     del ends[0]
             if (lo, hi) == (self._starts[0], self._stops[0]):
                 break
             nodes = np.r_[self._starts[0]:lo, hi:self._stops[0]]
             lo, hi = self._starts[0], self._stops[0]
-        self.levels[t] = ((*sides[0][:2], *sides[1][:2]), (sides[0][3], sides[1][3]))
+        self.levels[t] = ((*sides[0][:2], *sides[1][:2]), values, (lo, hi),
+                          (sides[0][3], sides[1][3]))
 
     def grid_sups(self, t: float) -> tuple[float, float, float, float]:
         """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
@@ -344,24 +324,33 @@ class _Search:
     def polished_sups(self, t: float) -> tuple[float, float, float, float]:
         """Golden-section polish of each side's grid maxima with the scalar regret.
 
-        Every peak of the level is polished, since a kinked hump can sit
-        below its true height on the grid; usually that is the argmax
-        alone.  A polish brackets its node by its neighbours, and the node
-        itself wins if the polish finds nothing higher.
+        A side's peaks are the local maxima of its segments, clipped to the
+        level's span, within _TIE_MARGIN of its argmax node; a segment end
+        counts its missing side as lower.  Every peak is polished, since a
+        kinked hump can sit below its true height on the grid; usually that
+        is the argmax alone.  A polish brackets its node by its neighbours
+        inside its segment, and the node itself wins if the polish finds
+        nothing higher.
         """
         self.grid_sups(t)
-        deltas = self.grid[0]
+        _, values, (lo, hi), argmaxes = self.levels[t]
+        deltas, segments = self.grid
         out = []
-        for peaks in self.levels[t][1]:
-            best = None
-            for i, left, right, f0 in peaks:
-                x, fx = golden_section_max(lambda d: self.regret(d, t),
-                                           float(deltas[left]), float(deltas[right]))
-                if f0 > fx:
-                    x, fx = deltas[i], f0
-                if best is None or fx > best[1]:
-                    best = (x, fx)
-            out += [float(best[0]), float(best[1])]
+        for part, node in zip((segments[:-1], segments[-1:]), argmaxes):
+            floor = float(values[node]) * (1.0 - _TIE_MARGIN)
+            found = []  # each peak's polish, then its node
+            for start, stop in part:
+                start, stop = max(start, lo), min(stop, hi)
+                seg = values[start:stop].tolist()
+                for j in (values[start:stop] >= floor).nonzero()[0].tolist():
+                    v, i = seg[j], start + j
+                    if (j == 0 or v > seg[j - 1]) and (j == len(seg) - 1 or v >= seg[j + 1]):
+                        found += [golden_section_max(lambda d: self.regret(d, t),
+                                                     float(deltas[max(i - 1, start)]),
+                                                     float(deltas[min(i + 1, stop - 1)])),
+                                  (deltas[i], v)]
+            # the first of the highest wins: a polish over its node, a peak over a later one
+            out += [float(x) for x in max(found, key=lambda p: p[1])]
         return tuple(out)
 
     def bracket_slope(self, root: float) -> float:
@@ -371,7 +360,7 @@ class _Search:
         the opposite sign (any level if the root's residual is exactly 0),
         so no new level is tabulated.
         """
-        g = {t: s[1] - s[3] for t, (s, _) in self.levels.items()}
+        g = {t: s[1] - s[3] for t, (s, *_) in self.levels.items()}
         others = [t for t in g if t != root]
         far = min(
             [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
@@ -466,7 +455,7 @@ def optimal_alpha(design: DesignPair) -> RegretSolution:
     """Pre-test level equalizing the two regret maxima.
 
     One search state serves every level the solve visits: the scan and
-    Brent read its grid sups, and both polishes its memo of peaks.
+    Brent read its grid sups, and both polishes its memo of node values.
     """
     search = _alpha_search(design)
     return _solve(search, lambda a: sup_regret_pt(design, a, search),

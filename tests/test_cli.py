@@ -305,6 +305,15 @@ class TestTables:
         assert cells[0]["k_star"] == pytest.approx(0.22, abs=0.015)
         assert cells[0]["error"] is None
 
+    @pytest.mark.parametrize("which", ["1", "3"])
+    def test_alpha_outside_table2_rejected(self, capsys, which):
+        # tables 1 and 3 tune alpha*, so a fixed level would be ignored
+        code, out, err = run_cli(capsys, "tables", which, "--grid", "2", "--alpha", "0.05")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --alpha is table 2's fixed level; "
+                       f"table {which} tunes its own alpha*\n")
+
     def test_failed_cell_sets_exit_status(self, capsys):
         # at this level some designs lose the pooling advantage at delta = 1
         code, _, err = run_cli(capsys, "tables", "2", "--alpha", "0.995")

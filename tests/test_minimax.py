@@ -480,6 +480,61 @@ class TestSolve:
         assert full.delta_U == pytest.approx(1.2e2, rel=1e-6)
         assert solve(lambda t, delta, upper: 0.0) == full
 
+    def test_a_peak_on_the_lower_span_end_widens_the_span(self):
+        from recshrink.minimax import _Search, _fixed_grid, _solve
+
+        # the mirror image below the edge: a lower hump just past edge/1e2
+        # is the lower side's argmax on the span's end node, so the side
+        # widens, although the bound certifies everything
+        regret = self._humps(((1 / 1.2e2, lambda t: 0.2 + t), (3.0, lambda t: 1.0 - t)))
+        grid = _fixed_grid(1.0)
+
+        def solve(bound):
+            search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
+                             regret, bound)
+            return _solve(search, search.polished_sups, "hump past the lower span end")
+
+        full = solve(lambda t, delta, upper: np.inf)  # the whole grid
+        assert full.delta_L == pytest.approx(1 / 1.2e2, abs=1e-6)
+        assert solve(lambda t, delta, upper: 0.0) == full
+
+    def test_a_lesser_peak_on_the_span_end_keeps_the_span(self):
+        from recshrink.minimax import _TIE_MARGIN, _Search, _fixed_grid, _solve
+
+        # a third hump at 1.02e2 times the edge, 0.995 times as high as the
+        # upper one: the span's end node at 1e2 is a peak within the polish's
+        # margin, but the honest bound there is below the side's top, so
+        # the side keeps its span and the solve is still the whole grid's
+        humps = ((0.3, lambda t: 0.2 + t), (3.0, lambda t: 1.0 - t),
+                 (1.02e2, lambda t: 0.995 * (1.0 - t)))
+        regret = self._humps(humps)
+        grid = _fixed_grid(1.0)
+        end = 1e2 * (1 + 1e-9)
+
+        def solve(bound):
+            reads, polished = {}, []
+
+            def table(t, nodes):
+                reads.setdefault(t, []).extend(grid[0][nodes].tolist())
+                return regret(grid[0][nodes], t)
+
+            search = _Search((0.1, 1.0), grid, table, regret, bound)
+
+            def sup(t):
+                polished.append(t)
+                return search.polished_sups(t)
+
+            return _solve(search, sup, "lesser peak on the span end"), reads, polished
+
+        full, _, _ = solve(lambda t, delta, upper: np.inf)  # the whole grid
+        sol, reads, polished = solve(self._honest(humps))
+        assert sol == full
+        assert sol.delta_U == pytest.approx(3.0, abs=1e-6)
+        last = grid[0][grid[0] <= end][-1]  # the upper span's end node
+        for t in polished:
+            assert regret(last, t) >= (1 - _TIE_MARGIN) * (1.0 - t)
+            assert max(reads[t]) <= end
+
     def test_certified_lower_side_ends_below_delta1(self):
         from recshrink.minimax import _Search, _fixed_grid
 
