@@ -9,7 +9,9 @@ CLI outputs a change that claims the same bits must leave alone: tables 1-3
 under both variants, table 2 as CSV, table 3 on the {40, 150} grid, one
 alpha* and two K* solves (one of them a fallback at alpha = 1e-30), a
 seeded Monte Carlo comparison, three risk curves on the grid route, the
-estimator on the example records and the seeded convention validation.
+estimator on the example records, the seeded convention validation, and
+two argument errors: table 2 at a level outside (0, 1) and a one-replicate
+Monte Carlo run.
 
 One line per command says whether its stdout, stderr and exit code are
 the same on both sides, and names those that differ.  The exit status is 1
@@ -39,6 +41,9 @@ COMMANDS = (
      "--k", "1", "--format", "json"),
     ("estimate", "tests/data/example_records.csv", "--k", "0.24", "--format", "json"),
     ("validate", "--reps", "2000"),
+    ("tables", "2", "--alpha", "1.5", "--grid", "2,3"),
+    ("simulate", "--n1", "2", "--n2", "2", "--reps", "1", "--theta2-grid", "1",
+     "--format", "json"),
 )
 
 

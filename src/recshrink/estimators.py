@@ -91,6 +91,16 @@ def check_k(k: float) -> None:
         raise ValueError(f"k must lie in [0, 1], got {k}")
 
 
+def check_level(alpha: float) -> None:
+    """Reject a tuning's fixed pre-test level outside (0, 1); NaN fails too.
+
+    The test itself takes alpha = 1, where it always rejects, but a K* at a
+    level that never pools has nothing to tune.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def shrinkage(
     inp: EstimationInput, alpha: float, k: float, target: Target = Target.THETA1
 ) -> tuple[float, TestDecision]:

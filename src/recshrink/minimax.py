@@ -24,17 +24,19 @@ Each side's supremum is searched on one fixed log grid in delta, 200 nodes
 a decade: the lower side spans [delta2/1e4, delta2], the upper side
 (delta2, 1e4*delta2].  For alpha the lower side is cut at delta1, where the
 regret jumps up as its reference switches from 1/n1 to r0; the node
-delta1*(1 + 1e-9) carries the right-hand limit.  A side's grid sup is its
-argmax lifted to the vertex of the parabola in log delta, never taken
-across a cut.  The 15-level scan, which stops at the first pair of levels
-where reg_L - reg_U changes sign, and Brent's root in that pair run on
-these grid sups.  For K* they are array arithmetic on one table of
+delta1*(1 + 1e-9) carries the right-hand limit.  A side's height on the
+grid is its argmax's value lifted to the vertex of the parabola in log
+delta, never taken across a cut.  The 15-level scan, which stops at the
+first pair of levels where reg_L - reg_U changes sign, Brent's root in that
+pair, the Newton step's slope and the golden fallback read only these two
+heights, reg_L and reg_U.  For K* they are array arithmetic on one table of
 (h2, h1, h0 - rmin), since no coefficient depends on k; for alpha* each
 level costs one grid evaluation.  The golden-section polish with the scalar
 regret runs only at the root, which then takes one Newton step on the
 polished residual, and the polished sups at the corrected root are the
-reported solution.  Each solve, alpha* or K*, holds one search state: its
-window, grid, grid regret, scalar regret, tail bound, and the grid sups,
+reported solution: the peak positions delta_L and delta_U come from the
+polish alone.  Each solve, alpha* or K*, holds one search state: its
+window, grid, grid regret, scalar regret, tail bound, and the two heights,
 node values, span and argmax nodes of every level it has read, so no
 level is tabulated twice; only the polish looks for peaks, at the two
 levels it reads.  A K* state also keeps the table of (h2, h1, h0 - rmin)
@@ -70,7 +72,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimators import check_k
+from .estimators import check_k, check_level
 from .optim import brent_root, golden_section_max
 from .records import DesignPair
 from .risk import (
@@ -221,13 +223,14 @@ def _fixed_grid(edge: float, split: float | None = None):
     return np.concatenate(pieces), tuple(zip([0] + stops[:-1], stops))
 
 
-def _side_scan(deltas, values, segments, lo, hi):
-    """(delta, value, top, node) of one side of a table, over its segments clipped to [lo, hi).
+def _side_scan(values, segments, lo, hi):
+    """(height, top, node) of one side of a table, over its segments clipped to [lo, hi).
 
-    (delta, value) is the largest segment maximum: each segment's argmax
-    lifted to the vertex of the parabola through it and its two neighbours
-    in log delta, while an argmax at a segment end stays on its node.
-    ``top`` is the largest node value and ``node`` the index of the winning
+    ``height`` is the side's height on the grid, the largest segment
+    maximum: each segment's argmax lifted to the vertex of the parabola
+    through it and its two neighbours in log delta, whose nodes are evenly
+    spaced, while an argmax at a segment end keeps its node value.  ``top``
+    is the largest node value and ``node`` the index of the winning
     segment's argmax.  Values come out as plain floats.
     """
     best, top = None, -math.inf
@@ -237,19 +240,16 @@ def _side_scan(deltas, values, segments, lo, hi):
             continue
         seg = values[start:stop]
         j = int(seg.argmax())
-        i = start + j
-        delta, value = float(deltas[i]), float(seg[j])
+        value = float(seg[j])
         top = max(top, value)
         if 0 < j < stop - start - 1:
             fm, _, fp = seg[j - 1:j + 2].tolist()
             curv = fm - 2.0 * value + fp
             if curv < 0.0:
-                p = 0.5 * (fm - fp) / curv
-                delta = delta * (float(deltas[i + 1]) / delta) ** p
-                value = value - 0.25 * (fm - fp) * p
-        if best is None or value > best[2]:
-            best = (i, delta, value)
-    return best[1], best[2], top, best[0]
+                value -= 0.25 * (fm - fp) * (0.5 * (fm - fp) / curv)
+        if best is None or value > best[0]:
+            best = (value, start + j)
+    return best[0], top, best[1]
 
 
 @dataclass
@@ -267,7 +267,7 @@ class _Search:
     value; the next level starts at the span the last one reached.  A
     side's nodes are thus a run of the whole grid's ending at the edge,
     read the same at any span.  ``levels`` holds, for every level read so
-    far, its four vertex-scan floats, its node values, its span (lo, hi)
+    far, its two heights (reg_L, reg_U), its node values, its span (lo, hi)
     and each side's argmax node, so the scan, Brent's root, the bracket
     slope and the polish tabulate each level once.  The state belongs to
     one solve: the next solve starts empty, as a fresh process would.
@@ -294,17 +294,19 @@ class _Search:
         self._starts = [i for i in starts if deltas[i] <= cut] + [0]
         self._stops = stops + [len(deltas)]
 
-    def _tabulate(self, t: float):
+    def grid_sups(self, t: float) -> tuple[float, float]:
+        """(reg_L, reg_U): each side's height on the grid at level t, tabulated once."""
+        if t in self.levels:
+            return self.levels[t][0]
         deltas, segments = self.grid
         values = np.empty(len(deltas))  # a side's nodes sit at their grid indices
         lo, hi = self._starts[0], self._stops[0]
         nodes = slice(lo, hi)
         while True:
             values[nodes] = self.table(t, nodes)
-            sides = [_side_scan(deltas, values, part, lo, hi)
-                     for part in (segments[:-1], segments[-1:])]
-            for ends, (_, _, top, node), end, upper in ((self._starts, sides[0], lo, False),
-                                                        (self._stops, sides[1], hi - 1, True)):
+            sides = [_side_scan(values, part, lo, hi) for part in (segments[:-1], segments[-1:])]
+            for ends, (_, top, node), end, upper in ((self._starts, sides[0], lo, False),
+                                                     (self._stops, sides[1], hi - 1, True)):
                 if len(ends) > 1 and (node == end
                                       or self.bound(t, float(deltas[end]), upper) > top):
                     del ends[0]
@@ -312,14 +314,9 @@ class _Search:
                 break
             nodes = np.r_[self._starts[0]:lo, hi:self._stops[0]]
             lo, hi = self._starts[0], self._stops[0]
-        self.levels[t] = ((*sides[0][:2], *sides[1][:2]), values, (lo, hi),
-                          (sides[0][3], sides[1][3]))
-
-    def grid_sups(self, t: float) -> tuple[float, float, float, float]:
-        """(delta_L, reg_L, delta_U, reg_U) read off the grid by the vertex scan."""
-        if t not in self.levels:
-            self._tabulate(t)
-        return self.levels[t][0]
+        heights, _, argmaxes = zip(*sides)
+        self.levels[t] = (heights, values, (lo, hi), argmaxes)
+        return heights
 
     def polished_sups(self, t: float) -> tuple[float, float, float, float]:
         """Golden-section polish of each side's grid maxima with the scalar regret.
@@ -360,7 +357,7 @@ class _Search:
         the opposite sign (any level if the root's residual is exactly 0),
         so no new level is tabulated.
         """
-        g = {t: s[1] - s[3] for t, (s, *_) in self.levels.items()}
+        g = {t: reg_lo - reg_hi for t, ((reg_lo, reg_hi), *_) in self.levels.items()}
         others = [t for t in g if t != root]
         far = min(
             [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
@@ -404,11 +401,13 @@ def sup_regret_pt(
 def _equalize(sups):
     """Root of reg_L - reg_U in the first scan interval where it changes sign.
 
-    The scan stops at that interval; golden fallback without one.
+    ``sups(t)`` is the pair of heights (reg_L, reg_U) at level t.  The scan
+    stops at that interval; without one, the golden fallback minimizes the
+    larger height.
     """
 
     def g(t):
-        _, r_lo, _, r_hi = sups(t)
+        r_lo, r_hi = sups(t)
         return r_lo - r_hi
 
     for t0, t1 in zip(_SCAN, _SCAN[1:]):
@@ -417,18 +416,14 @@ def _equalize(sups):
         if min(g0, g1) <= 0.0 <= max(g0, g1):
             return brent_root(g, t0, t1, xtol=_ROOT_XTOL), False
 
-    def worst(t):
-        _, r_lo, _, r_hi = sups(t)
-        return -max(r_lo, r_hi)
-
-    t, _ = golden_section_max(worst, *_DOMAIN)
+    t, _ = golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)
     return t, True
 
 
 def _solve(search: _Search, sup, what: str) -> RegretSolution:
     """Equalized solution over the search's window, in plain floats.
 
-    The scan and Brent's root run on the search's grid sups.  The root then
+    The scan and Brent's root run on the search's two heights.  The root then
     gets one Newton step: the residual of the polished sups ``sup`` over
     the slope of the grid residual across Brent's last bracket.  The polish
     runs only there and at the corrected root, whose polished sups are the
@@ -455,7 +450,7 @@ def optimal_alpha(design: DesignPair) -> RegretSolution:
     """Pre-test level equalizing the two regret maxima.
 
     One search state serves every level the solve visits: the scan and
-    Brent read its grid sups, and both polishes its memo of node values.
+    Brent read its two heights, and both polishes its memo of node values.
     """
     search = _alpha_search(design)
     return _solve(search, lambda a: sup_regret_pt(design, a, search),
@@ -525,7 +520,11 @@ def _regret_shrink_table(terms, k):
 def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
     """(lo, hi) where the pre-test risk crosses the MLE risk 1/n1.
 
-    lo is 0.0 when the risk never rises above 1/n1 below the dip.
+    hi is bracketed by doubling delta from 2.  Below the dip only
+    delta = 2^-j for j = 1..29 are sampled, and lo is the root below the
+    first of them, the largest, whose risk is above 1/n1; lo is 0.0 when
+    none is, although the risk could still rise above 1/n1 between those
+    points or below 2^-29.
     """
     r1 = 1.0 / design.n1
 
@@ -601,11 +600,10 @@ def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
     """Shrinkage weight equalizing the two regret maxima at a fixed level alpha.
 
     One search state serves every k the solve visits: the scan and Brent
-    read its grid sups, and both polishes its table and memo of scalar
+    read its two heights, and both polishes its table and memo of scalar
     coefficients.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_level(alpha)
     search = _shrink_search(design, alpha)
     return _solve(search, lambda k: sup_regret_shrink(design, alpha, k, search),
                   f"K* at {_design_label(design)}, alpha={alpha}")
@@ -621,8 +619,12 @@ def generate_tables(case: TableCase, designs, alpha: float = 0.16) -> list[Table
     ``fallback`` names each solve that found no equalizer: "alpha*",
     "K* at alpha=<alpha>" or, in the chained case, "K*(alpha*)".  A failed
     cell carries its error message and empty values; the rest of the table
-    is unaffected.
+    is unaffected.  Table 2's level ``alpha`` is checked once, before any
+    cell, and raises ValueError; the other cases tune their own alpha* and
+    ignore it.
     """
+    if case is TableCase.K_FIXED_ALPHA:
+        check_level(alpha)
     cells = []
     for design in designs:
         try:

@@ -37,6 +37,12 @@ STUDY_REPLICATES = 100_000
 VALIDATION_REPLICATES = 200_000
 
 
+def _check_replicates(replicates: int) -> None:
+    """Reject fewer than two replicates, which leave every standard error undefined."""
+    if replicates < 2:
+        raise ValueError(f"need at least two replicates for a standard error, got {replicates}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One estimator-comparison run over a grid of theta2 values."""
@@ -57,8 +63,7 @@ class SimConfig:
             raise ValueError("theta2 values must be positive and finite")
         # the closed forms' own alpha, k and theta1 checks
         RiskParams(self.design, 1.0, self.alpha, self.k, self.theta1)
-        if self.replicates < 1:
-            raise ValueError(f"need at least one replicate, got {self.replicates}")
+        _check_replicates(self.replicates)
 
 
 @dataclass(frozen=True)
@@ -166,8 +171,6 @@ def _var(x: np.ndarray, mean, scratch: np.ndarray):
 
 def _mean_se(x: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
     m = x.mean()
-    if x.size < 2:
-        return float(m), math.nan
     return float(m), float(np.sqrt(_var(x, m, scratch)) / math.sqrt(x.size))
 
 
@@ -182,8 +185,6 @@ def _ratio_se(num: np.ndarray, den: np.ndarray, m1: float, m2: float,
     caller has the two means already.  The residuals go to ``scratch``.
     """
     reps = num.size
-    if reps < 2:
-        return math.nan
     resid = np.multiply(den, m1 / m2, out=scratch)
     np.subtract(num, resid, out=resid)
     return math.sqrt(_var(resid, resid.mean(), resid) / reps) / abs(m2)
@@ -303,8 +304,7 @@ def mc_oracle_risk(
     values and the argument checks, which is what makes it an oracle for them.
     """
     RiskParams(design, delta, alpha, k)   # the closed forms' own argument checks
-    if replicates < 2:
-        raise ValueError("need at least two replicates for a standard error")
+    _check_replicates(replicates)
     m1, m2 = design.shapes
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t1 = rng.standard_gamma(m1, replicates) / design.n1          # theta1 = 1

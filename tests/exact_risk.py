@@ -1,0 +1,84 @@
+"""The exact risk quadratic, in integer and rational arithmetic: a test reference.
+
+Standard library only.  At integer shapes the regularized incomplete beta is
+a binomial tail (Abramowitz & Stegun 26.5),
+
+    I_x(a, b) = P(Bin(a + b - 1, x) >= a),
+
+a polynomial in x with integer coefficients.  The critical values c1, c2
+and delta are taken as the exact rationals of the doubles passed in, so the
+acceptance bounds d_j = c_j n1 delta / (c_j n1 delta + n2), with
+1 - d_j = n2 / (c_j n1 delta + n2) formed as its own fraction, the five
+brackets I_{d2} - I_{d1} at the shifted shapes, and the coefficients
+(h2, h1, h0) of the risk h2 k^2 + h1 k + h0 are exact rationals.  A float
+risk compared against them is therefore checked on every rounding after
+the F quantile; the quantile itself keeps its scipy check.
+
+The coefficients come from the truncated pivot moments.  With G_i the gamma
+pivots of shapes m_i and A the acceptance event {d1 < G1/(G1 + G2) < d2},
+E[G1^i G2^j 1_A] = (m1)_i (m2)_j (I_{d2} - I_{d1})(m1 + i, m2 + j), where
+(m)_i is the rising factorial, and the shrinkage estimate is
+theta1 (G1/n1 + k lam 1_A (delta G2/n2 - G1/n1)) with lam = n2/(n1 + n2).
+"""
+
+import math
+from fractions import Fraction
+
+
+def _bound(c: float, n1: int, n2: int, delta: float) -> tuple[int, int]:
+    """(p, q): the bound d = p/q, with 1 - d = (q - p)/q; an infinite c gives d = 1."""
+    if c == math.inf:
+        return 1, 1
+    t = Fraction(c) * n1 * Fraction(delta)
+    return t.numerator, t.numerator + n2 * t.denominator
+
+
+def _tail_sum(p: int, q: int, a: int, b: int) -> int:
+    """q^n I_{p/q}(a, b), n = a + b - 1, for integers a, b >= 1: the binomial sum over k >= a.
+
+    The sum is p^a times sum_j C(n, a + j) p^j r^(b - 1 - j), r = q - p,
+    whose inner sum is taken by Horner's rule in p.
+    """
+    n, r = a + b - 1, q - p
+    inner, r_power = 0, 1
+    for k in range(n, a - 1, -1):  # inner = sum over j >= k - a, times r^(n - k)
+        inner = inner * p + math.comb(n, k) * r_power
+        r_power *= r
+    return p**a * inner
+
+
+def exact_coefficients(n1: int, n2: int, known: bool, c1: float, c2: float,
+                       delta: float) -> tuple[Fraction, Fraction, Fraction]:
+    """(h2, h1, h0) of the weighted-loss shrinkage risk, exactly, at these c1, c2 and delta.
+
+    ``known`` is a known location (shapes m_i = n_i) rather than a
+    location-scale model (m_i = n_i - 1).  Every bracket is carried as an
+    integer times one common denominator, so the only gcds of big numbers
+    are the three of the results.
+    """
+    m1, m2 = (n1, n2) if known else (n1 - 1, n2 - 1)
+    (p1, q1), (p2, q2) = _bound(c1, n1, n2, delta), _bound(c2, n1, n2, delta)
+    top = m1 + m2 + 1  # the largest n = a + b - 1 of the five shifted shapes
+    q1_top, q2_top = q1**top, q2**top
+    scale = q1_top * q2_top
+
+    def moment(i, j):
+        """scale * E[G1^i G2^j 1_A] / (n1^i n2^j): a bracket times rising factorials."""
+        a, b = m1 + i, m2 + j
+        extra = top - (a + b - 1)
+        bracket = (_tail_sum(p2, q2, a, b) * q2**extra * q1_top
+                   - _tail_sum(p1, q1, a, b) * q1**extra * q2_top)
+        rising = math.prod(range(m1, a)) * math.prod(range(m2, b))
+        return Fraction(bracket * rising, n1**i * n2**j)
+
+    e = {ij: moment(*ij) for ij in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))}
+    d = Fraction(delta)
+    lam = Fraction(n2, n1 + n2)
+    # the estimate over theta1 is X + k lam 1_A Y with X = G1/n1, Y = delta G2/n2 - G1/n1;
+    # each of these is scale times the expectation named
+    xy = d * e[1, 1] - e[2, 0]                              # E[X Y 1_A]
+    yy = d * d * e[0, 2] - 2 * d * e[1, 1] + e[2, 0]        # E[Y^2 1_A]
+    y = d * e[0, 1] - e[1, 0]                               # E[Y 1_A]
+    h0 = Fraction(m1 * (m1 + 1), n1 * n1) - Fraction(2 * m1, n1) + 1   # E[(X - 1)^2]
+    return lam * lam * yy / scale, 2 * lam * (xy - y) / scale, h0
+

@@ -314,6 +314,16 @@ class TestTables:
         assert err == (f"error: --alpha is table 2's fixed level; "
                        f"table {which} tunes its own alpha*\n")
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "1.0"])
+    def test_table2_level_checked_once(self, capsys, alpha):
+        # the rule optimal-k applies, once before the cells: one error line, no table
+        code, out, err = run_cli(capsys, "tables", "2", "--alpha", alpha, "--grid", "2,3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+        assert run_cli(capsys, "optimal-k", "--n1", "2", "--n2", "2", "--alpha", alpha) == (
+            2, "", err)
+
     def test_failed_cell_sets_exit_status(self, capsys):
         # at this level some designs lose the pooling advantage at delta = 1
         code, _, err = run_cli(capsys, "tables", "2", "--alpha", "0.995")
@@ -396,6 +406,15 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("reps", ["1", "0"])
+    def test_fewer_than_two_replicates_rejected(self, capsys, reps):
+        # no standard error from one replicate, so no NaN in the JSON either
+        code, out, err = run_cli(capsys, *self.ARGS, "--reps", reps, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: need at least two replicates for a standard error, "
+                       f"got {reps}\n")
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "json")

@@ -329,7 +329,7 @@ class TestEqualize:
         from recshrink.minimax import _equalize
 
         # reg_L rises, reg_U falls; root of their difference at t = 0.55
-        sups = lambda t: (1.0, t, 2.0, 1.1 - t)
+        sups = lambda t: (t, 1.1 - t)
         root, fallback = _equalize(sups)
         assert not fallback
         assert root == pytest.approx(0.55, abs=1e-6)
@@ -341,7 +341,7 @@ class TestEqualize:
 
         # residual sign*(t - t_node): exactly 0 at that node of the scan
         t0 = float(_SCAN[node])
-        root, fallback = _equalize(lambda t: (1.0, sign * t, 2.0, sign * t0))
+        root, fallback = _equalize(lambda t: (sign * t, sign * t0))
         assert not fallback
         assert root == t0
 
@@ -354,7 +354,7 @@ class TestEqualize:
 
         def sups(t):
             seen.append(t)
-            return (1.0, t, 2.0, 0.1)
+            return (t, 0.1)
 
         root, fallback = _equalize(sups)
         assert not fallback
@@ -365,7 +365,7 @@ class TestEqualize:
         from recshrink.minimax import _equalize
 
         # both maxima rise together: no sign change, minimize the worse one
-        sups = lambda t: (1.0, 1.0 + (t - 0.3) ** 2, 2.0, 0.5 + (t - 0.3) ** 2)
+        sups = lambda t: (1.0 + (t - 0.3) ** 2, 0.5 + (t - 0.3) ** 2)
         root, fallback = _equalize(sups)
         assert fallback
         assert root == pytest.approx(0.3, abs=1e-4)

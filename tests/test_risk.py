@@ -33,6 +33,8 @@ from recshrink.risk import (
 )
 from recshrink.sim import _linear_bounds, mc_oracle_risk
 
+from exact_risk import exact_coefficients
+
 D56 = DesignPair(5, 6)
 
 # frozen F_{(10,12)} quantiles at 0.08 / 0.92
@@ -346,6 +348,56 @@ def test_risk_is_exact_at_every_delta():
                 if not err <= 1e-13:  # a NaN risk misses too
                     misses.append((err, design, delta, k))
     assert not misses, (len(misses), misses[:3])
+
+
+def test_exact_and_scipy_references_agree():
+    # the gate's grid: the integer-arithmetic reference against mirrored scipy brackets
+    misses = []
+    for (n1, n2), variant in itertools.product(((2, 2), (7, 2), (5, 6), (150, 40)), Variant):
+        design = DesignPair(n1, n2, variant)
+        c1, c2 = critical_values(design, 0.16)
+        for delta in np.geomspace(1.0, 1e16, 33).tolist():
+            h2, h1, h0 = exact_coefficients(n1, n2, variant is Variant.KNOWN_LOCATION,
+                                            c1, c2, delta)
+            for k in (1.0, 0.5):
+                exact = h2 * Fraction(k) ** 2 + h1 * Fraction(k) + h0
+                err = float(abs(Fraction(_mirrored_risk(design, delta, 0.16, k)) - exact))
+                if not err <= 1e-13:
+                    misses.append((err, design, delta, k))
+    assert not misses, (len(misses), misses[:3])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: brackets lose all precision at large delta")
+@settings(max_examples=100, deadline=None)
+@given(
+    n1=st.integers(2, 40),
+    n2=st.integers(2, 40),
+    variant=st.sampled_from(list(Variant)),
+    log10_delta=st.floats(-6.0, 16.0),
+    alpha=st.sampled_from((0.01, 0.16, 0.5)),
+    k=st.floats(0.0, 1.0),
+)
+# pt_risk returns -24.9 here for a risk of 0.5 (ROADMAP item 1)
+@example(n1=2, n2=2, variant=Variant.KNOWN_LOCATION, log10_delta=10.0, alpha=0.16, k=1.0)
+def test_risk_matches_the_exact_reference(n1, n2, variant, log10_delta, alpha, k):
+    # pt_risk, shrink_risk and the coefficient grid at 1e-13 absolute, at
+    # every delta from 1e-6 to 1e16; and h2, a second moment, is never
+    # negative in floats where it is positive exactly
+    design, delta = DesignPair(n1, n2, variant), 10.0**log10_delta
+    c1, c2 = critical_values(design, alpha)
+    h2, h1, h0 = exact_coefficients(n1, n2, variant is Variant.KNOWN_LOCATION, c1, c2, delta)
+
+    def miss(got, want):
+        return float(abs(Fraction(float(got)) - want))
+
+    assert miss(pt_risk(design, delta, alpha), h2 + h1 + h0) <= 1e-13
+    assert miss(shrink_risk(design, delta, alpha, k),
+                h2 * Fraction(k) ** 2 + h1 * Fraction(k) + h0) <= 1e-13
+    g2, g1, g0 = risk_k_coefficients_grid(design, np.array([delta]), alpha)
+    assert all(miss(got, want) <= 1e-13 for got, want in zip((g2[0], g1[0], g0), (h2, h1, h0)))
+    if h2 > 0:
+        assert risk_k_coefficients(design, delta, alpha)[0] >= 0.0 and g2[0] >= 0.0
 
 
 def _weighted_brackets(design, delta, alpha, upper):

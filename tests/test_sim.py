@@ -59,6 +59,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _config(theta1=-1.0)
 
+    @pytest.mark.parametrize("replicates", [1, 0])
+    def test_fewer_than_two_replicates_rejected(self, replicates):
+        # one rule for both simulators: a standard error needs two replicates
+        message = f"need at least two replicates for a standard error, got {replicates}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _config(replicates=replicates)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_oracle_risk(D22, 1.0, 0.16, 1.0, replicates, seed=0)
+
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(k=1.5), dict(theta1=-1.0),
         dict(alpha=1.5, k=-0.5, theta1=math.nan),     # alpha is checked first, theta1 last
@@ -166,11 +175,11 @@ class TestMcCompare:
 
     @pytest.mark.parametrize("theta1", [1e-150, 1e-30, 1e30, 1e150])
     def test_wide_scales_give_finite_statistics(self, theta1):
-        # one replicate: only the standard errors are NaN, as documented
-        for reps in (1, 100):
+        # two replicates, the fewest a standard error takes, and a hundred
+        for reps in (2, 100):
             row = mc_compare(_config(theta1=theta1, replicates=reps)).rows[0]
             for name, value in vars(row).items():
-                assert math.isfinite(value) or (reps == 1 and name.startswith("se_")), name
+                assert math.isfinite(value), name
 
     @pytest.mark.parametrize("theta1", [2.0**300, 2.0**-300], ids=["2**300", "2**-300"])
     @pytest.mark.parametrize("variant", list(Variant))
@@ -294,9 +303,6 @@ class TestRatioSe:
         num, den = (t1 - 1.0) ** 2, (shrunk - 1.0) ** 2
         got = _ratio_se(num, den, float(num.mean()), float(den.mean()), np.empty(reps))
         assert got == pytest.approx(_cov_ratio_se(num, den), rel=1e-10)
-
-    def test_one_replicate_gives_nan(self):
-        assert math.isnan(_ratio_se(np.array([0.3]), np.array([0.7]), 0.3, 0.7, np.empty(1)))
 
 
 class TestMcOracleRisk:
