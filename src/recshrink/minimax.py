@@ -125,7 +125,10 @@ class RegretSolution:
             raise SearchError(f"window edges out of order: {self}")
         if not (self.delta_L <= self.delta2 <= self.delta_U):
             raise SearchError(f"regret maxima fall outside their regions: {self}")
-        if not self.fallback and abs(self.regret_at_L - self.regret_at_U) > 1e-4:
+        # relative to the regret level, which falls like 1/n, and never looser
+        # than the absolute 1e-4 for levels above 1
+        tol = 1e-4 * min(1.0, max(self.regret_at_L, self.regret_at_U))
+        if not self.fallback and abs(self.regret_at_L - self.regret_at_U) > tol:
             raise SearchError(f"regret maxima not equalized: {self}")
 
 

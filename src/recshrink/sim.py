@@ -3,14 +3,16 @@
 Everything is reproducible from a single root seed.  ``mc_compare`` spawns
 one child stream per theta2 cell (``numpy.random.SeedSequence.spawn``), and
 a cell's numbers depend only on its own child stream, so the order in which
-cells are computed changes no number.  Each ``mc_compare`` call owns one
-workspace of reps-length arrays that its cells reuse in turn, so the cells
-of one call run one after another.  Within a cell the draws happen in one
-fixed batch order, and each replicate's gaps are summed in record order, as
-the scalar record route sums them.  A cell is simulated in units of theta1
-and its bias and MSE are scaled back at the end.  Every statistic, the
-efficiency SEs included, comes from elementwise numpy arithmetic and sums,
-not from a BLAS kernel that may differ between CPUs.
+cells are computed changes no number.  ``mc_compare`` therefore runs its
+cells on one worker thread per usable CPU, at most one per cell, the calling
+thread among them; numpy releases the interpreter lock while it draws and
+while its loops run, so the cells overlap.  Each worker owns one workspace of
+reps-length arrays that its cells reuse in turn.  Within a cell the draws
+happen in one fixed batch order, and each replicate's gaps are summed in
+record order, as the scalar record route sums them.  A cell is simulated in
+units of theta1 and its bias and MSE are scaled back at the end.  Every
+statistic, the efficiency SEs included, comes from elementwise numpy
+arithmetic and sums, not from a BLAS kernel that may differ between CPUs.
 ``mc_oracle_risk`` simulates the estimators straight from their chi-square
 pivot representations and is the independent check on every closed form in
 ``risk``.  ``convention_validation`` holds that check against the ratio
@@ -20,6 +22,8 @@ print, which is defined here and nowhere else.
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -191,17 +195,27 @@ def _ratio_se(num: np.ndarray, den: np.ndarray, m1: float, m2: float,
 
 
 class _Workspace:
-    """The arrays of one ``mc_compare`` call, allocated once and reused by every cell.
+    """One worker's arrays, reused by every cell the worker runs.
 
-    Nine reps-length float arrays, two reps-length masks and one draw block:
-    the same memory whatever the design, so no cell maps fresh pages.
+    Four reps-length float arrays, two block-length masks and one draw
+    block: the same memory whatever the design, so no cell maps fresh pages.
+    ``split`` makes all workers' workspaces from one allocation per kind, on
+    the calling thread.  Workspaces allocated one by one, or on the workers,
+    keep glibc's dynamic mmap threshold low, and every call then maps and
+    faults in fresh pages.
     """
 
-    def __init__(self, reps: int):
-        (self.t1, self.t2, self.scratch, self.pool, self.pt, self.sh, self.err,
-         self.sq_mle, self.sq) = np.empty((9, reps))
-        self.accepted, self.mask = np.empty((2, reps), dtype=bool)
-        self.block = np.empty(_BLOCK)
+    def __init__(self, floats: np.ndarray, masks: np.ndarray, block: np.ndarray):
+        self.t1, self.t2, self.sh, self.sq_mle = floats
+        self.accepted, self.mask = masks
+        self.block = block
+
+    @classmethod
+    def split(cls, workers: int, reps: int) -> list["_Workspace"]:
+        floats = np.empty((workers, 4, reps))
+        masks = np.empty((workers, 2, _BLOCK), dtype=bool)
+        blocks = np.empty((workers, _BLOCK))
+        return [cls(*arrays) for arrays in zip(floats, masks, blocks)]
 
 
 @np.errstate(all="raise")
@@ -215,40 +229,46 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
     ratios and need no scaling.  Leaving double precision anywhere, in
     delta, the draws or the scaled values, raises FloatingPointError.  theta1
     is a numpy scalar so that delta and each scaling are too: Python floats
-    overflow and underflow without a signal, which ``np.errstate`` cannot see.
-    Every reps-length value is written into ``ws``, elementwise as if each
-    expression had its own array.
+    overflow and underflow without a signal, which ``np.errstate`` (a
+    per-thread setting) cannot see.  Every reps-length value is written into
+    ``ws``, elementwise as if each expression had its own array: the test
+    and the two rules run a block at a time through the draw block, the pool
+    and then the pre-test rule overwrite t2, and each rule's error and
+    squared error overwrite arrays no later step reads.
     """
     design = config.design
+    n1, n2, k = design.n1, design.n2, config.k
     theta1 = np.float64(config.theta1)
     delta = theta2 / theta1
     rng = np.random.default_rng(child)
-    reps, variant, scratch = config.replicates, design.variant, ws.scratch
-    t1 = _mle_batch(rng, design.n1, 1.0, reps, variant, ws.t1, ws.block)
-    t2 = _mle_batch(rng, design.n2, delta, reps, variant, ws.t2, ws.block)
-    ratio = np.divide(t1, t2, out=scratch)
-    accepted = np.greater(ratio, c1, out=ws.accepted)
-    accepted &= np.less(ratio, c2, out=ws.mask)
-    # (n1*t1 + n2*t2) / (n1 + n2)
-    pool = np.multiply(t1, design.n1, out=ws.pool)
-    pool += np.multiply(t2, design.n2, out=scratch)
-    pool /= design.n1 + design.n2
-    pt, sh = ws.pt, ws.sh
-    np.copyto(pt, t1)
-    np.copyto(pt, pool, where=accepted)
-    # k*pool + (1 - k)*t1 on every replicate, not only the accepted ones, so
-    # an underflow raises wherever the whole-array expression raised
-    blend = np.multiply(pool, config.k, out=scratch)
-    blend += np.multiply(t1, 1.0 - config.k, out=sh)
-    np.copyto(sh, t1)
-    np.copyto(sh, blend, where=accepted)
+    reps, variant = config.replicates, design.variant
+    t1 = _mle_batch(rng, n1, 1.0, reps, variant, ws.t1, ws.block)
+    t2 = _mle_batch(rng, n2, delta, reps, variant, ws.t2, ws.block)
+    for start in range(0, reps, _BLOCK):
+        b1, b2, sh = (x[start:start + _BLOCK] for x in (t1, t2, ws.sh))
+        tmp, accepted, mask = (x[:b1.size] for x in (ws.block, ws.accepted, ws.mask))
+        ratio = np.divide(b1, b2, out=tmp)
+        np.greater(ratio, c1, out=accepted)
+        accepted &= np.less(ratio, c2, out=mask)
+        # (n1*t1 + n2*t2) / (n1 + n2), in t2's place
+        pool = np.multiply(b2, n2, out=b2)
+        np.add(np.multiply(b1, n1, out=tmp), pool, out=pool)
+        pool /= n1 + n2
+        # k*pool + (1 - k)*t1 on every replicate, not only the accepted ones, so
+        # an underflow raises wherever the whole-array expression raised
+        blend = np.multiply(pool, k, out=tmp)
+        blend += np.multiply(b1, 1.0 - k, out=sh)
+        np.copyto(sh, b1)
+        np.copyto(sh, blend, where=accepted)
+        # the pre-test rule, in the pool's place
+        np.copyto(pool, b1, where=np.logical_not(accepted, out=mask))
 
     stats = {}
-    for rule, est, sq in (("mle", t1, ws.sq_mle), ("pt", pt, ws.sq), ("s", sh, ws.sq)):
-        err = np.subtract(est, 1.0, out=ws.err)
+    for rule, err, sq in (("mle", t1, ws.sq_mle), ("pt", t2, t1), ("s", ws.sh, t1)):
+        np.subtract(err, 1.0, out=err)
         np.square(err, out=sq)
-        bias, se_bias = _mean_se(err, scratch)
-        mse, se_mse = _mean_se(sq, scratch)
+        bias, se_bias = _mean_se(err, err)
+        mse, se_mse = _mean_se(sq, err)
         stats[f"bias_{rule}"] = bias * theta1
         stats[f"se_bias_{rule}"] = se_bias * theta1
         stats[f"mse_{rule}"] = mse * theta1 * theta1
@@ -257,34 +277,66 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
             mse_mle = mse
         else:
             stats[f"eff_{rule}"] = mse_mle / mse
-            stats[f"se_eff_{rule}"] = _ratio_se(ws.sq_mle, sq, mse_mle, mse, scratch)
+            stats[f"se_eff_{rule}"] = _ratio_se(ws.sq_mle, sq, mse_mle, mse, err)
     return McRow(theta2=theta2, **{name: float(v) for name, v in stats.items()})
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def mc_compare(config: SimConfig) -> McReport:
     """Bias, MSE, and MSE efficiency of the MLE, pre-test, and shrinkage rules.
 
     All three target theta1; efficiency is mse(mle)/mse(rule).  Identical
-    configs produce bit-identical reports.  The rules are scale-equivariant,
-    so each cell is simulated in units of theta1 and its bias and MSE are
-    scaled back at the end: theta1 may range over about 1e-154 to 1e154,
-    where the MSE and its SE (about theta1**2) stay normal doubles.  Scales
-    whose draws or statistics overflow or underflow double precision raise
-    ValueError, never give an inf or NaN row.
+    configs produce bit-identical reports, however many CPUs run them: the
+    cells run on min(cells, usable CPUs) threads, the calling thread among
+    them, worker w taking cells w, w + W, ... into its own workspace, and no
+    cell's numbers depend on which worker ran it or when.  The rules are
+    scale-equivariant, so each cell is simulated in units of theta1 and its
+    bias and MSE are scaled back at the end: theta1 may range over about
+    1e-154 to 1e154, where the MSE and its SE (about theta1**2) stay normal
+    doubles.  Scales whose draws or statistics overflow or underflow double
+    precision raise ValueError, naming the first such theta2 of the grid,
+    never give an inf or NaN row.  Any other error of a cell is re-raised
+    as it is, the first in grid order.
     """
     c1, c2 = critical_values(config.design, config.alpha)
-    children = np.random.SeedSequence(config.seed).spawn(len(config.theta2_grid))
-    ws = _Workspace(config.replicates)
-    rows = []
-    for theta2, child in zip(config.theta2_grid, children):
-        try:
-            rows.append(_compare_cell(config, c1, c2, theta2, child, ws))
-        except FloatingPointError:
+    grid = config.theta2_grid
+    children = np.random.SeedSequence(config.seed).spawn(len(grid))
+    workers = min(len(grid), _usable_cpus())
+    spaces = _Workspace.split(workers, config.replicates)
+    outcomes = [None] * len(grid)     # a row or an exception per cell
+
+    def work(w):
+        for i in range(w, len(grid), workers):
+            try:
+                outcomes[i] = _compare_cell(config, c1, c2, grid[i], children[i], spaces[w])
+            except Exception as exc:  # raised below, in grid order
+                outcomes[i] = exc
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for theta2, outcome in zip(grid, outcomes):
+        if isinstance(outcome, FloatingPointError):
             raise ValueError(
                 f"theta1={config.theta1:g}, theta2={theta2:g}: the simulated statistics "
                 "leave double precision at these scales"
             ) from None
-    return McReport(config, tuple(rows))
+        if isinstance(outcome, Exception):
+            raise outcome
+    return McReport(config, tuple(outcomes))
 
 
 def mc_oracle_risk(
@@ -306,18 +358,31 @@ def mc_oracle_risk(
     RiskParams(design, delta, alpha, k)   # the closed forms' own argument checks
     _check_replicates(replicates)
     m1, m2 = design.shapes
+    n1, n2 = design.n1, design.n2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t1 = rng.standard_gamma(m1, replicates) / design.n1          # theta1 = 1
+    t1 = rng.standard_gamma(m1, replicates)
+    t1 /= n1                                                     # theta1 = 1
     c1, c2 = critical_values(design, alpha)
     # an extreme delta overflows t2 or the ratio only on draws the test
-    # rejects, and those keep the finite t1
+    # rejects, and those keep the finite t1; every array is formed in place,
+    # elementwise as if each expression had its own
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t2 = delta * rng.standard_gamma(m2, replicates) / design.n2
+        t2 = rng.standard_gamma(m2, replicates)
+        t2 *= delta
+        t2 /= n2
         ratio = t1 / t2
-        accepted = (ratio > c1) & (ratio < c2)
-        pool = (design.n1 * t1 + design.n2 * t2) / (design.n1 + design.n2)
-        est = np.where(accepted, k * pool + (1.0 - k) * t1, t1)
-    sq = (est - 1.0) ** 2
+        accepted = ratio > c1
+        accepted &= ratio < c2
+        # (n1*t1 + n2*t2) / (n1 + n2), in the ratio's place
+        pool = np.multiply(t1, n1, out=ratio)
+        pool += np.multiply(t2, n2, out=t2)
+        pool /= n1 + n2
+        # k*pool + (1 - k)*t1, in t2's place
+        blend = np.multiply(pool, k, out=t2)
+        blend += np.multiply(t1, 1.0 - k, out=pool)
+        np.copyto(t1, blend, where=accepted)       # the estimate, in t1's place
+    sq = np.subtract(t1, 1.0, out=t1)
+    np.square(sq, out=sq)
     return _mean_se(sq, sq)
 
 

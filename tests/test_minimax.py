@@ -323,6 +323,21 @@ class TestRegretSolution:
         with pytest.raises(SearchError, match=message):
             RegretSolution(**(self.GOOD | change))
 
+    @pytest.mark.parametrize("reg_L, reg_U, equalized", [
+        (3.0e-4, 2.05e-4, False),       # within 1e-4 absolute, 32 % apart
+        (3.0e-4, 3.0e-4 * (1 - 9e-5), True),
+        (5.0, 5.0 - 9e-5, True),        # above 1 the check stays the absolute 1e-4
+        (5.0, 5.0 - 2e-4, False),
+    ])
+    def test_equalization_is_relative_to_the_regret_level(self, reg_L, reg_U, equalized):
+        solution = self.GOOD | dict(regret_at_L=reg_L, regret_at_U=reg_U)
+        if equalized:
+            RegretSolution(**solution)
+        else:
+            with pytest.raises(SearchError, match="not equalized"):
+                RegretSolution(**solution)
+        RegretSolution(**(solution | dict(fallback=True)))
+
 
 class TestEqualize:
     def test_sign_change_root(self):

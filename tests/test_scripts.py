@@ -1,9 +1,10 @@
-"""Smoke runs of scripts/run_simulation.py, scripts/bench_pairs.py and scripts/same_output.py."""
+"""Smoke runs of the scripts: run_simulation, bench_pairs, same_output and bench_record."""
 
 import csv
 import importlib.util
 import json
 import pathlib
+import shutil
 
 from recshrink.sim import CSV_COLUMNS
 
@@ -204,3 +205,39 @@ def test_same_output_names_each_difference(tmp_path, capsys):
             "recshrink tables 3 --grid 40,150 --format json --variant known\n") in out
     assert out.count("same (exit 0)") == 14
     assert out.endswith("4 of 18 commands differ\n")
+
+
+def _bench_tree(tmp_path):
+    """A copy of what perfbench reads, so its reports land outside the repository."""
+    repo = pathlib.Path(__file__).parents[1]
+    tree = tmp_path / "tree"
+    shutil.copytree(repo / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(repo / "perfbench", tree / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(repo / "BENCHMARK.json", tree)
+    return tree
+
+
+def test_bench_record_copies_the_reports(tmp_path, capsys):
+    tree, out = _bench_tree(tmp_path), tmp_path / "BENCH_t.json"
+    argv = ["--tag", "t", "--tree", str(tree), "--workload", "tables-locscale",
+            "--seconds", "0.1", "--no-tier1", "--out", str(out)]
+    assert _load("bench_record").main(argv) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["tier1"] is None and record["seconds"] == 0.1
+    runs = record["workloads"]["tables-locscale"]
+    for trace in (0, 1):
+        report = json.loads((tree / "perfbench" / "out" /
+                             f"tables-locscale-seed1-trace{trace}.json").read_text())
+        run = runs[f"trace{trace}"]
+        assert run == {k: report[k] for k in run}
+        assert run["correct"] and set(run) >= {"metrics", "attempted", "failed"}
+    assert "wall_s" in runs["trace0"]["metrics"] and "sim.draws" in runs["trace1"]["metrics"]
+    assert record["provenance"] == report["provenance"]
+
+
+def test_bench_record_reads_the_tier1_summary():
+    outcomes = _load("bench_record").outcomes
+    assert outcomes("1 failed, 738 passed, 3 xfailed in 35.82s") == dict(
+        passed=738, failed=1, xfailed=3)
+    assert outcomes("=== 12 passed, 1 xpassed in 0.5s ===") == dict(passed=12, failed=0, xfailed=0)

@@ -8,16 +8,20 @@ import platform
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import recshrink
+from recshrink import sim
 from recshrink.records import DesignPair, Variant, mle_scale, sample_exponential_records
 from recshrink.risk import RiskParams
 from recshrink.sim import (
     _BLOCK,
+    THETA2_GRID,
     SimConfig,
     _mle_batch,
     _ratio_se,
@@ -281,6 +285,93 @@ class TestWorkspace:
         assert len(faults) == 4 and max(faults[2:]) < 100, faults
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkers:
+    """The cells of one call run on min(cells, usable CPUs) threads."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(count):
+            monkeypatch.setattr(sim, "_usable_cpus", lambda: count)
+        return use
+
+    @pytest.mark.parametrize("design", [DesignPair(2, 7),
+                                        DesignPair(3, 5, Variant.LOCATION_SCALE)])
+    def test_reports_do_not_depend_on_the_worker_count(self, cpus, design):
+        # up to more workers than most test machines have cores, switching
+        # threads as often as the interpreter allows: no worker may touch
+        # another's arrays, and a ragged last block on each
+        config = _config(design=design, theta2_grid=(0.1, 0.5, 1.0, 2.0, 3.0),
+                         replicates=2 * _BLOCK + 5)
+        reports, threads = [], threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2, 3):
+                cpus(count)
+                reports.append(mc_compare(config))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert threading.active_count() == threads      # no worker outlives its call
+
+    def test_the_call_waits_for_every_worker(self, cpus, monkeypatch):
+        config = _config(replicates=100)
+        cpus(1)
+        serial = mc_compare(config)
+        cell = sim._compare_cell
+
+        def slow_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return cell(*args)
+
+        monkeypatch.setattr(sim, "_compare_cell", slow_off_the_calling_thread)
+        cpus(2)
+        threads = threading.active_count()
+        assert mc_compare(config) == serial
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_the_first_cell_to_leave_double_precision_is_named(self, cpus, count):
+        # the 2nd and the 4th theta2 both overflow; the 4th may finish first
+        cpus(count)
+        config = _config(theta2_grid=(1.0, 1e308, 1.0, 1.5e308, 1.0), replicates=100)
+        with pytest.raises(ValueError, match=r"theta1=1, theta2=1e\+308: .*leave double precision"):
+            mc_compare(config)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_other_errors_propagate_unchanged(self, cpus, monkeypatch, count):
+        cpus(count)
+        error = RuntimeError("injected")
+        cell = sim._compare_cell
+
+        def failing(config, c1, c2, theta2, child, ws):
+            if theta2 == 2.0:
+                raise error
+            return cell(config, c1, c2, theta2, child, ws)
+
+        monkeypatch.setattr(sim, "_compare_cell", failing)
+        with pytest.raises(RuntimeError) as raised:
+            mc_compare(_config(replicates=100))
+        assert raised.value is error
+
+    @pytest.mark.parametrize("count, limit", [(1, 3.8e6), (2, 7.5e6)])
+    def test_each_worker_holds_four_arrays(self, cpus, count, limit):
+        # four reps-length doubles (3.2 MB at 100k), two masks and the block per worker
+        cpus(count)
+        config = _config(theta2_grid=THETA2_GRID, replicates=100_000)
+        assert _traced_peak(mc_compare, config) <= limit
+
+
 def _cov_ratio_se(num, den):
     reps = num.size
     m1, m2 = num.mean(), den.mean()
@@ -344,6 +435,20 @@ class TestMcOracleRisk:
             D22, 1.0, 1.0, 0.5, 10_000, seed=3
         )
 
+    @pytest.mark.parametrize("args, pinned", [
+        ((D22, 1.0, 0.16, 0.21, 10_000, 7), (0.4467166610232662, 0.009452887607847427)),
+        ((DesignPair(3, 3, Variant.LOCATION_SCALE), 1.0, 0.16, 0.21, 10_000, 7),
+         (0.3101781724487926, 0.0032918094428306542)),
+        ((DesignPair(5, 6), 2.0, 0.16, 1.0, 200_000, 3),
+         (0.3287091472942889, 0.0011747714658947293)),
+        ((DesignPair(10, 7), 0.5, 0.38, 0.21, 50_001, 11),
+         (0.100016529943649, 0.0007059657399401498)),
+        ((D22, 1e308, 0.16, 0.5, 10_000, 3), (0.5138147854189015, 0.01179901309287537)),
+    ])
+    def test_frozen_estimates(self, args, pinned):
+        # the bits of the whole-array expressions the oracle used to evaluate
+        assert mc_oracle_risk(*args) == pinned
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             mc_oracle_risk(D22, -1.0, 0.16, 1.0, 100, seed=0)
@@ -360,6 +465,10 @@ class TestMcOracleRisk:
 
 
 class TestConventionValidation:
+    def test_memory_of_the_default_run(self):
+        # the oracle's t1, t2 and ratio arrays (1.6 MB each at 200k) and two masks
+        assert _traced_peak(convention_validation) <= 6e6
+
     def test_small_run_structure(self):
         result = convention_validation(replicates=20_000, seed=3)
         assert result["default_convention"] == "derived"
