@@ -1,7 +1,7 @@
 """Record one tree's benchmark results as ``BENCH_<TAG>.json``.
 
     python3 scripts/bench_record.py --tag pr26 [--tree T] [--seed 1] [--seconds 5] \\
-        [--workload W1,W2] [--no-tier1] [--out PATH]
+        [--workload W1,W2] [--no-tier1]
 
 For every workload of the tree's BENCHMARK.json (or those listed), it runs
 ``perfbench/run.py`` once with ``--trace 0`` and once with ``--trace 1``
@@ -16,8 +16,8 @@ command once and records its wall time and its passed, failed and xfailed
 counts.  The provenance (cores, CPU model, python, numpy, git sha, dirty
 flag, source sha256, seed, thread environment) is the first report's.
 
-The file goes to ``BENCH_<TAG>.json`` at the root of the tree, or to
-``--out``.  It is one side's record: a gain is claimed from paired runs of
+The file goes to ``BENCH_<TAG>.json`` at the root of the tree.  It is one
+side's record: a gain is claimed from paired runs of
 ``scripts/bench_pairs.py``, never from one file.  Run it on a copy without
 ``.git`` to record another commit, since perfbench writes into the tree.
 
@@ -85,7 +85,6 @@ def main(argv=None) -> int:
                         help="each trace-0 run's length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--workload", help="comma-separated workloads (default: all)")
     parser.add_argument("--no-tier1", action="store_true", help="skip timing the tier-1 tests")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<TAG>.json in the tree")
     args = parser.parse_args(argv)
 
     tree = args.tree.resolve()
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
         record["workloads"][name] = runs
     record["tier1"] = None if args.no_tier1 else tier1(tree)
     record["provenance"] = provenance
-    out = args.out or tree / f"BENCH_{args.tag}.json"
+    out = tree / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

@@ -219,11 +219,11 @@ def _bench_tree(tmp_path):
 
 
 def test_bench_record_copies_the_reports(tmp_path, capsys):
-    tree, out = _bench_tree(tmp_path), tmp_path / "BENCH_t.json"
+    tree = _bench_tree(tmp_path)
     argv = ["--tag", "t", "--tree", str(tree), "--workload", "tables-locscale",
-            "--seconds", "0.1", "--no-tier1", "--out", str(out)]
+            "--seconds", "0.1", "--no-tier1"]
     assert _load("bench_record").main(argv) == 0
-    record = json.loads(out.read_text(encoding="utf-8"))
+    record = json.loads((tree / "BENCH_t.json").read_text(encoding="utf-8"))
     assert record["tier1"] is None and record["seconds"] == 0.1
     runs = record["workloads"]["tables-locscale"]
     for trace in (0, 1):
