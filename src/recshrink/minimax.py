@@ -20,6 +20,11 @@ For K*, regret measures the risk at coefficient k against its pointwise
 minimum over k in [0, 1] (an exact quadratic), and delta2 is the upper
 crossing of the pre-test risk with 1/n1.
 
+Every root the tunings bracket follows one rule, ``_first_root``: Brent's
+(1973) root in the first pair of ladder points where the residual changes
+sign, an exact 0 included.  The ladders are the 15-level scan and, for the
+K* window's crossings with 1/n1, delta = 2^(+-j/4), j = 0..120, from 1 out.
+
 Each side's supremum is searched on one fixed log grid in delta, 200 nodes
 a decade: the lower side spans [delta2/1e4, delta2], the upper side
 (delta2, 1e4*delta2].  For alpha the lower side is cut at delta1, where the
@@ -65,6 +70,7 @@ Monte Carlo validation selects (see ``risk``); tuning has no other.
 """
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -92,7 +98,7 @@ _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
 _DOMAIN = (0.01, 0.99)      # the tuned value's search interval
 _SCAN = tuple(np.linspace(*_DOMAIN, 15).tolist())
 _ROOT_XTOL = 1e-4           # Brent on the grid residual; the Newton step does the rest
-_MAX_DOUBLINGS = 60
+_LADDER = tuple(2.0 ** (j / 4) for j in range(121))  # crossing rungs up from delta = 1
 
 
 class SearchError(RuntimeError):
@@ -401,26 +407,34 @@ def sup_regret_pt(
     return search.polished_sups(alpha)
 
 
-def _equalize(sups):
-    """Root of reg_L - reg_U in the first scan interval where it changes sign.
+def _first_root(f, ladder, xtol: float) -> float | None:
+    """Brent's root of f in the first pair of consecutive ladder points where f changes sign.
 
-    ``sups(t)`` is the pair of heights (reg_L, reg_U) at level t.  The scan
-    stops at that interval; without one, the golden fallback minimizes the
-    larger height.
+    An exact 0 counts as a change; None if no pair changes sign.  f is read
+    once per point as the lazy ladder goes, and Brent reads its pair's ends
+    again, so f should be memoized.
+    """
+    for (t0, f0), (t1, f1) in itertools.pairwise((t, f(t)) for t in ladder):
+        if min(f0, f1) <= 0.0 <= max(f0, f1):
+            return brent_root(f, t0, t1, xtol=xtol)
+    return None
+
+
+def _equalize(sups):
+    """Root of reg_L - reg_U in the first interval of the 15-level scan where it changes sign.
+
+    ``sups(t)`` is the pair of heights (reg_L, reg_U) at level t, memoized.
+    Without a sign change, the golden fallback minimizes the larger one.
     """
 
     def g(t):
         r_lo, r_hi = sups(t)
         return r_lo - r_hi
 
-    for t0, t1 in zip(_SCAN, _SCAN[1:]):
-        g0, g1 = g(t0), g(t1)  # ``sups`` is memoized, so each level is evaluated once
-        # brent_root returns an end whose residual is exactly 0
-        if min(g0, g1) <= 0.0 <= max(g0, g1):
-            return brent_root(g, t0, t1, xtol=_ROOT_XTOL), False
-
-    t, _ = golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)
-    return t, True
+    t = _first_root(g, _SCAN, _ROOT_XTOL)
+    if t is None:
+        return golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0], True
+    return t, False
 
 
 def _solve(search: _Search, sup, what: str) -> RegretSolution:
@@ -521,38 +535,25 @@ def _regret_shrink_table(terms, k):
 
 
 def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
-    """(lo, hi) where the pre-test risk crosses the MLE risk 1/n1.
+    """(lo, hi) where the pre-test risk crosses the MLE risk 1/n1 around its dip at delta = 1.
 
-    hi is bracketed by doubling delta from 2.  Below the dip only
-    delta = 2^-j for j = 1..29 are sampled, and lo is the root below the
-    first of them, the largest, whose risk is above 1/n1; lo is 0.0 when
-    none is, although the risk could still rise above 1/n1 between those
-    points or below 2^-29.
+    The dip is tested on ``pt_risk`` itself.  The crossings are roots of
+    h2 + h1 from ``risk_k_coefficients``, pt_risk - 1/n1 without its
+    rounding against 1/n1, on _LADDER read up from 1 for hi and on its
+    reciprocals read down for lo; lo is 0.0 if none lies above 2^-30.
     """
-    r1 = 1.0 / design.n1
-
-    @functools.cache  # Brent restarts from ends the scans have already evaluated
-    def f(d):
-        return pt_risk(design, d, alpha) - r1
-
-    if not f(1.0) < 0.0:
+    if not pt_risk(design, 1.0, alpha) < 1.0 / design.n1:
         raise SearchError(f"no pooling advantage at delta=1 for {design}, alpha={alpha}")
-    hi = 2.0
-    for _ in range(_MAX_DOUBLINGS):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
+
+    @functools.cache  # Brent starts from two rungs the ladder has read
+    def excess(d):
+        h2, h1, _ = risk_k_coefficients(design, d, alpha)
+        return h2 + h1
+
+    upper = _first_root(excess, _LADDER, 1e-9)
+    if upper is None:
         raise SearchError(f"pre-test risk never re-crosses 1/n1 above the dip for {design}")
-    upper = brent_root(f, 1.0, hi, xtol=1e-9)
-    lower = 0.0
-    lo = 0.5
-    while lo > 1e-9:
-        if f(lo) > 0.0:
-            lower = brent_root(f, lo, 1.0, xtol=1e-9)
-            break
-        lo *= 0.5
-    return lower, upper
+    return _first_root(excess, (1.0 / d for d in _LADDER), 1e-9) or 0.0, upper
 
 
 def _shrink_search(design: DesignPair, alpha: float) -> _Search:

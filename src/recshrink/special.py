@@ -14,12 +14,12 @@ use is one), I_x(a, b) = P(Bin(a+b-1, x) >= a) is a finite binomial sum
 largest term, and the other side is taken as one minus the opposite tail.
 Any other shapes go through the modified-Lentz continued fraction; the grid
 has no array form of it and takes such shapes point by point through the
-scalar ``reg_inc_beta``.  ``beta_front`` is the front factor
-x^a (1-x)^b / B(a, b) both routes start from; the risk module also builds
-its shifted-shape recurrences from it.  Its float form is written once, in
-``_front``, which takes ln B(a, b) so that a caller holding it per design
-(the risk module's scalar route) does not look it up again.  It is 0 at
-x = 0 and x = 1, so both routes give exactly 0 and 1 there.
+scalar ``reg_inc_beta``.  Both routes start from the front factor
+x^a (1-x)^b / B(a, b), and the risk module also builds its shifted-shape
+recurrences from it: ``beta_front`` forms it over an array of x, and
+``_front`` at a float x, from ln B(a, b) so that a caller holding it per
+design (the risk module's scalar route) does not look it up again.  It is
+0 at x = 0 and x = 1, so both routes give exactly 0 and 1 there.
 """
 
 import functools
@@ -146,27 +146,25 @@ def _binom_tail_vec(a: int, b: int, t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _front(x: float, a: float, b: float, log_b: float) -> float:
-    """``beta_front`` at a float x, given log_b = ln B(a, b); 0 at x = 0 and x = 1.
+    """The front factor at a float x, given log_b = ln B(a, b); 0 at x = 0 and x = 1.
 
-    The one float form of the front factor: ``reg_inc_beta``, ``beta_front``
-    and the risk module's scalar route, which holds ln B per design, use it.
+    The one float form of the front factor: ``reg_inc_beta`` and the risk
+    module's scalar route, which holds ln B per design, use it.
     """
     if x == 0.0 or x == 1.0:
         return 0.0
     return math.exp(a * math.log(x) + b * math.log1p(-x) - log_b)
 
 
-def beta_front(x, a: float, b: float):
-    """Front factor t = x^a (1-x)^b / B(a, b) of I_x(a, b); x a float or an array.
+def beta_front(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Front factor t = x^a (1-x)^b / B(a, b) of I_x(a, b) over an array of x.
 
     t also drives the shape recurrences I_x(a+1, b) = I_x(a, b) - t/a and
     I_x(a, b+1) = I_x(a, b) + t/b (A&S 26.5.16).  It is 0 at x = 0 and
-    x = 1, without floating-point warnings.
+    x = 1, without floating-point warnings.  A float x takes ``_front``.
     """
-    if isinstance(x, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta(a, b))
-    return _front(x, a, b, log_beta(a, b))
+    with np.errstate(divide="ignore"):
+        return np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta(a, b))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

@@ -207,6 +207,22 @@ class TestRegretShrink:
         assert pt_risk(D56, hi * 1.5, 0.16) > 0.2
 
     @pytest.mark.parametrize("design", [D56, DesignPair(7, 2, Variant.LOCATION_SCALE)])
+    def test_crossing_residual_evaluates_each_delta_once(self, monkeypatch, design):
+        import recshrink.minimax as mm
+
+        seen = []
+        scalar = mm.risk_k_coefficients
+
+        def recorded(d, delta, alpha):
+            seen.append(delta)
+            return scalar(d, delta, alpha)
+
+        monkeypatch.setattr(mm, "risk_k_coefficients", recorded)
+        lo, hi = pt_risk_crossings(design, 0.16)
+        assert 1.0 in seen and len(set(seen)) == len(seen)
+        assert lo in seen and hi in seen
+
+    @pytest.mark.parametrize("design", [D56, DesignPair(7, 2, Variant.LOCATION_SCALE)])
     def test_crossings_evaluate_each_delta_once(self, monkeypatch, design):
         import recshrink.minimax as mm
 
@@ -799,14 +815,17 @@ class TestFrozenTables:
 
 
 def _sample_designs(count=8, seed=20261018):
-    """Seeded (n1, n2) pairs, log-uniform in [2, 150], plus three fixed ones.
+    """Seeded (n1, n2) pairs, log-uniform in [2, 150], plus six fixed ones.
 
     (5, 2) and (10, 7) are published cells whose alpha* lower sup sits on the
-    jump at delta1; (150, 150) is the largest design covered.
+    jump at delta1; (150, 150) is the largest seeded range's corner, and
+    (400, 400), (1000, 300) and (600, 1000) are designs whose K* window the
+    pre-test risk's rounding against 1/n1 once hid.
     """
     rng = np.random.default_rng(seed)
     sizes = np.rint(np.exp(rng.uniform(np.log(2.0), np.log(150.0), (count, 2))))
-    return [tuple(int(n) for n in pair) for pair in sizes] + [(5, 2), (10, 7), (150, 150)]
+    return [tuple(int(n) for n in pair) for pair in sizes] + [
+        (5, 2), (10, 7), (150, 150), (400, 400), (1000, 300), (600, 1000)]
 
 
 def _assert_sups_dominate_scan(sol, regret_grid):
@@ -837,6 +856,47 @@ class TestDenseScan:
             _assert_sups_dominate_scan(
                 sol_k, lambda g: _regret_shrink_table(_shrink_terms(d, g, alpha), k)
             )
+
+
+LARGE_GRID = (400, 600, 1000)
+
+
+class TestLargeDesigns:
+    """From n of about 400 the K* window's excess over 1/n1 is below half an ulp of 1/n1
+    at delta = 2, so the crossings are searched on h2 + h1 itself, from delta = 1."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", [400, 600, 1000, 2000])
+    def test_crossings_lie_close_to_one(self, n, variant):
+        lo, hi = pt_risk_crossings(DesignPair(n, n, variant), 0.16)
+        assert 0.9 < lo < 1.0 < hi < 1.1
+
+    def test_table_3_solves_every_cell(self):
+        for variant in Variant:
+            cells = generate_tables(TableCase.K_OPTIMAL_ALPHA,
+                                    [DesignPair(a, b, variant)
+                                     for b in LARGE_GRID for a in LARGE_GRID])
+            assert [(c.n1, c.n2, c.error, c.fallback) for c in cells
+                    if c.error or c.fallback] == []
+
+    def test_k_star_sups_are_the_exact_regret(self):
+        from fractions import Fraction
+
+        from exact_risk import exact_coefficients
+
+        from recshrink.estimators import critical_values
+
+        design, alpha = DesignPair(400, 400), 0.16
+        sol = optimal_k(design, alpha)
+        c1, c2 = critical_values(design, alpha)
+        k = Fraction(sol.tuned_value)
+        for delta, got in ((sol.delta_L, sol.regret_at_L), (sol.delta_U, sol.regret_at_U)):
+            h2, h1, h0 = exact_coefficients(400, 400, True, c1, c2, delta)
+            rmin = min(h0, h2 + h1 + h0)
+            if h2 > 0 and 0 < -h1 / (2 * h2) < 1:
+                rmin = min(rmin, h0 - h1 * h1 / (4 * h2))
+            want = h2 * k * k + h1 * k + h0 - rmin
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
