@@ -6,13 +6,13 @@ a cell's numbers depend only on its own child stream, so the order in which
 cells are computed changes no number.  ``mc_compare`` therefore runs its
 cells on one worker thread per usable CPU, at most one per cell, the calling
 thread among them; numpy releases the interpreter lock while it draws and
-while its loops run, so the cells overlap.  Each worker owns one workspace of
-reps-length arrays that its cells reuse in turn.  Within a cell the draws
-happen in one fixed batch order, and each replicate's gaps are summed in
-record order, as the scalar record route sums them.  A cell is simulated in
-units of theta1 and its bias and MSE are scaled back at the end.  Every
-statistic, the efficiency SEs included, comes from elementwise numpy
-arithmetic and sums, not from a BLAS kernel that may differ between CPUs.
+while its loops run, so the cells overlap.  Each worker owns reps-length
+arrays that its cells reuse in turn.  Within a cell the draws happen in one
+fixed batch order, and each replicate's gaps are summed in record order, as
+the scalar record route sums them.  A cell is simulated in units of theta1
+and its bias and MSE are scaled back at the end.  Every statistic, the
+efficiency SEs included, comes from elementwise numpy arithmetic and sums,
+not from a BLAS kernel that may differ between CPUs.
 ``mc_oracle_risk`` simulates the estimators straight from their chi-square
 pivot representations and is the independent check on every closed form in
 ``risk``.  ``convention_validation`` holds that check against the ratio
@@ -194,33 +194,9 @@ def _ratio_se(num: np.ndarray, den: np.ndarray, m1: float, m2: float,
     return math.sqrt(_var(resid, resid.mean(), resid) / reps) / abs(m2)
 
 
-class _Workspace:
-    """One worker's arrays, reused by every cell the worker runs.
-
-    Four reps-length float arrays, two block-length masks and one draw
-    block: the same memory whatever the design, so no cell maps fresh pages.
-    ``split`` makes all workers' workspaces from one allocation per kind, on
-    the calling thread.  Workspaces allocated one by one, or on the workers,
-    keep glibc's dynamic mmap threshold low, and every call then maps and
-    faults in fresh pages.
-    """
-
-    def __init__(self, floats: np.ndarray, masks: np.ndarray, block: np.ndarray):
-        self.t1, self.t2, self.sh, self.sq_mle = floats
-        self.accepted, self.mask = masks
-        self.block = block
-
-    @classmethod
-    def split(cls, workers: int, reps: int) -> list["_Workspace"]:
-        floats = np.empty((workers, 4, reps))
-        masks = np.empty((workers, 2, _BLOCK), dtype=bool)
-        blocks = np.empty((workers, _BLOCK))
-        return [cls(*arrays) for arrays in zip(floats, masks, blocks)]
-
-
 @np.errstate(all="raise")
 def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
-                  ws: _Workspace) -> McRow:
+                  ws: tuple) -> McRow:
     """One theta2 cell of ``mc_compare``, simulated in units of theta1.
 
     t1 is drawn at scale 1 and t2 at delta = theta2/theta1, so every
@@ -230,11 +206,14 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
     delta, the draws or the scaled values, raises FloatingPointError.  theta1
     is a numpy scalar so that delta and each scaling are too: Python floats
     overflow and underflow without a signal, which ``np.errstate`` (a
-    per-thread setting) cannot see.  Every reps-length value is written into
-    ``ws``, elementwise as if each expression had its own array: the test
-    and the two rules run a block at a time through the draw block, the pool
-    and then the pre-test rule overwrite t2, and each rule's error and
-    squared error overwrite arrays no later step reads.
+    per-thread setting) cannot see.  ``ws`` holds the worker's arrays, which
+    every cell it runs reuses: four reps-length floats (t1, t2, sh_all,
+    sq_mle), two block-length masks and the draw block.  Every
+    reps-length value is written into them, elementwise as if each
+    expression had its own array: the test and the two rules run a block at
+    a time through the draw block, the pool and then the pre-test rule
+    overwrite t2, and each rule's error and squared error overwrite arrays
+    no later step reads.
     """
     design = config.design
     n1, n2, k = design.n1, design.n2, config.k
@@ -242,11 +221,12 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
     delta = theta2 / theta1
     rng = np.random.default_rng(child)
     reps, variant = config.replicates, design.variant
-    t1 = _mle_batch(rng, n1, 1.0, reps, variant, ws.t1, ws.block)
-    t2 = _mle_batch(rng, n2, delta, reps, variant, ws.t2, ws.block)
+    (t1, t2, sh_all, sq_mle), (accepted_all, mask_all), block = ws
+    t1 = _mle_batch(rng, n1, 1.0, reps, variant, t1, block)
+    t2 = _mle_batch(rng, n2, delta, reps, variant, t2, block)
     for start in range(0, reps, _BLOCK):
-        b1, b2, sh = (x[start:start + _BLOCK] for x in (t1, t2, ws.sh))
-        tmp, accepted, mask = (x[:b1.size] for x in (ws.block, ws.accepted, ws.mask))
+        b1, b2, sh = (x[start:start + _BLOCK] for x in (t1, t2, sh_all))
+        tmp, accepted, mask = (x[:b1.size] for x in (block, accepted_all, mask_all))
         ratio = np.divide(b1, b2, out=tmp)
         np.greater(ratio, c1, out=accepted)
         accepted &= np.less(ratio, c2, out=mask)
@@ -264,7 +244,7 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
         np.copyto(pool, b1, where=np.logical_not(accepted, out=mask))
 
     stats = {}
-    for rule, err, sq in (("mle", t1, ws.sq_mle), ("pt", t2, t1), ("s", ws.sh, t1)):
+    for rule, err, sq in (("mle", t1, sq_mle), ("pt", t2, t1), ("s", sh_all, t1)):
         np.subtract(err, 1.0, out=err)
         np.square(err, out=sq)
         bias, se_bias = _mean_se(err, err)
@@ -277,7 +257,7 @@ def _compare_cell(config: SimConfig, c1: float, c2: float, theta2: float, child,
             mse_mle = mse
         else:
             stats[f"eff_{rule}"] = mse_mle / mse
-            stats[f"se_eff_{rule}"] = _ratio_se(ws.sq_mle, sq, mse_mle, mse, err)
+            stats[f"se_eff_{rule}"] = _ratio_se(sq_mle, sq, mse_mle, mse, err)
     return McRow(theta2=theta2, **{name: float(v) for name, v in stats.items()})
 
 
@@ -309,7 +289,11 @@ def mc_compare(config: SimConfig) -> McReport:
     grid = config.theta2_grid
     children = np.random.SeedSequence(config.seed).spawn(len(grid))
     workers = min(len(grid), _usable_cpus())
-    spaces = _Workspace.split(workers, config.replicates)
+    # one allocation per kind for all workers, on the calling thread: arrays
+    # allocated one by one, or on the workers, keep glibc's dynamic mmap
+    # threshold low, and every call then maps and faults in fresh pages
+    spaces = list(zip(np.empty((workers, 4, config.replicates)),
+                      np.empty((workers, 2, _BLOCK), dtype=bool), np.empty((workers, _BLOCK))))
     outcomes = [None] * len(grid)     # a row or an exception per cell
 
     def work(w):

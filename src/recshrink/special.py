@@ -20,6 +20,11 @@ recurrences from it: ``beta_front`` forms it over an array of x, and
 ``_front`` at a float x, from ln B(a, b) so that a caller holding it per
 design (the risk module's scalar route) does not look it up again.  It is
 0 at x = 0 and x = 1, so both routes give exactly 0 and 1 there.
+
+The shapes are checked in one place, ``log_beta``: they must be positive
+and finite.  Every other public routine reads ln B(a, b) before x or p,
+so a bad shape is reported first, even where x or p is bad too, the x
+array is empty or p is 0 or 1.
 """
 
 import functools
@@ -49,10 +54,12 @@ def log_beta(a: float, b: float) -> float:
     the individual terms (e.g. B(1e4, 0.5)).  Results are cached, since the
     risk path asks for the same design's shapes at every bound; ``typed``
     keeps an int and a float shape of equal value apart, so the result's
-    type is always that of a fresh call.
+    type is always that of a fresh call.  This is the one shape rule of the
+    module: a and b must be positive and finite.  A rejected pair is never
+    cached, so every bad call reaches the check.
     """
-    if not (a > 0.0) or not (b > 0.0):
-        raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf) or not (0.0 < b < math.inf):
+        raise ValueError(f"beta shapes must be positive and finite, got a={a}, b={b}")
     if a < b:
         a, b = b, a
     if b >= 10.0:
@@ -169,11 +176,10 @@ def beta_front(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x."""
-    if not (a > 0.0) or not (b > 0.0):
-        raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
+    log_b = log_beta(a, b)   # the shape rule, before x is read
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    front = _front(x, a, b, log_beta(a, b))
+    front = _front(x, a, b, log_b)
     if _integer_shapes(a, b):
         if x * (a + b - 1.0) < a:
             return _binom_tail(int(a), int(b), front / (a * (1.0 - x)), x / (1.0 - x))
@@ -189,8 +195,7 @@ def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
     The front factor is 0 at both ends, so x = 0 and x = 1 come out of
     either branch as exactly 0 and 1 and need no masks of their own.
     """
-    if not (a > 0.0) or not (b > 0.0):
-        raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
+    log_beta(a, b)   # the shape rule, before x is read
     xv = np.asarray(x, dtype=float)
     if not np.all((xv >= 0.0) & (xv <= 1.0)):  # NaN fails both comparisons
         raise ValueError("x values must lie in [0, 1]")
@@ -210,22 +215,18 @@ def reg_inc_beta_grid(x, a: float, b: float) -> np.ndarray:
 def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
     """x solving I_x(a, b) = p, by safeguarded Newton with a bisection bracket.
 
-    Probabilities above one half are mirrored to the lower tail.  Newton runs
-    on ln I against ln x, from the power-law tail term x^a / (a B(a, b)); a
-    step that leaves the bracket bisects it in ln x, so subnormal quantiles
-    are reached too.  It stops at |I_x - p| <= 1e-13 p or a one-ulp bracket.
+    Probabilities above one half, 1 among them, are mirrored to the lower
+    tail.  Newton runs on ln I against ln x, from the power-law tail term
+    x^a / (a B(a, b)); a step that leaves the bracket bisects it in ln x, so
+    subnormal quantiles are reached too.  It stops at |I_x - p| <= 1e-13 p or a one-ulp bracket.
     """
-    if not (a > 0.0) or not (b > 0.0):
-        raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
+    lb = log_beta(a, b)   # the shape rule, before p is read
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
         return 0.0
-    if p == 1.0:
-        return 1.0
-    if p > 0.5:
+    if p > 0.5:   # p = 1 too, as 1 - 0
         return 1.0 - inv_reg_inc_beta(1.0 - p, b, a)
-    lb = log_beta(a, b)
     log_p = math.log(p)
     x = math.exp(min(math.log(0.5), (log_p + math.log(a) + lb) / a))
     if x == 0.0:   # the tail term underflows: x lies below half the smallest subnormal
@@ -257,8 +258,8 @@ def f_quantile(p: float, d1: float, d2: float) -> float:
     Computed through the beta inverse: x = inv_reg_inc_beta(p, d1/2, d2/2)
     and q = d2*x / (d1*(1-x)).
     """
-    if not (d1 > 0.0) or not (d2 > 0.0):
-        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
+    if not (0.0 < d1 < math.inf) or not (0.0 < d2 < math.inf):
+        raise ValueError(f"degrees of freedom must be positive and finite, got ({d1}, {d2})")
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     x = inv_reg_inc_beta(p, 0.5 * d1, 0.5 * d2)

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special as sp
 
+from recshrink import special
 from recshrink.special import (
     f_quantile,
     inv_reg_inc_beta,
@@ -269,6 +270,43 @@ class TestInverse:
         assert inv_reg_inc_beta(p, a, b) == 0.0
 
 
+class TestShapeRule:
+    """``log_beta`` holds the one shape rule, and every route reads it first."""
+
+    @pytest.fixture(autouse=True)
+    def no_continued_fraction(self, monkeypatch):
+        # a rejected shape is reported at once, before any series is summed
+        def fail(*args):
+            raise AssertionError(f"continued fraction reached with {args}")
+        monkeypatch.setattr(special, "_betacf", fail)
+
+    @pytest.mark.parametrize("call", [
+        lambda: log_beta(math.inf, 2.0),
+        lambda: log_beta(2.0, math.inf),
+        lambda: reg_inc_beta(0.5, math.inf, 3.0),
+        lambda: reg_inc_beta_grid([0.5], 2.0, math.inf),
+        lambda: inv_reg_inc_beta(0.3, math.inf, 3.0),
+    ], ids=["log_beta", "log_beta_b", "reg_inc_beta", "grid", "inverse"])
+    def test_infinite_shapes_rejected(self, call):
+        with pytest.raises(ValueError, match="beta shapes must be positive"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: reg_inc_beta(1.5, 0.0, 3.0),
+        lambda: reg_inc_beta(math.nan, 2.0, -1.0),
+        lambda: reg_inc_beta_grid(np.array([]), 0.0, 3.0),
+        lambda: reg_inc_beta_grid(np.array([0.5, 1.5]), 2.0, math.nan),
+        lambda: inv_reg_inc_beta(0.0, -1.0, 3.0),
+        lambda: inv_reg_inc_beta(1.0, -1.0, 3.0),
+        lambda: inv_reg_inc_beta(0.9, 3.0, -1.0),
+        lambda: inv_reg_inc_beta(-0.5, 2.0, 0.0),
+    ], ids=["x_outside", "x_nan", "grid_empty", "grid_x_outside",
+            "p_zero", "p_one", "p_mirrored", "p_outside"])
+    def test_shape_reported_before_x_or_p(self, call):
+        with pytest.raises(ValueError, match="beta shapes must be positive"):
+            call()
+
+
 class TestFQuantile:
     @pytest.mark.parametrize("d", [2.0, 9.0, 24.0])
     def test_equal_df_median(self, d):
@@ -300,6 +338,11 @@ class TestFQuantile:
             f_quantile(0.5, 0.0, 4.0)
         with pytest.raises(ValueError):
             f_quantile(0.5, 4.0, -2.0)
+
+    @pytest.mark.parametrize("d1, d2", [(math.inf, 6.0), (6.0, math.inf), (math.nan, 6.0)])
+    def test_df_must_be_finite(self, d1, d2):
+        with pytest.raises(ValueError, match="degrees of freedom must be positive and finite"):
+            f_quantile(0.3, d1, d2)
 
     @settings(max_examples=300, deadline=None)
     @given(
