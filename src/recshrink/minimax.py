@@ -195,22 +195,6 @@ def _regret_pt(design, delta, alpha, region):
     return max(0.0, h2 + h1 + h0 - ref)
 
 
-def _pt_reference(design, deltas, region):
-    """The alpha regret's reference over an array of delta: r0 inside the window, r1 outside."""
-    lo, hi = region
-    r0, r1 = boundary_risks(design, deltas)
-    return np.where((deltas > lo) & (deltas < hi), r0, r1)
-
-
-def _pt_excess(design, deltas, alpha, ref):
-    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
-    return np.maximum(0.0, h2 + h1 + h0 - ref)
-
-
-def _regret_pt_grid(design, deltas, alpha, region):
-    return _pt_excess(design, deltas, alpha, _pt_reference(design, deltas, region))
-
-
 def _fixed_grid(edge: float, split: float | None = None):
     """(deltas, segments): both sides' log-spaced nodes around ``edge``.
 
@@ -245,8 +229,6 @@ def _side_scan(values, segments, lo, hi):
     best, top = None, -math.inf
     for start, stop in segments:
         start, stop = max(start, lo), min(stop, hi)
-        if start >= stop:
-            continue
         seg = values[start:stop]
         j = int(seg.argmax())
         value = float(seg[j])
@@ -378,16 +360,21 @@ class _Search:
 def _alpha_search(design: DesignPair) -> _Search:
     """alpha* state: the pooling window, with the grid's lower side cut at delta1.
 
-    The reference over the grid is built once; a level tabulates only the
-    nodes its certified span reads, and ``_tail_bound`` certifies them.
+    The reference over the grid, r0 inside the window and r1 = 1/n1
+    outside, is built once; a level tabulates only the nodes its certified
+    span reads, and ``_tail_bound`` certifies them.
     """
-    region = pooling_region(design)
-    grid = _fixed_grid(region[1], split=region[0])
+    lo, hi = region = pooling_region(design)
+    grid = _fixed_grid(hi, split=lo)
     deltas = grid[0]
-    ref = _pt_reference(design, deltas, region)
-    return _Search(region, grid,
-                   lambda a, nodes: _pt_excess(design, deltas[nodes], a, ref[nodes]),
-                   lambda d, a: _regret_pt(design, d, a, region),
+    r0, r1 = boundary_risks(design, deltas)
+    ref = np.where((deltas > lo) & (deltas < hi), r0, r1)
+
+    def table(a, nodes):
+        h2, h1, h0 = risk_k_coefficients_grid(design, deltas[nodes], a)
+        return np.maximum(0.0, h2 + h1 + h0 - ref[nodes])
+
+    return _Search(region, grid, table, lambda d, a: _regret_pt(design, d, a, region),
                    functools.partial(_tail_bound, design))
 
 
@@ -568,13 +555,11 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
     crossings = pt_risk_crossings(design, alpha)
     grid = _fixed_grid(crossings[1])
     terms = _shrink_terms(design, grid[0], alpha)
-    coefficients = {}
+    coefficients = functools.cache(lambda delta: risk_k_coefficients(design, delta, alpha))
 
     def regret(delta, k):
         check_k(k)
-        if delta not in coefficients:
-            coefficients[delta] = risk_k_coefficients(design, delta, alpha)
-        return _shrink_regret(*coefficients[delta], k)
+        return _shrink_regret(*coefficients(delta), k)
 
     tail = functools.cache(functools.partial(_tail_bound, design, alpha))
     return _Search(crossings, grid,

@@ -104,8 +104,8 @@ def d_bounds(design: DesignPair, delta: float, c1: float, c2: float) -> tuple[fl
     # a plain comparison: np.all on a float would cost more than the bounds
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    if c1 > c2:
-        raise ValueError(f"need c1 <= c2, got ({c1}, {c2})")
+    if not 0.0 <= c1 <= c2:  # NaN fails it too
+        raise ValueError(f"need 0 <= c1 <= c2, got ({c1}, {c2})")
     n1 = design.n1
     small, far = min(delta, 1.0), design.n2 / max(delta, 1.0)
     t = c1 * n1 * small
@@ -239,6 +239,8 @@ def coefficients_at_bounds(
     design: DesignPair, delta: float, d1: float, d2: float
 ) -> tuple[float, float, float]:
     """(h2, h1, h0) of the risk quadratic for the acceptance bounds 0 <= d1 <= d2 <= 1."""
+    if not d1 <= d2:  # reg_inc_beta rejects a bound outside [0, 1]
+        raise ValueError(f"need d1 <= d2, got ({d1}, {d2})")
     consts = _quadratic_constants(design)
     return _coeffs(consts, _brackets(consts, delta, d1, d2))
 

@@ -626,6 +626,9 @@ class TestCertifiedSpans:
     def _check(search, reads, bound):
         """Assert each level's reads are one run of nodes, certified by ``bound`` or at the cap.
 
+        Every segment of both sides must also keep a node under the level's
+        span, since ``_side_scan`` has no branch for an empty one.
+
         Returns (levels, narrow): how many levels were read, and how many
         of them stopped both sides at 1e2 times the edge.
         """
@@ -634,6 +637,8 @@ class TestCertifiedSpans:
         first_upper, last = segments[-1][0], len(deltas) - 1
         levels = narrow = 0
         for t, read in reads.items():
+            lo, hi = search.levels[t][2]
+            assert all(max(start, lo) < min(stop, hi) for start, stop in segments)
             nodes = sorted(read)
             assert nodes == list(range(nodes[0], nodes[-1] + 1))  # one run around the edge
             lower = [i for i in nodes if i < first_upper]
@@ -841,15 +846,22 @@ class TestDenseScan:
     @pytest.mark.parametrize("variant", ["known", "locscale"])
     @pytest.mark.parametrize("n1,n2", _sample_designs())
     def test_tuned_sups_are_global(self, n1, n2, variant):
-        from recshrink.minimax import _regret_pt_grid, _regret_shrink_table, _shrink_terms
+        from recshrink.minimax import _regret_shrink_table, _shrink_terms
         from recshrink.records import Variant
+        from recshrink.risk import risk_k_coefficients_grid
 
         d = DesignPair(n1, n2, Variant(variant))
         sol_a = optimal_alpha(d)
         alpha = sol_a.tuned_value
         if not sol_a.fallback:
-            region = (sol_a.delta1, sol_a.delta2)
-            _assert_sups_dominate_scan(sol_a, lambda g: _regret_pt_grid(d, g, alpha, region))
+            def pt_regret(g):
+                # from the public kernels: r0 strictly inside the window, h0 = r1 = 1/n1 outside
+                h2, h1, h0 = risk_k_coefficients_grid(d, g, alpha)
+                inside = (g > sol_a.delta1) & (g < sol_a.delta2)
+                ref = np.where(inside, boundary_risks(d, g)[0], h0)
+                return np.maximum(0.0, h2 + h1 + h0 - ref)
+
+            _assert_sups_dominate_scan(sol_a, pt_regret)
         sol_k = optimal_k(d, alpha)
         if not sol_k.fallback:
             k = sol_k.tuned_value

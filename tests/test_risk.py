@@ -98,6 +98,13 @@ class TestDBounds:
         with pytest.raises(ValueError):
             d_bounds(D56, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("c1, c2", [(-1.0, 2.0), (math.nan, C2), (C1, math.nan)],
+                             ids=["negative", "nan-c1", "nan-c2"])
+    def test_critical_values_nonnegative_and_ordered(self, c1, c2):
+        # a negative c1 would give a bound below 0, and a NaN one a NaN bound
+        with pytest.raises(ValueError, match=r"need 0 <= c1 <= c2, got"):
+            d_bounds(D56, 1.0, c1, c2)
+
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             d_bounds(D56, 0.0, C1, C2)
@@ -708,6 +715,11 @@ class TestCoefficientsAtBounds:
                 h2, h1, h0 = coefficients_at_bounds(d, delta, x, x)
                 assert (h2, h1) == (0.0, 0.0)
                 assert h0 == pytest.approx(1.0 / d.n1, abs=1e-15)
+
+    def test_inverted_bounds_rejected(self):
+        # they would give a negative h2 (-0.0471)
+        with pytest.raises(ValueError, match=r"need d1 <= d2, got \(0.7, 0.3\)"):
+            coefficients_at_bounds(D56, 1.0, 0.7, 0.3)
 
 
 class TestGridPath:

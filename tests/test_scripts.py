@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts: run_simulation, bench_pairs, same_output and bench_record."""
+"""Smoke runs of the scripts: run_simulation, bench_pairs, same_output, bench_record and
+code_lines."""
 
 import csv
 import importlib.util
@@ -241,3 +242,37 @@ def test_bench_record_reads_the_tier1_summary():
     assert outcomes("1 failed, 738 passed, 3 xfailed in 35.82s") == dict(
         passed=738, failed=1, xfailed=3)
     assert outcomes("=== 12 passed, 1 xpassed in 0.5s ===") == dict(passed=12, failed=0, xfailed=0)
+
+
+# 7 code lines: the import, the three lines of the call, the def, its
+# return, and the class line; the rest is docstring, comment or blank
+_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+TOTAL = sum(
+    [1, 2, 3],
+)
+
+
+def f(x):
+    """A function docstring."""
+
+    return math.sqrt(x)
+
+
+class C:
+    """A class docstring."""
+'''
+
+
+def test_code_lines(tmp_path, capsys):
+    script = _load("code_lines")
+    assert script.count_code_lines(_FIXTURE) == 7
+    module = tmp_path / "pkg" / "mod.py"
+    module.parent.mkdir()
+    module.write_text(_FIXTURE, encoding="utf-8")
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"      7  {module}", "      7  total"]
