@@ -40,8 +40,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)

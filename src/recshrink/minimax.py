@@ -156,20 +156,19 @@ class TableCell:
 def delta_intersections(design: DesignPair) -> tuple[float, float]:
     """Ascending real roots of r0(delta) = r1.
 
-    The lower root is nonpositive whenever pooling beats the single-sample
-    MLE at every small delta (all n2 = 2 designs, for instance); callers
-    that need a positive window use ``pooling_region`` instead.
+    Every design has lo < 1 < hi: r0 opens upward, and at delta = 1 it is
+    1/N at known location and (N + 2)/N^2 under location-scale, both below
+    r1 = 1/n1.  The lower root is nonpositive whenever pooling beats the
+    single-sample MLE at every small delta (all n2 = 2 designs, for
+    instance); callers that need a positive window use ``pooling_region``
+    instead.
     """
     a, b, c = pooled_risk_quadratic(design)
     r1 = 1.0 / design.n1
     disc = b * b - 4.0 * a * (c - r1)
-    if a <= 0.0 or disc <= 0.0:
-        raise SearchError(f"pooled and MLE risks do not cross for {design}")
     root = math.sqrt(disc)
     lo = (-b - root) / (2.0 * a)
     hi = (-b + root) / (2.0 * a)
-    if hi <= 0.0:
-        raise SearchError(f"no positive pooling window for {design}")
     return lo, hi
 
 
@@ -498,29 +497,6 @@ def regret_shrink(design: DesignPair, delta: float, alpha: float, k: float) -> f
     return _shrink_regret(*risk_k_coefficients(design, delta, alpha), k)
 
 
-def _shrink_terms(design, deltas, alpha):
-    """(h2, h1, h0 - rmin) over deltas: the shrinkage regret is h2*k^2 + h1*k + that."""
-    h2, h1, h0 = risk_k_coefficients_grid(design, deltas, alpha)
-    rmin = np.minimum(h0, h2 + h1 + h0)
-    pos = h2 > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = np.where(pos, -h1 / (2.0 * h2), -1.0)
-        vertex = np.where(pos, h0 - h1 * h1 / (4.0 * h2), np.inf)
-    interior = pos & (k0 > 0.0) & (k0 < 1.0)
-    rmin = np.where(interior, np.minimum(rmin, vertex), rmin)
-    return h2, h1, h0 - rmin
-
-
-def _regret_shrink_table(terms, k):
-    h2, h1, c = terms
-    # h2*k*k + h1*k + c, in place and in that order
-    out = h2 * k
-    out *= k
-    out += h1 * k
-    out += c
-    return np.maximum(0.0, out, out=out)
-
-
 def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
     """(lo, hi) where the pre-test risk crosses the MLE risk 1/n1 around its dip at delta = 1.
 
@@ -554,7 +530,23 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
     """
     crossings = pt_risk_crossings(design, alpha)
     grid = _fixed_grid(crossings[1])
-    terms = _shrink_terms(design, grid[0], alpha)
+    h2, h1, h0 = risk_k_coefficients_grid(design, grid[0], alpha)
+    rmin = np.minimum(h0, h2 + h1 + h0)
+    pos = h2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k0 = np.where(pos, -h1 / (2.0 * h2), -1.0)
+        vertex = np.where(pos, h0 - h1 * h1 / (4.0 * h2), np.inf)
+    interior = pos & (k0 > 0.0) & (k0 < 1.0)
+    c = h0 - np.where(interior, np.minimum(rmin, vertex), rmin)
+
+    def table(k, nodes):
+        # h2*k*k + h1*k + c, in place and in that order
+        out = h2[nodes] * k
+        out *= k
+        out += h1[nodes] * k
+        out += c[nodes]
+        return np.maximum(0.0, out, out=out)
+
     coefficients = functools.cache(lambda delta: risk_k_coefficients(design, delta, alpha))
 
     def regret(delta, k):
@@ -562,9 +554,7 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
         return _shrink_regret(*coefficients(delta), k)
 
     tail = functools.cache(functools.partial(_tail_bound, design, alpha))
-    return _Search(crossings, grid,
-                   lambda k, nodes: _regret_shrink_table([x[nodes] for x in terms], k),
-                   regret, lambda k, delta, upper: tail(delta, upper))
+    return _Search(crossings, grid, table, regret, lambda k, delta, upper: tail(delta, upper))
 
 
 def sup_regret_shrink(

@@ -126,7 +126,7 @@ def sample_exponential_records(
     scale: float,
     location: float = 0.0,
     *,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     variant: Variant | None = None,
 ) -> RecordSample:
     """Draw the first n upper records of a (location-)scale exponential stream.

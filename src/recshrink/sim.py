@@ -126,7 +126,7 @@ class McReport:
 _BLOCK = 1 << 15
 
 
-def _mle_batch(rng: np.random.Generator, n: int, scale: float, reps: int,
+def _mle_batch(rng: "np.random.Generator", n: int, scale: float, reps: int,
                variant: Variant, out: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Replicated record-sample MLEs, written into ``out`` and returned.
 

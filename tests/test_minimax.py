@@ -45,10 +45,19 @@ class TestDeltaIntersections:
         assert boundary_risks(DesignPair(4, 4), hi)[0] == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("n1,n2", [(n1, n2) for n1 in (2, 3, 4, 5, 7, 10)
-                                       for n2 in (2, 3, 4, 5, 7, 10)])
+                                       for n2 in (2, 3, 4, 5, 7, 10)]
+                             + [(1, 1), (1, 2), (2, 1), (1, 10**7), (10**7, 1), (2, 10**7),
+                                (10**7, 2), (10**7, 10**7), (150, 3), (10**4, 10**6)])
     def test_equal_scales_inside_window(self, n1, n2):
-        lo, hi = delta_intersections(DesignPair(n1, n2))
-        assert lo < 1.0 < hi
+        # r0 opens upward and r0(1) < 1/n1, so the roots are real and straddle
+        # delta = 1 under every variant a design admits
+        for variant in Variant:
+            if variant is Variant.LOCATION_SCALE and min(n1, n2) < 2:
+                continue
+            d = DesignPair(n1, n2, variant)
+            assert boundary_risks(d, 1.0)[0] < 1.0 / n1, variant
+            lo, hi = delta_intersections(d)
+            assert lo < 1.0 < hi, variant
 
     def test_small_n2_lower_root_nonpositive(self):
         # pooling beats the bare MLE at every small delta here
@@ -846,7 +855,6 @@ class TestDenseScan:
     @pytest.mark.parametrize("variant", ["known", "locscale"])
     @pytest.mark.parametrize("n1,n2", _sample_designs())
     def test_tuned_sups_are_global(self, n1, n2, variant):
-        from recshrink.minimax import _regret_shrink_table, _shrink_terms
         from recshrink.records import Variant
         from recshrink.risk import risk_k_coefficients_grid
 
@@ -865,9 +873,20 @@ class TestDenseScan:
         sol_k = optimal_k(d, alpha)
         if not sol_k.fallback:
             k = sol_k.tuned_value
-            _assert_sups_dominate_scan(
-                sol_k, lambda g: _regret_shrink_table(_shrink_terms(d, g, alpha), k)
-            )
+
+            def shrink_regret(g):
+                # from the public kernel: rmin is the least of h0, h2 + h1 + h0 and
+                # the vertex where the quadratic in k turns inside (0, 1)
+                h2, h1, h0 = risk_k_coefficients_grid(d, g, alpha)
+                rmin = np.minimum(h0, h2 + h1 + h0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    k0 = -h1 / (2.0 * h2)
+                    vertex = h0 - h1 * h1 / (4.0 * h2)
+                inside = (h2 > 0.0) & (k0 > 0.0) & (k0 < 1.0)
+                rmin = np.where(inside, np.minimum(rmin, vertex), rmin)
+                return np.maximum(0.0, h2 * k * k + h1 * k + h0 - rmin)
+
+            _assert_sups_dominate_scan(sol_k, shrink_regret)
 
 
 LARGE_GRID = (400, 600, 1000)

@@ -249,3 +249,20 @@ class TestMleScale:
         y = RecordSample(Y_RECORDS, Variant.LOCATION_SCALE)
         assert mle_scale(x) == pytest.approx(1.0705, abs=5.1e-5)
         assert mle_scale(y) == pytest.approx(0.7262, abs=5.1e-5)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the np.random.Generator annotations are strings, so no table solve pays
+    # for numpy.random; numpy 1.x loads it with numpy itself
+    code = ("import sys\n"
+            "import numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import recshrink\n"
+            "print(before, 'numpy.random' in sys.modules)\n")
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    before, after = done.stdout.split()
+    assert after == before, done.stdout

@@ -224,11 +224,11 @@ class TestMleBatch:
         np.testing.assert_allclose(batch, exact, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n, variant", [
-        (n, variant) for variant in Variant for n in (1, 2, 7, 10, 13)
+        (n, variant) for variant in Variant for n in (1, 2, 7, 10, 13, _BLOCK + 3)
         if n >= 2 or variant is Variant.KNOWN_LOCATION
     ])
     def test_blocks_keep_the_one_shot_bits(self, n, variant):
-        # several whole blocks and a ragged tail
+        # several whole blocks and a ragged tail; past _BLOCK, one replicate a block
         reps = 3 * (_BLOCK // n) + 7
         rng = np.random.default_rng(n)
         batch = _mle_batch(rng, n, 0.37, reps, variant, np.empty(reps), np.empty(_BLOCK))
