@@ -78,7 +78,11 @@ def log_beta(a: float, b: float) -> float:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by modified Lentz."""
+    """Continued fraction for the incomplete beta, by modified Lentz.
+
+    Each step's even and odd partial numerators go through the same Lentz
+    update, and convergence is tested after the odd one.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -90,25 +94,17 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_CF_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),             # even
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):   # odd
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError(

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -430,3 +432,14 @@ class TestValidate:
         assert "convention selected: derived" in out
         assert "surviving conventions" in out
         assert "derived" in out.splitlines()[-2]
+
+
+def test_module_run_as_main_exits_with_mains_code(monkeypatch, capsys):
+    # a fresh run of the module, as `python -m recshrink.cli` starts it; an
+    # imported copy left in sys.modules would make runpy warn
+    monkeypatch.delitem(sys.modules, "recshrink.cli")
+    monkeypatch.setattr(sys, "argv", ["recshrink", "tables", "2", "--alpha", "1.5", "--grid", "2,3"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("recshrink.cli", run_name="__main__")
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == "error: alpha must lie in (0, 1), got 1.5\n"

@@ -364,6 +364,16 @@ class TestWorkers:
             mc_compare(_config(replicates=100))
         assert raised.value is error
 
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        config = _config(replicates=100)
+        with_affinity = mc_compare(config)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert sim._usable_cpus() == os.cpu_count()
+        assert mc_compare(config) == with_affinity
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sim._usable_cpus() == 1
+        assert mc_compare(config) == with_affinity
+
     @pytest.mark.parametrize("count, limit", [(1, 3.8e6), (2, 7.5e6)])
     def test_each_worker_holds_four_arrays(self, cpus, count, limit):
         # four reps-length doubles (3.2 MB at 100k), two masks and the block per worker

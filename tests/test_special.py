@@ -201,6 +201,16 @@ class TestRegIncBeta:
             with pytest.raises(ValueError, match="beta shapes must be positive"):
                 reg_inc_beta_grid(np.array([0.5]), a, b)
 
+    @pytest.mark.parametrize("call", [
+        lambda: reg_inc_beta(0.5, 1e6 + 0.5, 1e6 + 0.5),
+        lambda: reg_inc_beta_grid(np.array([0.5]), 1e6 + 0.5, 1e6 + 0.5),
+    ], ids=["scalar", "grid"])
+    def test_continued_fraction_that_does_not_converge_raises(self, call):
+        # non-integer shapes this large need more than _MAX_CF_ITER steps
+        with pytest.raises(ArithmeticError,
+                           match=r"did not converge \(a=1000000.5, b=1000000.5, x=0.5\)"):
+            call()
+
 
 class TestInverse:
     def test_endpoints(self):
