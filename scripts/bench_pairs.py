@@ -20,7 +20,8 @@ pairs won (the runs of one round form a pair; ties count for neither side),
 the median's relative move, the regression bound, and a verdict:
 
 - ``gain``: won at least 9 pairs in 10, the medians differ in the better
-  direction by more than the parent's interquartile range, and in no round
+  direction by more than the parent's interquartile range and, with a
+  null, by more than the null's median moved either way, and in no round
   did a larger share of operations fail than at the parent;
 - ``worse``: the median moved the wrong way by more than the bound;
 - ``unresolved``: the parent's own spread is wider than the bound, so the
@@ -69,10 +70,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(base: list[float], other: list[float], better: str, bound: float | None,
-            more_failed: bool) -> dict:
+            more_failed: bool, null_move: float = 0.0) -> dict:
     """Pairs won by ``other`` over ``base``, its median move and the verdict.
 
-    ``more_failed``: in some round ``other`` failed a larger share of operations.
+    ``more_failed``: in some round ``other`` failed a larger share of
+    operations.  ``null_move``: how far the null's median moved from the
+    parent's, either way; a gain must move further.
     """
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (o - b) > 0.0 for b, o in zip(base, other))
@@ -82,7 +85,7 @@ def compare(base: list[float], other: list[float], better: str, bound: float | N
     gain = sign * (other_med - med)
     rel = (other_med - med) / abs(med) if med else 0.0
     every_run_better = min(sign * o for o in other) > max(sign * b for b in base)
-    if won >= 0.9 * len(base) and gain > q3 - q1 and not more_failed:
+    if won >= 0.9 * len(base) and gain > max(q3 - q1, null_move) and not more_failed:
         verdict = "gain"
     elif bound is not None and -gain > bound * abs(med):
         verdict = "worse"
@@ -113,8 +116,11 @@ def report(names: list[str], runs: dict, failed_share: dict, rules: dict) -> Non
         for name in names:
             q1, med, q3 = quartiles(values[name])
             print(f"  {name:7s} median {med:.6g}  quartiles [{q1:.6g}, {q3:.6g}]")
+        parent_med = quartiles(values["parent"])[1]
+        null_move = abs(quartiles(values["null"])[1] - parent_med) if "null" in values else 0.0
         for name in names[1:]:
-            c = compare(values["parent"], values[name], better, bound, more_failed[name])
+            c = compare(values["parent"], values[name], better, bound, more_failed[name],
+                        null_move if name == "change" else 0.0)
             print(f"  {name} vs parent: won {c['won']}/{c['pairs']} pairs, lost {c['lost']}, "
                   f"median {100.0 * c['rel']:+.1f} %, parent IQR {c['parent_iqr']:.3g}: "
                   f"{c['verdict']}")

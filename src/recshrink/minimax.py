@@ -20,10 +20,17 @@ For K*, regret measures the risk at coefficient k against its pointwise
 minimum over k in [0, 1] (an exact quadratic), and delta2 is the upper
 crossing of the pre-test risk with 1/n1.
 
-Every root the tunings bracket follows one rule, ``_first_root``: Brent's
-(1973) root in the first pair of ladder points where the residual changes
-sign, an exact 0 included.  The ladders are the 15-level scan and, for the
-K* window's crossings with 1/n1, delta = 2^(+-j/4), j = 0..120, from 1 out.
+Each tuned value is a root of reg_L(t) - reg_U(t), found by safeguarded
+Newton on the two heights (``_newton``).  By Danskin's (1967) envelope
+theorem a height's slope in t is the regret's slope at its argmax: the
+alpha* regret's is d(h2 + h1)/d alpha (``risk.pt_risk_alpha_slope``), since
+no reference depends on alpha, and the K* regret's is 2 h2 k + h1, wherever
+the regret is positive.  Every other root follows one rule,
+``_first_root``: Brent's (1973) root in the first pair of ladder points
+where the residual changes sign, an exact 0 included.  The ladders are the
+15-level scan, which runs only when Newton finds no sign change, and, for
+the K* window's crossings with 1/n1, delta = 2^(+-j/4), j = 0..120, from 1
+out.
 
 Each side's supremum is searched on one fixed log grid in delta, 200 nodes
 a decade: the lower side spans [delta2/1e4, delta2], the upper side
@@ -31,22 +38,23 @@ a decade: the lower side spans [delta2/1e4, delta2], the upper side
 regret jumps up as its reference switches from 1/n1 to r0; the node
 delta1*(1 + 1e-9) carries the right-hand limit.  A side's height on the
 grid is its argmax's value lifted to the vertex of the parabola in log
-delta, never taken across a cut.  The 15-level scan, which stops at the
-first pair of levels where reg_L - reg_U changes sign, Brent's root in that
-pair, the Newton step's slope and the golden fallback read only these two
-heights, reg_L and reg_U.  For K* they are array arithmetic on one table of
-(h2, h1, h0 - rmin), since no coefficient depends on k; for alpha* each
-level costs one grid evaluation.  The golden-section polish with the scalar
-regret runs only at the root, which then takes one Newton step on the
-polished residual, and the polished sups at the corrected root are the
-reported solution: the peak positions delta_L and delta_U come from the
+delta, never taken across a cut.  Newton reads only these two heights,
+reg_L and reg_U, and the slope at each side's argmax node; the scan,
+Brent's root there and the golden fallback read only the heights.  For K*
+they are array arithmetic on one table of (h2, h1, h0 - rmin), since no
+coefficient depends on k; for alpha* each level costs one grid evaluation.
+The golden-section polish with the scalar regret runs only at the root,
+which then takes one Newton step on the polished residual, with the slopes
+at the two polished peaks, and the polished sups at the corrected root are
+the reported solution: the peak positions delta_L and delta_U come from the
 polish alone.  Each solve, alpha* or K*, holds one search state: its
-window, grid, grid regret, scalar regret, tail bound, and the two heights,
-node values, span and argmax nodes of every level it has read, so no
-level is tabulated twice; only the polish looks for peaks, at the two
+window, grid, grid regret, scalar regret, tail bound, slope, and the two
+heights, node values, span and argmax nodes of every level it has read, so
+no level is tabulated twice; only the polish looks for peaks, at the two
 levels it reads.  A K* state also keeps the table of (h2, h1, h0 - rmin)
 and the scalar (h2, h1, h0) of every delta a polish has visited, so its
-two polishes build nothing twice.
+two polishes build nothing twice; its slope reads h2 and h1 off the table
+at a grid node and off those coefficients at a polished peak.
 
 A level reads only the part of the grid that a closed-form tail bound
 certifies (``risk._tail_bound``), for alpha* and K* alike.  Outside the
@@ -86,6 +94,7 @@ from .risk import (
     boundary_risks,
     pooled_risk_quadratic,
     pt_risk,
+    pt_risk_alpha_slope,
     risk_k_coefficients,
     risk_k_coefficients_grid,
 )
@@ -97,7 +106,9 @@ _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
 _DOMAIN = (0.01, 0.99)      # the tuned value's search interval
 _SCAN = tuple(np.linspace(*_DOMAIN, 15).tolist())
-_ROOT_XTOL = 1e-4           # Brent on the grid residual; the Newton step does the rest
+_ROOT_XTOL = 3e-5           # root searches on the grid residual; the Newton step does the rest
+_NEWTON_START = 0.25        # the Newton search's first level
+_MAX_NEWTON = 50            # levels a Newton search reads at most
 _LADDER = tuple(2.0 ** (j / 4) for j in range(121))  # crossing rungs up from delta = 1
 
 
@@ -258,9 +269,11 @@ class _Search:
     side's nodes are thus a run of the whole grid's ending at the edge,
     read the same at any span.  ``levels`` holds, for every level read so
     far, its two heights (reg_L, reg_U), its node values, its span (lo, hi)
-    and each side's argmax node, so the scan, Brent's root, the bracket
-    slope and the polish tabulate each level once.  The state belongs to
-    one solve: the next solve starts empty, as a fresh process would.
+    and each side's argmax node, so Newton, the scan, Brent's root and the
+    polish tabulate each level once.  ``slope(t, delta)`` is the regret's
+    slope in t at delta, which ``residual_slope`` reads at each side's
+    peak.  The state belongs to one solve: the next solve starts empty, as a
+    fresh process would.
     """
 
     window: tuple[float, float]
@@ -268,6 +281,7 @@ class _Search:
     table: Callable[[float, object], np.ndarray]
     regret: Callable[[float, float], float]
     bound: Callable[[float, float, bool], float]
+    slope: Callable[[float, float], float]
     levels: dict = field(default_factory=dict, init=False)
     # start (lower side) and stop (upper side) indices of the spans not yet
     # outgrown, narrowest first: the first of each is the current span
@@ -340,20 +354,14 @@ class _Search:
             out += [float(x) for x in max(found, key=lambda p: p[1])]
         return tuple(out)
 
-    def bracket_slope(self, root: float) -> float:
-        """Secant slope of the grid residual reg_L - reg_U across Brent's last bracket.
+    def residual_slope(self, t: float, peaks) -> float:
+        """Slope in t of reg_L - reg_U at level t, from each side's peak (delta, height).
 
-        The far end is the level read nearest the root whose residual has
-        the opposite sign (any level if the root's residual is exactly 0),
-        so no new level is tabulated.
+        By Danskin's envelope theorem a height moves with the regret's slope
+        in t at its argmax; a height of 0 has slope 0.
         """
-        g = {t: reg_lo - reg_hi for t, ((reg_lo, reg_hi), *_) in self.levels.items()}
-        others = [t for t in g if t != root]
-        far = min(
-            [t for t in others if (g[t] > 0.0) != (g[root] > 0.0)] or others,
-            key=lambda t: abs(t - root),
-        )
-        return (g[far] - g[root]) / (far - root)
+        lo, hi = (float(self.slope(t, float(d))) if h > 0.0 else 0.0 for d, h in peaks)
+        return lo - hi
 
 
 def _alpha_search(design: DesignPair) -> _Search:
@@ -374,7 +382,8 @@ def _alpha_search(design: DesignPair) -> _Search:
         return np.maximum(0.0, h2 + h1 + h0 - ref[nodes])
 
     return _Search(region, grid, table, lambda d, a: _regret_pt(design, d, a, region),
-                   functools.partial(_tail_bound, design))
+                   functools.partial(_tail_bound, design),
+                   lambda a, d: pt_risk_alpha_slope(design, d, a))
 
 
 def sup_regret_pt(
@@ -423,19 +432,57 @@ def _equalize(sups):
     return t, False
 
 
+def _newton(search: _Search) -> tuple[float, bool]:
+    """(root, fallback) of reg_L - reg_U by safeguarded Newton on the grid heights.
+
+    Each height's slope is its envelope slope at the side's argmax node.
+    Once two levels differ in sign they bracket the root, and a step that
+    leaves the bracket, or follows one that did not halve |reg_L - reg_U|,
+    bisects it.  Before that, a step that leaves _DOMAIN (a zero slope
+    points up) goes halfway to the edge it points at.  The root is the last
+    level read, once the next step falls below _ROOT_XTOL.  A step before a
+    bracket that keeps the sign without halving the residual means no sign
+    change was found, and ``_equalize`` runs on the same level memo.
+    """
+
+    def residual(t):
+        heights = search.grid_sups(t)
+        nodes = search.grid[0][list(search.levels[t][3])]
+        return heights[0] - heights[1], search.residual_slope(t, zip(nodes, heights))
+
+    (g, dg), t, halved = residual(_NEWTON_START), _NEWTON_START, True
+    ends = {g > 0.0: t}  # the last level read on each side of the root
+    for _ in range(_MAX_NEWTON):
+        step = -g / dg if dg != 0.0 else math.inf
+        lo, hi = sorted(ends.values()) if len(ends) == 2 else _DOMAIN
+        if len(ends) == 2 and not (halved and lo <= t + step <= hi):
+            step = 0.5 * (lo + hi) - t  # bisect the bracket
+        elif not lo <= t + step <= hi:
+            step = 0.5 * ((lo, hi)[step > 0.0] - t)  # halfway to the edge of _DOMAIN
+        if abs(step) < _ROOT_XTOL:
+            return t, False
+        t, (g_new, dg) = t + step, residual(t + step)
+        halved, g, ends[g_new > 0.0] = abs(g_new) <= 0.5 * abs(g), g_new, t
+        if len(ends) == 1 and not halved:
+            break
+    return _equalize(search.grid_sups)
+
+
 def _solve(search: _Search, sup, what: str) -> RegretSolution:
     """Equalized solution over the search's window, in plain floats.
 
-    The scan and Brent's root run on the search's two heights.  The root then
-    gets one Newton step: the residual of the polished sups ``sup`` over
-    the slope of the grid residual across Brent's last bracket.  The polish
-    runs only there and at the corrected root, whose polished sups are the
-    reported solution.  ``what`` names the inputs in a SearchError.
+    Safeguarded Newton (``_newton``) finds the root of the two grid heights;
+    without a sign change, ``_equalize``'s scan, Brent's root and golden
+    fallback run on the same level memo.  The root then gets one Newton
+    step: the residual of the polished sups ``sup`` over the slope of the
+    two polished peaks.  The polish runs only there and at the corrected
+    root, whose polished sups are the reported solution.  ``what`` names the
+    inputs in a SearchError.
     """
     try:
-        t, fallback = _equalize(search.grid_sups)
+        t, fallback = _newton(search)
         d_lo, r_lo, d_hi, r_hi = sup(t)
-        slope = 0.0 if fallback else search.bracket_slope(t)
+        slope = 0.0 if fallback else search.residual_slope(t, ((d_lo, r_lo), (d_hi, r_hi)))
         if slope != 0.0:
             t -= (r_lo - r_hi) / slope
             d_lo, r_lo, d_hi, r_hi = sup(t)
@@ -452,8 +499,8 @@ def _design_label(design: DesignPair) -> str:
 def optimal_alpha(design: DesignPair) -> RegretSolution:
     """Pre-test level equalizing the two regret maxima.
 
-    One search state serves every level the solve visits: the scan and
-    Brent read its two heights, and both polishes its memo of node values.
+    One search state serves every level the solve visits: Newton reads its
+    two heights, and both polishes its memo of node values.
     """
     search = _alpha_search(design)
     return _solve(search, lambda a: sup_regret_pt(design, a, search),
@@ -553,8 +600,14 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
         check_k(k)
         return _shrink_regret(*coefficients(delta), k)
 
+    def slope(k, delta):
+        # 2 h2 k + h1: off the table at a grid node, else from a polish's coefficients
+        i = min(int(np.searchsorted(grid[0], delta)), len(grid[0]) - 1)
+        a, b = (h2[i], h1[i]) if grid[0][i] == delta else coefficients(delta)[:2]
+        return 2.0 * a * k + b
+
     tail = functools.cache(functools.partial(_tail_bound, design, alpha))
-    return _Search(crossings, grid, table, regret, lambda k, delta, upper: tail(delta, upper))
+    return _Search(crossings, grid, table, regret, lambda k, d, upper: tail(d, upper), slope)
 
 
 def sup_regret_shrink(
@@ -578,9 +631,8 @@ def sup_regret_shrink(
 def optimal_k(design: DesignPair, alpha: float) -> RegretSolution:
     """Shrinkage weight equalizing the two regret maxima at a fixed level alpha.
 
-    One search state serves every k the solve visits: the scan and Brent
-    read its two heights, and both polishes its table and memo of scalar
-    coefficients.
+    One search state serves every k the solve visits: Newton reads its two
+    heights, and both polishes its table and memo of scalar coefficients.
     """
     check_level(alpha)
     search = _shrink_search(design, alpha)

@@ -42,6 +42,10 @@ call would cost more than ten times as much) or from one
 ``reg_inc_beta_grid`` call over both arrays, and forms the five brackets
 elementwise; ``_coeffs`` turns them into (h2, h1, h0).  Both read the
 per-design constants that ``_quadratic_constants`` caches.
+
+``pt_risk_alpha_slope`` is d pt_risk/d alpha in closed form, with no
+incomplete beta: each bound moves with its critical value, and the risk
+moves with a bound by the Beta density there times a conditional moment.
 """
 
 import functools
@@ -264,6 +268,51 @@ def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
     consts = _quadratic_constants(design)
     return _coeffs(consts, _brackets(consts, dv, _beta_bound(c1, n1, n2, dv),
                                      _beta_bound(c2, n1, n2, dv)))
+
+
+def _bound_slope(design: DesignPair, delta: float, c: float) -> float:
+    """d(1 - d) times d(h2 + h1)/dd2 at the upper bound d2 = d of the finite critical value c.
+
+    The lower bound enters every bracket with the opposite sign, so this is
+    also -d(1 - d) d(h2 + h1)/dd1 at d1 = d.  Given B = G1/(G1 + G2) = d, the
+    pivots are (d S, (1 - d) S) with S ~ Gamma(M), M = m1 + m2, independent
+    of B, and Y = delta G2/n2 - G1/n1 is S u with u = delta (1 - c)/(c n1
+    delta + n2); so the slope is the Beta density at d times the conditional
+    mean of lam^2 Y^2 + 2 lam (G1/n1 - 1) Y, and d(1 - d) times the density
+    is the front factor.  u is read off 1 - c, which the bound itself would
+    lose to cancellation near c = 1.
+    """
+    m1, m2, log_b = _quadratic_constants(design)[:3]
+    n1, lam, big_m = design.n1, design.lam, m1 + m2
+    small, far = min(delta, 1.0), design.n2 / max(delta, 1.0)  # as in d_bounds
+    t = c * n1 * small
+    d, u = t / (t + far), (1.0 - c) * small / (t + far)
+    return _front(d, m1, m2, log_b) * lam * u * big_m * (
+        (lam * u + 2.0 * d / n1) * (big_m + 1) - 2.0)
+
+
+def _quantile_fronts(design: DesignPair, alpha: float) -> list[float]:
+    """[t(x1), t(x2)]: the front factor at the Beta(m1, m2) quantiles behind c1 and c2.
+
+    c_j = (m2/m1) x_j/(1 - x_j) with x_j the quantile at alpha/2 (j = 1) or
+    1 - alpha/2 (j = 2), so x_j = c_j m1/(c_j m1 + m2) and dc_j/d alpha =
+    +-c_j/(2 t(x_j)), + for c1 and - for c2.  A zero c1 or an infinite c2
+    gives 0: alpha does not move it.
+    """
+    m1, m2, log_b = _quadratic_constants(design)[:3]
+    return [0.0 if c == math.inf else _front(c * m1 / (c * m1 + m2), m1, m2, log_b)
+            for c in critical_values(design, alpha)]
+
+
+def pt_risk_alpha_slope(design: DesignPair, delta: float, alpha: float) -> float:
+    """d pt_risk/d alpha = d(h2 + h1)/d alpha at delta, since h0 does not depend on alpha.
+
+    Bound j moves as d_j (1 - d_j) d ln c_j/d alpha = +-d_j (1 - d_j)/(2 t(x_j)),
+    which cancels the d_j (1 - d_j) of ``_bound_slope``; with the lower
+    bound's opposite sign, both bounds add -``_bound_slope``/(2 t(x_j)).
+    """
+    fronts = zip(critical_values(design, alpha), _quantile_fronts(design, alpha))
+    return sum((-0.5 * _bound_slope(design, delta, c) / f for c, f in fronts if f > 0.0), 0.0)
 
 
 def shrink_risk(design: DesignPair, delta: float, alpha: float, k: float) -> float:

@@ -19,6 +19,10 @@ pivots of shapes m_i and A the acceptance event {d1 < G1/(G1 + G2) < d2},
 E[G1^i G2^j 1_A] = (m1)_i (m2)_j (I_{d2} - I_{d1})(m1 + i, m2 + j), where
 (m)_i is the rising factorial, and the shrinkage estimate is
 theta1 (G1/n1 + k lam 1_A (delta G2/n2 - G1/n1)) with lam = n2/(n1 + n2).
+
+A bound enters h2 + h1 only through the brackets, and dI_d(a, b)/dd is the
+Beta(a, b) density d^(a-1) (1 - d)^(b-1) (a + b - 1)!/((a - 1)! (b - 1)!), a
+rational at a rational d, so ``exact_bound_slope`` is exact too.
 """
 
 import math
@@ -45,6 +49,38 @@ def _tail_sum(p: int, q: int, a: int, b: int) -> int:
         inner = inner * p + math.comb(n, k) * r_power
         r_power *= r
     return p**a * inner
+
+
+def _moment_weights(m1: int, m2: int, n1: int, n2: int, delta: Fraction) -> dict:
+    """{(i, j): w} with h2 + h1 = sum of w times the bracket at (m1 + i, m2 + j).
+
+    The weight of a bracket is its rising factorials over n1^i n2^j times its
+    coefficient in lam^2 E[Y^2 1_A] + 2 lam E[(X - 1) Y 1_A], the k^2 and k
+    terms of the risk at k = 1, with X and Y as in ``exact_coefficients``.
+    """
+    lam = Fraction(n2, n1 + n2)
+    coefficient = {(2, 0): lam * lam - 2 * lam, (1, 1): 2 * lam * delta * (1 - lam),
+                   (0, 2): lam * lam * delta * delta, (1, 0): 2 * lam, (0, 1): -2 * lam * delta}
+    return {(i, j): w * math.prod(range(m1, m1 + i)) * math.prod(range(m2, m2 + j))
+            / (n1**i * n2**j) for (i, j), w in coefficient.items()}
+
+
+def exact_bound_slope(n1: int, n2: int, known: bool, c: float, delta: float) -> Fraction:
+    """d(h2 + h1)/dd2 at the upper bound d2 = d(c), exactly, at this delta.
+
+    The lower bound enters every bracket with the opposite sign, so
+    d(h2 + h1)/dd1 at d1 = d(c) is the negative of this.  c must be finite.
+    """
+    m1, m2 = (n1, n2) if known else (n1 - 1, n2 - 1)
+    p, q = _bound(c, n1, n2, delta)
+    d = Fraction(p, q)
+    total = Fraction(0)
+    for (i, j), w in _moment_weights(m1, m2, n1, n2, Fraction(delta)).items():
+        a, b = m1 + i, m2 + j
+        density = (d ** (a - 1) * (1 - d) ** (b - 1)
+                   * Fraction(math.factorial(a + b - 1), math.factorial(a - 1) * math.factorial(b - 1)))
+        total += w * density
+    return total
 
 
 def exact_coefficients(n1: int, n2: int, known: bool, c1: float, c2: float,

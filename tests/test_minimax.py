@@ -439,6 +439,15 @@ class TestSolve:
 
         return bound
 
+    @classmethod
+    def _slope(cls, humps):
+        """slope(t, delta): the regret's slope in t, each height's by a central difference.
+
+        The heights these tests pass are linear in t, so the difference is their slope.
+        """
+        rates = cls._humps([(c, lambda t, h=h: h(t + 0.5) - h(t - 0.5)) for c, h in humps])
+        return lambda t, delta: rates(delta, t)
+
     def test_equalizes_two_analytic_humps(self):
         from collections import Counter
 
@@ -458,7 +467,7 @@ class TestSolve:
             levels.append(t)
             return regret(grid[0][nodes], t)
 
-        search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps))
+        search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps), self._slope(humps))
 
         def sup(t):
             polished.append(t)
@@ -470,11 +479,64 @@ class TestSolve:
         assert sol.delta_L == pytest.approx(centres[0], abs=1e-6)
         assert sol.delta_U == pytest.approx(centres[1], abs=1e-6)
         assert (sol.delta1, sol.delta2) == (0.1, 1.0)
-        # the scan, Brent's root, the bracket slope and both polishes
-        # tabulate every level they read exactly once: the polish at Brent's
-        # root reads the level the root already tabulated
+        # Newton and both polishes tabulate every level they read exactly
+        # once: the polish at Newton's root reads the level the root already
+        # tabulated
         assert len(polished) == 2 and polished[0] in levels[:-1]
         assert set(Counter(levels).values()) == {1}
+
+    def test_a_first_step_out_of_the_domain_still_solves(self):
+        from recshrink.minimax import _DOMAIN, _NEWTON_START, _Search, _fixed_grid, _solve
+
+        # heights 0.2 + t^4 and 0.2 + 0.9^4 cross at t* = 0.9; at the start
+        # the residual's slope 4 t^3 is so small that Newton's first step
+        # leaves _DOMAIN, so the second level is halfway to its upper edge
+        humps = ((0.3, lambda t: 0.2 + t**4), (3.0, lambda t: 0.2 + 0.9**4))
+        rates = self._humps(((0.3, lambda t: 4.0 * t**3), (3.0, lambda t: 0.0)))
+        regret = self._humps(humps)
+        grid = _fixed_grid(1.0)
+        levels = []
+
+        def table(t, nodes):
+            levels.append(t)
+            return regret(grid[0][nodes], t)
+
+        search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps),
+                         lambda t, delta: rates(delta, t))
+        sol = _solve(search, search.polished_sups, "first step out of the domain")
+        assert levels[:2] == [_NEWTON_START, 0.5 * (_NEWTON_START + _DOMAIN[1])]
+        assert not sol.fallback
+        assert sol.tuned_value == pytest.approx(0.9, abs=1e-6)
+        assert sol.regret_at_L == pytest.approx(sol.regret_at_U, rel=1e-9)
+
+    @pytest.mark.parametrize("humps, rates", [
+        # a zero slope at the start
+        (((0.3, lambda t: 1.0), (3.0, lambda t: 0.5)),
+         ((0.3, lambda t: 0.0), (3.0, lambda t: 0.0))),
+        # Newton's first step leaves _DOMAIN, and the halfway step to its
+        # edge keeps the sign without halving the residual
+        (((0.3, lambda t: 1.0 + (t - 0.6) ** 2), (3.0, lambda t: 0.5 + 0.5 * (t - 0.6) ** 2)),
+         ((0.3, lambda t: 2.0 * (t - 0.6)), (3.0, lambda t: t - 0.6))),
+    ], ids=["flat", "curved"])
+    def test_no_sign_change_ends_in_the_golden_fallback(self, humps, rates):
+        from recshrink.minimax import _equalize, _Search, _fixed_grid, _solve
+
+        # reg_L stays above reg_U at every level: the solve is _equalize's
+        # golden fallback, as if _equalize ran on a search of its own
+        regret, slope = self._humps(humps), self._humps(rates)
+        grid = _fixed_grid(1.0)
+
+        def search():
+            return _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
+                           regret, self._honest(humps), lambda t, delta: slope(delta, t))
+
+        solved, alone = search(), search()
+        sol = _solve(solved, solved.polished_sups, "no sign change")
+        t, fallback = _equalize(alone.grid_sups)
+        assert sol.fallback and fallback
+        assert sol.tuned_value == t
+        assert (sol.delta_L, sol.regret_at_L, sol.delta_U, sol.regret_at_U) == \
+            alone.polished_sups(t)
 
     def test_certified_span_finds_a_planted_far_hump(self):
         from recshrink.minimax import _SCAN, _Search, _fixed_grid, _solve
@@ -489,7 +551,7 @@ class TestSolve:
 
         def solve(bound):
             search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                             regret, bound)
+                             regret, bound, self._slope(humps))
             return _solve(search, search.polished_sups, "planted hump")
 
         full = solve(lambda t, delta, upper: np.inf)  # the whole grid, out to 1e4 times the edge
@@ -508,12 +570,13 @@ class TestSolve:
         # a bound that certifies everything, and an upper hump just past
         # 1e2 times the edge: the span's end node is a peak, so the side
         # widens and finds the hump's top as the whole grid does
-        regret = self._humps(((0.3, lambda t: 0.2 + t), (1.2e2, lambda t: 1.0 - t)))
+        humps = ((0.3, lambda t: 0.2 + t), (1.2e2, lambda t: 1.0 - t))
+        regret = self._humps(humps)
         grid = _fixed_grid(1.0)
 
         def solve(bound):
             search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                             regret, bound)
+                             regret, bound, self._slope(humps))
             return _solve(search, search.polished_sups, "hump past the span end")
 
         full = solve(lambda t, delta, upper: np.inf)  # the whole grid
@@ -526,12 +589,13 @@ class TestSolve:
         # the mirror image below the edge: a lower hump just past edge/1e2
         # is the lower side's argmax on the span's end node, so the side
         # widens, although the bound certifies everything
-        regret = self._humps(((1 / 1.2e2, lambda t: 0.2 + t), (3.0, lambda t: 1.0 - t)))
+        humps = ((1 / 1.2e2, lambda t: 0.2 + t), (3.0, lambda t: 1.0 - t))
+        regret = self._humps(humps)
         grid = _fixed_grid(1.0)
 
         def solve(bound):
             search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                             regret, bound)
+                             regret, bound, self._slope(humps))
             return _solve(search, search.polished_sups, "hump past the lower span end")
 
         full = solve(lambda t, delta, upper: np.inf)  # the whole grid
@@ -558,7 +622,7 @@ class TestSolve:
                 reads.setdefault(t, []).extend(grid[0][nodes].tolist())
                 return regret(grid[0][nodes], t)
 
-            search = _Search((0.1, 1.0), grid, table, regret, bound)
+            search = _Search((0.1, 1.0), grid, table, regret, bound, self._slope(humps))
 
             def sup(t):
                 polished.append(t)
@@ -581,7 +645,8 @@ class TestSolve:
         # with delta1 = 0.005 the lower side cannot end at edge/1e2 = 0.01,
         # inside the window, where the tail bound says nothing; it starts a
         # decade wider, although the bound certifies everything
-        regret = self._humps(((0.3, lambda t: 0.5), (3.0, lambda t: 0.5)))
+        humps = ((0.3, lambda t: 0.5), (3.0, lambda t: 0.5))
+        regret = self._humps(humps)
         grid = _fixed_grid(1.0, split=0.005)
         read = []
 
@@ -589,7 +654,8 @@ class TestSolve:
             read.extend(grid[0][nodes].tolist())
             return regret(grid[0][nodes], t)
 
-        _Search((0.005, 1.0), grid, table, regret, lambda t, delta, upper: 0.0).grid_sups(0.5)
+        _Search((0.005, 1.0), grid, table, regret, lambda t, delta, upper: 0.0,
+                self._slope(humps)).grid_sups(0.5)
         assert 1e-3 <= min(read) < 1.02e-3
         assert 1e2 / 1.02 < max(read) <= 1e2 * (1 + 1e-9)
 
@@ -909,6 +975,14 @@ class TestLargeDesigns:
                                      for b in LARGE_GRID for a in LARGE_GRID])
             assert [(c.n1, c.n2, c.error, c.fallback) for c in cells
                     if c.error or c.fallback] == []
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_k_star_equalizes_at_3000(self, variant):
+        # the one Newton step on the polished residual takes the slopes of the
+        # two polished peaks, and brings it to about 6e-6 relative here
+        sol = optimal_k(DesignPair(3000, 3000, variant), 0.16)
+        assert not sol.fallback
+        assert abs(sol.regret_at_L - sol.regret_at_U) <= 1e-5 * sol.regret_at_U
 
     def test_k_star_sups_are_the_exact_regret(self):
         from fractions import Fraction

@@ -33,7 +33,7 @@ from recshrink.risk import (
 )
 from recshrink.sim import _linear_bounds, mc_oracle_risk
 
-from exact_risk import exact_coefficients
+from exact_risk import _bound, exact_bound_slope, exact_coefficients
 
 D56 = DesignPair(5, 6)
 
@@ -530,6 +530,73 @@ class TestTailBound:
             reg_hi = regret_shrink(design, cell["delta_U"], alpha, k)
             assert _tail_bound(design, alpha, delta2 / 1e4, upper=False) <= reg_lo, cell
             assert _tail_bound(design, alpha, delta2 * 1e4, upper=True) <= reg_hi, cell
+
+
+class TestAlphaSlope:
+    """d pt_risk/d alpha: the exact slope in each bound, chained through the critical values."""
+
+    DESIGNS = [(2, 2), (2, 40), (40, 2), (3, 7), (10, 3), (17, 29), (25, 6), (40, 40)]
+    ALPHAS = (0.01, 0.16, 0.5, 0.9, 0.99)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n1,n2", DESIGNS)
+    def test_bound_slope_is_exact(self, n1, n2, variant):
+        from recshrink.risk import _bound_slope
+
+        # d(1 - d) times d(h2 + h1)/dd at both bounds, to 1e-12 relative,
+        # over delta in [1e-3, 10] and alpha up to 0.99, where c is near 1
+        design, known = DesignPair(n1, n2, variant), variant is Variant.KNOWN_LOCATION
+        checked = 0
+        for alpha in self.ALPHAS:
+            for c in critical_values(design, alpha):
+                for delta in np.geomspace(1e-3, 10.0, 9).tolist():
+                    exact = exact_bound_slope(n1, n2, known, c, delta)
+                    if abs(exact) <= 1e-300:
+                        continue
+                    p, q = _bound(c, n1, n2, delta)
+                    want = exact * Fraction(p * (q - p), q * q)
+                    got = Fraction(_bound_slope(design, delta, c))
+                    assert abs(got - want) <= 1e-12 * abs(want), (alpha, c, delta)
+                    checked += 1
+        assert checked >= 80
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n1,n2", DESIGNS)
+    def test_critical_value_slopes_match_central_differences(self, n1, n2, variant):
+        from recshrink.risk import _quantile_fronts
+
+        # dc1/d alpha = c1/(2 t(x1)) and dc2/d alpha = -c2/(2 t(x2))
+        design = DesignPair(n1, n2, variant)
+        for alpha in self.ALPHAS:
+            h = 1e-5 * min(alpha, 1.0 - alpha)
+            up, down = critical_values(design, alpha + h), critical_values(design, alpha - h)
+            for c, front, half, c_up, c_down in zip(critical_values(design, alpha),
+                                                    _quantile_fronts(design, alpha),
+                                                    (0.5, -0.5), up, down):
+                assert half * c / front == pytest.approx((c_up - c_down) / (2.0 * h), rel=1e-6)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_alpha_slope_matches_central_differences(self, variant):
+        from recshrink.risk import pt_risk_alpha_slope
+
+        # where pt_risk keeps its digits: the dip and both sides of the crossing
+        design = DesignPair(5, 6, variant)
+        for alpha in (0.05, 0.16, 0.5):
+            h = 1e-6
+            for delta in (0.2, 0.7, 1.0, 1.6, 3.0):
+                central = (pt_risk(design, delta, alpha + h)
+                           - pt_risk(design, delta, alpha - h)) / (2.0 * h)
+                assert pt_risk_alpha_slope(design, delta, alpha) == \
+                    pytest.approx(central, rel=1e-6, abs=1e-9), (alpha, delta)
+
+    def test_an_infinite_c2_contributes_nothing(self):
+        from recshrink.risk import _quantile_fronts, pt_risk_alpha_slope
+
+        # c2 = inf, as in the tail bound's test; its bound slope would be NaN
+        design, alpha = DesignPair(1, 1), 1e-310
+        assert critical_values(design, alpha)[1] == math.inf
+        assert _quantile_fronts(design, alpha)[1] == 0.0
+        assert not math.isnan(pt_risk_alpha_slope(design, 1.0, alpha))
 
 
 class TestMomentsAgainstOracle:

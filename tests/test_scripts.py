@@ -60,12 +60,12 @@ def _plan(wall_s, failed, attempted):
     return {"wall_s": wall_s, "failed": failed, "attempted": attempted}
 
 
-def _bench_pairs(tmp_path, plans, workload="w"):
-    """Run bench_pairs for 10 rounds over stub trees; (stdout, stderr).
+def _bench_pairs(tmp_path, plans, workload="w", rounds=10):
+    """Run bench_pairs for ``rounds`` rounds over stub trees; (stdout, stderr).
 
     A side's plan is (wall_s, failed, attempted), or {workload: plan} for several.
     """
-    argv = ["--workload", workload, "--seed", "29", "--seconds", "0", "--rounds", "10"]
+    argv = ["--workload", workload, "--seed", "29", "--seconds", "0", "--rounds", str(rounds)]
     for name, plan in plans.items():
         tree = tmp_path / name
         (tree / "perfbench").mkdir(parents=True)
@@ -128,6 +128,24 @@ def test_bench_pairs_unresolved(tmp_path, capsys):
     wall = _wall_lines(capsys.readouterr().out)
     assert "change vs parent: won 6/10 pairs, lost 4, median -6.5 %, parent IQR 1: " \
         "unresolved" in wall
+
+
+def test_bench_pairs_gain_must_beat_the_null(tmp_path, capsys):
+    # the null reads 1 % faster in every pair: on "small" a change 0.9 %
+    # faster is no gain, though it wins every pair by more than the
+    # parent's zero IQR; on "large" a change 5 % faster is
+    ones = ([0] * 3, [36] * 3)
+    _bench_pairs(tmp_path, {"parent": {w: ([1.0] * 3, *ones) for w in ("small", "large")},
+                            "change": {"small": ([0.991] * 3, *ones),
+                                       "large": ([0.95] * 3, *ones)},
+                            "null": {w: ([0.99] * 3, *ones) for w in ("small", "large")}},
+                 workload="small,large", rounds=3)
+    small, large = capsys.readouterr().out.split("workload large, seed 29, 0 s runs, 3 rounds")
+    for out, move, verdict in ((small, "-0.9", "within bound"), (large, "-5.0", "gain")):
+        wall = _wall_lines(out)
+        assert f"change vs parent: won 3/3 pairs, lost 0, median {move} %, parent IQR 0: " \
+            f"{verdict}" in wall
+        assert "null vs parent: won 3/3 pairs, lost 0, median -1.0 %, parent IQR 0: gain" in wall
 
 
 def test_bench_pairs_several_workloads(tmp_path, capsys):
