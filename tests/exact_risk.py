@@ -51,35 +51,27 @@ def _tail_sum(p: int, q: int, a: int, b: int) -> int:
     return p**a * inner
 
 
-def _moment_weights(m1: int, m2: int, n1: int, n2: int, delta: Fraction) -> dict:
-    """{(i, j): w} with h2 + h1 = sum of w times the bracket at (m1 + i, m2 + j).
-
-    The weight of a bracket is its rising factorials over n1^i n2^j times its
-    coefficient in lam^2 E[Y^2 1_A] + 2 lam E[(X - 1) Y 1_A], the k^2 and k
-    terms of the risk at k = 1, with X and Y as in ``exact_coefficients``.
-    """
-    lam = Fraction(n2, n1 + n2)
-    coefficient = {(2, 0): lam * lam - 2 * lam, (1, 1): 2 * lam * delta * (1 - lam),
-                   (0, 2): lam * lam * delta * delta, (1, 0): 2 * lam, (0, 1): -2 * lam * delta}
-    return {(i, j): w * math.prod(range(m1, m1 + i)) * math.prod(range(m2, m2 + j))
-            / (n1**i * n2**j) for (i, j), w in coefficient.items()}
-
-
 def exact_bound_slope(n1: int, n2: int, known: bool, c: float, delta: float) -> Fraction:
     """d(h2 + h1)/dd2 at the upper bound d2 = d(c), exactly, at this delta.
 
-    The lower bound enters every bracket with the opposite sign, so
-    d(h2 + h1)/dd1 at d1 = d(c) is the negative of this.  c must be finite.
+    h2 + h1 = lam^2 E[Y^2 1_A] + 2 lam E[(X - 1) Y 1_A], the k^2 and k terms
+    of the risk at k = 1 with X and Y as in ``exact_coefficients``, so each
+    bracket enters with its rising factorials over n1^i n2^j times its
+    coefficient there, and its slope is the Beta density at the bound.  The
+    lower bound enters every bracket with the opposite sign, so d(h2 + h1)/dd1
+    at d1 = d(c) is the negative of this.  c must be finite.
     """
     m1, m2 = (n1, n2) if known else (n1 - 1, n2 - 1)
-    p, q = _bound(c, n1, n2, delta)
-    d = Fraction(p, q)
+    d, t, lam = Fraction(*_bound(c, n1, n2, delta)), Fraction(delta), Fraction(n2, n1 + n2)
+    coefficient = {(2, 0): lam * lam - 2 * lam, (1, 1): 2 * lam * t * (1 - lam),
+                   (0, 2): lam * lam * t * t, (1, 0): 2 * lam, (0, 1): -2 * lam * t}
     total = Fraction(0)
-    for (i, j), w in _moment_weights(m1, m2, n1, n2, Fraction(delta)).items():
+    for (i, j), w in coefficient.items():
         a, b = m1 + i, m2 + j
-        density = (d ** (a - 1) * (1 - d) ** (b - 1)
-                   * Fraction(math.factorial(a + b - 1), math.factorial(a - 1) * math.factorial(b - 1)))
-        total += w * density
+        rising = math.prod(range(m1, a)) * math.prod(range(m2, b))
+        density = (d ** (a - 1) * (1 - d) ** (b - 1) * math.factorial(a + b - 1)
+                   / (math.factorial(a - 1) * math.factorial(b - 1)))
+        total += w * rising / (n1**i * n2**j) * density
     return total
 
 
