@@ -7,12 +7,12 @@ A and B are checkouts of the repository.  Each command runs as
 ``src`` as PYTHONPATH, so each side runs its own code.  The commands are the
 CLI outputs a change that claims the same bits must leave alone: tables 1-3
 under both variants, table 2 as CSV, table 3 on the {40, 150} and the
-{400, 600, 1000} grids under both variants, one alpha* and two K* solves
-(one of them a fallback at alpha = 1e-30), a seeded Monte Carlo
-comparison, three risk curves on the grid route, the estimator on the
-example records, the seeded convention validation, and two argument
-errors: table 2 at a level outside (0, 1) and a one-replicate Monte Carlo
-run.
+{400, 600, 1000} grids under both variants, two alpha* solves (at (5, 6)
+and at (5000, 5000)) and two K* solves (one of them a fallback at
+alpha = 1e-30), a seeded Monte Carlo comparison, three risk curves on the
+grid route, the estimator on the example records, the seeded convention
+validation, and two argument errors: table 2 at a level outside (0, 1)
+and a one-replicate Monte Carlo run.
 
 One line per command says whether its stdout, stderr and exit code are
 the same on both sides, and names those that differ.  The exit status is 1
@@ -34,6 +34,7 @@ COMMANDS = (
     *(("tables", "3", "--grid", grid, "--format", "json", "--variant", variant)
       for grid in ("40,150", "400,600,1000") for variant in ("known", "locscale")),
     ("optimal-alpha", "--n1", "5", "--n2", "6", "--format", "json"),
+    ("optimal-alpha", "--n1", "5000", "--n2", "5000", "--format", "json"),
     ("optimal-k", "--n1", "7", "--n2", "2", "--variant", "locscale", "--alpha", "0.16",
      "--format", "json"),
     ("optimal-k", "--n1", "5", "--n2", "6", "--alpha", "1e-30"),

@@ -25,12 +25,14 @@ Newton on the two heights (``_newton``).  By Danskin's (1967) envelope
 theorem a height's slope in t is the regret's slope at its argmax: the
 alpha* regret's is d(h2 + h1)/d alpha (``risk.pt_risk_alpha_slope``), since
 no reference depends on alpha, and the K* regret's is 2 h2 k + h1, wherever
-the regret is positive.  Every other root follows one rule,
-``_first_root``: Brent's (1973) root in the first pair of ladder points
-where the residual changes sign, an exact 0 included.  The ladders are the
-15-level scan, which runs only when Newton finds no sign change, and, for
-the K* window's crossings with 1/n1, delta = 2^(+-j/4), j = 0..120, from 1
-out.
+the regret is positive.  When Newton fails before two levels differ in
+sign, the residual at the two ends of the domain (0.01, 0.99) decides:
+ends of opposite signs bracket the root, and ends of one sign mean there
+is none, so golden-section search minimizes the larger height instead.
+The only other roots, the K* window's crossings with 1/n1, follow
+``_first_root``: Brent's (1973) root in the first pair of rungs
+delta = 2^(+-j/4), j = 0..120, read from 1 out, where the residual changes
+sign, an exact 0 included.
 
 Each side's supremum is searched on one fixed log grid in delta, 200 nodes
 a decade: the lower side spans [delta2/1e4, delta2], the upper side
@@ -39,22 +41,24 @@ regret jumps up as its reference switches from 1/n1 to r0; the node
 delta1*(1 + 1e-9) carries the right-hand limit.  A side's height on the
 grid is its argmax's value lifted to the vertex of the parabola in log
 delta, never taken across a cut.  Newton reads only these two heights,
-reg_L and reg_U, and the slope at each side's argmax node; the scan,
-Brent's root there and the golden fallback read only the heights.  For K*
-they are array arithmetic on one table of (h2, h1, h0 - rmin), since no
-coefficient depends on k; for alpha* each level costs one grid evaluation.
-The golden-section polish with the scalar regret runs only at the root,
-which then takes one Newton step on the polished residual, with the slopes
-at the two polished peaks, and the polished sups at the corrected root are
-the reported solution: the peak positions delta_L and delta_U come from the
-polish alone.  Each solve, alpha* or K*, holds one search state: its
-window, grid, grid regret, scalar regret, tail bound, slope, and the two
-heights, node values, span and argmax nodes of every level it has read, so
-no level is tabulated twice; only the polish looks for peaks, at the two
-levels it reads.  A K* state also keeps the table of (h2, h1, h0 - rmin)
-and the scalar (h2, h1, h0) of every delta a polish has visited, so its
-two polishes build nothing twice; its slope reads h2 and h1 off the table
-at a grid node and off those coefficients at a polished peak.
+reg_L and reg_U, and the slope at each side's argmax node; the end test
+and the golden fallback read only the heights.  For K* they are array
+arithmetic on one table of (h2, h1, h0 - rmin), since no coefficient
+depends on k; for alpha* each level costs one grid evaluation.  The
+golden-section polish with the scalar regret runs only at the root, which
+then takes one Newton step on the polished residual, with the slopes at
+the two polished peaks, and a second if the first leaves the polished sups
+apart by more than the equalization check allows.  The polished sups at
+the last corrected root are the reported solution: the peak positions
+delta_L and delta_U come from the polish alone.  Each solve, alpha* or K*,
+holds one search state: its window, grid, grid regret, scalar regret, tail
+bound, slope, and the two heights, node values, span and argmax nodes of
+every level it has read, so no level is tabulated twice; only the polish
+looks for peaks, at the two levels it reads.  A K* state also keeps the
+table of (h2, h1, h0 - rmin) and the scalar (h2, h1, h0) of every delta a
+polish has visited, so its two polishes build nothing twice; its slope
+reads h2 and h1 off the table at a grid node and off those coefficients
+at a polished peak.
 
 A level reads only the part of the grid that a closed-form tail bound
 certifies (``risk._tail_bound``), for alpha* and K* alike.  Outside the
@@ -105,8 +109,7 @@ _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
 _DOMAIN = (0.01, 0.99)      # the tuned value's search interval
-_SCAN = tuple(np.linspace(*_DOMAIN, 15).tolist())
-_ROOT_XTOL = 3e-5           # root searches on the grid residual; the Newton step does the rest
+_ROOT_XTOL = 3e-5           # Newton stops at this step on the grid residual
 _NEWTON_START = 0.25        # the Newton search's first level
 _MAX_NEWTON = 50            # levels a Newton search reads at most
 _LADDER = tuple(2.0 ** (j / 4) for j in range(121))  # crossing rungs up from delta = 1
@@ -122,6 +125,15 @@ class TableCase(Enum):
     ALPHA = "alpha"
     K_FIXED_ALPHA = "k_fixed_alpha"
     K_OPTIMAL_ALPHA = "k_optimal_alpha"
+
+
+def _tied(reg_L: float, reg_U: float) -> bool:
+    """Whether two regret maxima are equalized: |reg_L - reg_U| within 1e-4 relative.
+
+    Relative to the regret level, which falls like 1/n, and never looser
+    than the absolute 1e-4 for levels above 1.
+    """
+    return abs(reg_L - reg_U) <= 1e-4 * min(1.0, max(reg_L, reg_U))
 
 
 @dataclass(frozen=True)
@@ -142,10 +154,7 @@ class RegretSolution:
             raise SearchError(f"window edges out of order: {self}")
         if not (self.delta_L <= self.delta2 <= self.delta_U):
             raise SearchError(f"regret maxima fall outside their regions: {self}")
-        # relative to the regret level, which falls like 1/n, and never looser
-        # than the absolute 1e-4 for levels above 1
-        tol = 1e-4 * min(1.0, max(self.regret_at_L, self.regret_at_U))
-        if not self.fallback and abs(self.regret_at_L - self.regret_at_U) > tol:
+        if not (self.fallback or _tied(self.regret_at_L, self.regret_at_U)):
             raise SearchError(f"regret maxima not equalized: {self}")
 
 
@@ -269,11 +278,11 @@ class _Search:
     side's nodes are thus a run of the whole grid's ending at the edge,
     read the same at any span.  ``levels`` holds, for every level read so
     far, its two heights (reg_L, reg_U), its node values, its span (lo, hi)
-    and each side's argmax node, so Newton, the scan, Brent's root and the
-    polish tabulate each level once.  ``slope(t, delta)`` is the regret's
-    slope in t at delta, which ``residual_slope`` reads at each side's
-    peak.  The state belongs to one solve: the next solve starts empty, as a
-    fresh process would.
+    and each side's argmax node, so Newton, the end test, the golden
+    fallback and the polish tabulate each level once.  ``slope(t, delta)``
+    is the regret's slope in t at delta, which ``residual_slope`` reads at
+    each side's peak.  The state belongs to one solve: the next solve starts
+    empty, as a fresh process would.
     """
 
     window: tuple[float, float]
@@ -354,12 +363,16 @@ class _Search:
             out += [float(x) for x in max(found, key=lambda p: p[1])]
         return tuple(out)
 
-    def residual_slope(self, t: float, peaks) -> float:
+    def residual_slope(self, t: float, peaks=None) -> float:
         """Slope in t of reg_L - reg_U at level t, from each side's peak (delta, height).
 
         By Danskin's envelope theorem a height moves with the regret's slope
-        in t at its argmax; a height of 0 has slope 0.
+        in t at its argmax; a height of 0 has slope 0.  Without ``peaks``,
+        each side's peak is its argmax node at a level already read, with
+        its height on the grid.
         """
+        if peaks is None:
+            peaks = zip(self.grid[0][list(self.levels[t][3])], self.levels[t][0])
         lo, hi = (float(self.slope(t, float(d))) if h > 0.0 else 0.0 for d, h in peaks)
         return lo - hi
 
@@ -407,7 +420,8 @@ def _first_root(f, ladder, xtol: float) -> float | None:
 
     An exact 0 counts as a change; None if no pair changes sign.  f is read
     once per point as the lazy ladder goes, and Brent reads its pair's ends
-    again, so f should be memoized.
+    again, so f should be memoized.  ``pt_risk_crossings`` finds the K*
+    window's edges with it; the tunings' own root is ``_newton``'s.
     """
     for (t0, f0), (t1, f1) in itertools.pairwise((t, f(t)) for t in ladder):
         if min(f0, f1) <= 0.0 <= max(f0, f1):
@@ -415,79 +429,72 @@ def _first_root(f, ladder, xtol: float) -> float | None:
     return None
 
 
-def _equalize(sups):
-    """Root of reg_L - reg_U in the first interval of the 15-level scan where it changes sign.
-
-    ``sups(t)`` is the pair of heights (reg_L, reg_U) at level t, memoized.
-    Without a sign change, the golden fallback minimizes the larger one.
-    """
-
-    def g(t):
-        r_lo, r_hi = sups(t)
-        return r_lo - r_hi
-
-    t = _first_root(g, _SCAN, _ROOT_XTOL)
-    if t is None:
-        return golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0], True
-    return t, False
-
-
-def _newton(search: _Search) -> tuple[float, bool]:
+def _newton(sups, slope) -> tuple[float, bool]:
     """(root, fallback) of reg_L - reg_U by safeguarded Newton on the grid heights.
 
-    Each height's slope is its envelope slope at the side's argmax node.
-    Once two levels differ in sign they bracket the root, and a step that
-    leaves the bracket, or follows one that did not halve |reg_L - reg_U|,
-    bisects it.  Before that, a step that leaves _DOMAIN (a zero slope
-    points up) goes halfway to the edge it points at.  The root is the last
-    level read, once the next step falls below _ROOT_XTOL.  A step before a
-    bracket that keeps the sign without halving the residual means no sign
-    change was found, and ``_equalize`` runs on the same level memo.
+    ``sups(t)`` is the pair of heights (reg_L, reg_U) at level t, memoized,
+    and ``slope(t)`` the slope of their difference, each height's its
+    envelope slope at the side's argmax node.  Once two levels differ in
+    sign they bracket the root, and a step that leaves the bracket, or
+    follows one that did not halve |reg_L - reg_U|, bisects it.  Before
+    that, Newton fails if a step leaves _DOMAIN (a zero slope points out of
+    it) or a level keeps the sign without halving the residual; then the
+    residual at the two ends of _DOMAIN decides.  An exact 0 there is the
+    root, ends of opposite signs bracket it with the last level read, and
+    ends of one sign mean there is no root: the golden fallback minimizes
+    the larger height over _DOMAIN.  The root is the last level read, once
+    the next step falls below _ROOT_XTOL.
     """
 
     def residual(t):
-        heights = search.grid_sups(t)
-        nodes = search.grid[0][list(search.levels[t][3])]
-        return heights[0] - heights[1], search.residual_slope(t, zip(nodes, heights))
+        r_lo, r_hi = sups(t)
+        return r_lo - r_hi
 
-    (g, dg), t, halved = residual(_NEWTON_START), _NEWTON_START, True
-    ends = {g > 0.0: t}  # the last level read on each side of the root
+    g, t, halved = residual(_NEWTON_START), _NEWTON_START, True
+    last = {g > 0.0: t}  # the last level read on each side of the root
     for _ in range(_MAX_NEWTON):
+        dg = slope(t)
         step = -g / dg if dg != 0.0 else math.inf
-        lo, hi = sorted(ends.values()) if len(ends) == 2 else _DOMAIN
-        if len(ends) == 2 and not (halved and lo <= t + step <= hi):
-            step = 0.5 * (lo + hi) - t  # bisect the bracket
-        elif not lo <= t + step <= hi:
-            step = 0.5 * ((lo, hi)[step > 0.0] - t)  # halfway to the edge of _DOMAIN
+        if len(last) == 1 and not (halved and _DOMAIN[0] <= t + step <= _DOMAIN[1]):
+            at_ends = [residual(end) for end in _DOMAIN]
+            if 0.0 in at_ends:
+                return _DOMAIN[at_ends.index(0.0)], False
+            if (at_ends[0] > 0.0) == (at_ends[1] > 0.0):
+                return golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0], True
+            # the end of the other sign joins t, which stays on its side
+            last = {g_end > 0.0: end for end, g_end in zip(_DOMAIN, at_ends)} | last
+        if len(last) == 2 and not (halved and min(last.values()) <= t + step <= max(last.values())):
+            step = 0.5 * sum(last.values()) - t  # bisect the bracket
         if abs(step) < _ROOT_XTOL:
             return t, False
-        t, (g_new, dg) = t + step, residual(t + step)
-        halved, g, ends[g_new > 0.0] = abs(g_new) <= 0.5 * abs(g), g_new, t
-        if len(ends) == 1 and not halved:
-            break
-    return _equalize(search.grid_sups)
+        t, g_new = t + step, residual(t + step)
+        halved, g, last[g_new > 0.0] = abs(g_new) <= 0.5 * abs(g), g_new, t
+    raise SearchError(f"no root of reg_L - reg_U in {_MAX_NEWTON} Newton levels")
 
 
 def _solve(search: _Search, sup, what: str) -> RegretSolution:
     """Equalized solution over the search's window, in plain floats.
 
-    Safeguarded Newton (``_newton``) finds the root of the two grid heights;
-    without a sign change, ``_equalize``'s scan, Brent's root and golden
-    fallback run on the same level memo.  The root then gets one Newton
-    step: the residual of the polished sups ``sup`` over the slope of the
-    two polished peaks.  The polish runs only there and at the corrected
-    root, whose polished sups are the reported solution.  ``what`` names the
-    inputs in a SearchError.
+    Safeguarded Newton (``_newton``) finds the root of the two grid heights
+    or, with none over _DOMAIN, the golden fallback.  A root then takes a
+    Newton step on the polished sups ``sup``, their residual over the slope
+    at the two polished peaks, and a second only if the first leaves them
+    not ``_tied``.  The polish runs only at the grid root and at each
+    corrected root; the last polished sups are the reported solution.
+    ``what`` names the inputs in a SearchError.
     """
     try:
-        t, fallback = _newton(search)
+        t, fallback = _newton(search.grid_sups, search.residual_slope)
         d_lo, r_lo, d_hi, r_hi = sup(t)
-        slope = 0.0 if fallback else search.residual_slope(t, ((d_lo, r_lo), (d_hi, r_hi)))
-        if slope != 0.0:
-            t -= (r_lo - r_hi) / slope
+        for _ in range(0 if fallback else 2):
+            dg = search.residual_slope(t, ((d_lo, r_lo), (d_hi, r_hi)))
+            if dg == 0.0:
+                break
+            t -= (r_lo - r_hi) / dg
             d_lo, r_lo, d_hi, r_hi = sup(t)
-        values = (t, *search.window, d_lo, d_hi, r_lo, r_hi)
-        return RegretSolution(*(float(v) for v in values), fallback)
+            if _tied(r_lo, r_hi):
+                break
+        return RegretSolution(*map(float, (t, *search.window, d_lo, d_hi, r_lo, r_hi)), fallback)
     except SearchError as exc:
         raise SearchError(f"{what}: {exc}") from exc
 

@@ -365,50 +365,103 @@ class TestRegretSolution:
 
 
 class TestEqualize:
-    def test_sign_change_root(self):
-        from recshrink.minimax import _equalize
+    """``_newton``'s root rule on analytic residuals: ``sups(t)`` is (reg_L, reg_U) at
+    level t and ``slope(t)`` the slope of their difference."""
 
+    @staticmethod
+    def _newton(sups, slope):
+        """(root, fallback) of ``_newton`` and the levels it read, in order."""
+        from recshrink.minimax import _newton
+
+        seen = []
+
+        def read(t):
+            seen.append(t)
+            return sups(t)
+
+        return _newton(read, slope), seen
+
+    def test_sign_change_root(self):
         # reg_L rises, reg_U falls; root of their difference at t = 0.55
-        sups = lambda t: (t, 1.1 - t)
-        root, fallback = _equalize(sups)
+        (root, fallback), _ = self._newton(lambda t: (t, 1.1 - t), lambda t: 2.0)
         assert not fallback
         assert root == pytest.approx(0.55, abs=1e-6)
 
-    @pytest.mark.parametrize("node, sign", [(0, 1.0), (7, -1.0), (14, 1.0)],
-                             ids=["first", "interior-after-positive", "last-after-negative"])
-    def test_exact_zero_at_a_scan_node(self, node, sign):
-        from recshrink.minimax import _SCAN, _equalize
+    @pytest.mark.parametrize("root", [0.015, 0.985], ids=["lower", "upper"])
+    def test_the_ends_bracket_a_root_near_one_end(self, root):
+        from recshrink.minimax import _DOMAIN, _NEWTON_START, _ROOT_XTOL
 
-        # residual sign*(t - t_node): exactly 0 at that node of the scan
-        t0 = float(_SCAN[node])
-        root, fallback = _equalize(lambda t: (sign * t, sign * t0))
+        # a zero slope sends Newton's first step out of _DOMAIN, so the next
+        # levels are its two ends; they bracket the root with the start
+        (t, fallback), seen = self._newton(lambda t: (t, root), lambda t: 0.0)
         assert not fallback
-        assert root == t0
+        assert seen[:3] == [_NEWTON_START, *_DOMAIN]
+        assert abs(t - root) < 2 * _ROOT_XTOL
+        bracket = sorted((_NEWTON_START, _DOMAIN[root > _NEWTON_START]))
+        assert all(bracket[0] <= level <= bracket[1] for level in seen[3:])
 
-    def test_scan_stops_at_first_sign_change(self):
-        from recshrink.minimax import _ROOT_XTOL, _SCAN, _equalize
-        from recshrink.optim import brent_root
+    def test_a_step_that_does_not_halve_the_residual_reads_the_ends(self):
+        from recshrink.minimax import _DOMAIN, _NEWTON_START, _ROOT_XTOL
 
-        # residual t - 0.1 changes sign between _SCAN[1] and _SCAN[2]
-        seen = []
-
-        def sups(t):
-            seen.append(t)
-            return (t, 0.1)
-
-        root, fallback = _equalize(sups)
+        # a slope ten times too steep: the first step keeps the sign of
+        # t - 0.9 and leaves nine tenths of it, so the ends are read next;
+        # the steps stay ten times too short, so the last one below
+        # _ROOT_XTOL leaves up to ten times that
+        (t, fallback), seen = self._newton(lambda t: (t, 0.9), lambda t: 10.0)
         assert not fallback
-        assert max(seen) <= _SCAN[2]
-        assert root == brent_root(lambda t: t - 0.1, _SCAN[1], _SCAN[2], xtol=_ROOT_XTOL)
+        assert seen[:2] == [_NEWTON_START, pytest.approx(_NEWTON_START + 0.065)]
+        assert seen[2:4] == list(_DOMAIN)
+        assert abs(t - 0.9) < 10 * _ROOT_XTOL
+
+    @pytest.mark.parametrize("zero, slope", [(0.01, 0.0), (0.25, 1.0), (0.99, 0.0)],
+                             ids=["lower-end", "start", "upper-end"])
+    def test_an_exact_zero_is_returned(self, zero, slope):
+        # residual t - zero: exactly 0 at an end of _DOMAIN or at the start
+        (root, fallback), _ = self._newton(lambda t: (t, zero), lambda t: slope)
+        assert not fallback
+        assert root == zero
 
     def test_fallback_minimizes_worst_maximum(self):
-        from recshrink.minimax import _equalize
+        from recshrink.minimax import _DOMAIN
+        from recshrink.optim import golden_section_max
 
-        # both maxima rise together: no sign change, minimize the worse one
+        # both maxima rise together: the ends agree in sign, so the golden
+        # fallback minimizes the worse one
         sups = lambda t: (1.0 + (t - 0.3) ** 2, 0.5 + (t - 0.3) ** 2)
-        root, fallback = _equalize(sups)
+        (root, fallback), _ = self._newton(sups, lambda t: 0.0)
         assert fallback
+        assert root == golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0]
         assert root == pytest.approx(0.3, abs=1e-4)
+
+    def test_running_out_of_levels_raises(self, monkeypatch):
+        import recshrink.minimax as mm
+
+        monkeypatch.setattr(mm, "_MAX_NEWTON", 3)
+        with pytest.raises(SearchError, match="no root of reg_L - reg_U in 3 Newton levels"):
+            self._newton(lambda t: (t, 0.985), lambda t: 0.0)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_the_domain_ends_decide_whether_a_root_exists(variant):
+    """The premise of ``_newton``'s end test, on the 6x6 grid: over _DOMAIN the grid
+    residual of alpha* and of K*(0.16) changes sign at most once, so a solve falls
+    back exactly when the residual has one sign at both ends."""
+    import itertools
+
+    from recshrink.minimax import TABLE_GRID, _DOMAIN, _alpha_search, _shrink_search, _solve
+
+    levels = np.linspace(*_DOMAIN, 15).tolist()
+    fallbacks = 0
+    for n1, n2 in itertools.product(TABLE_GRID, repeat=2):
+        design = DesignPair(n1, n2, variant)
+        for search in (_alpha_search(design), _shrink_search(design, 0.16)):
+            signs = [np.subtract(*search.grid_sups(t)) > 0.0 for t in levels]
+            assert sum(a != b for a, b in itertools.pairwise(signs)) <= 1, (design, signs)
+            sol = _solve(search, search.polished_sups, f"{design}")
+            assert sol.fallback == (signs[0] == signs[-1]), design
+            fallbacks += sol.fallback
+    # both sides of the rule occur: the location-scale K* at (7, 2) and (10, 2) fall back
+    assert fallbacks == (2 if variant is Variant.LOCATION_SCALE else 0)
 
 
 class TestSolve:
@@ -451,12 +504,11 @@ class TestSolve:
     def test_equalizes_two_analytic_humps(self):
         from collections import Counter
 
-        from recshrink.minimax import _SCAN, _Search, _fixed_grid, _solve
+        from recshrink.minimax import _Search, _fixed_grid, _solve
 
         # humps on either side of the edge 1.0, with heights 0.2 + t and
-        # 1 - t that cross at t* = 0.4, between scan nodes
+        # 1 - t that cross at t* = 0.4
         centres, t_star = (0.3, 3.0), 0.4
-        assert min(abs(t - t_star) for t in _SCAN) > 1e-3
         humps = ((centres[0], lambda t: 0.2 + t), (centres[1], lambda t: 1.0 - t))
         regret = self._humps(humps)
 
@@ -490,7 +542,7 @@ class TestSolve:
 
         # heights 0.2 + t^4 and 0.2 + 0.9^4 cross at t* = 0.9; at the start
         # the residual's slope 4 t^3 is so small that Newton's first step
-        # leaves _DOMAIN, so the second level is halfway to its upper edge
+        # leaves _DOMAIN, so the next two levels are its ends
         humps = ((0.3, lambda t: 0.2 + t**4), (3.0, lambda t: 0.2 + 0.9**4))
         rates = self._humps(((0.3, lambda t: 4.0 * t**3), (3.0, lambda t: 0.0)))
         regret = self._humps(humps)
@@ -504,7 +556,7 @@ class TestSolve:
         search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps),
                          lambda t, delta: rates(delta, t))
         sol = _solve(search, search.polished_sups, "first step out of the domain")
-        assert levels[:2] == [_NEWTON_START, 0.5 * (_NEWTON_START + _DOMAIN[1])]
+        assert levels[:3] == [_NEWTON_START, *_DOMAIN]
         assert not sol.fallback
         assert sol.tuned_value == pytest.approx(0.9, abs=1e-6)
         assert sol.regret_at_L == pytest.approx(sol.regret_at_U, rel=1e-9)
@@ -513,16 +565,17 @@ class TestSolve:
         # a zero slope at the start
         (((0.3, lambda t: 1.0), (3.0, lambda t: 0.5)),
          ((0.3, lambda t: 0.0), (3.0, lambda t: 0.0))),
-        # Newton's first step leaves _DOMAIN, and the halfway step to its
-        # edge keeps the sign without halving the residual
+        # Newton's first step leaves _DOMAIN
         (((0.3, lambda t: 1.0 + (t - 0.6) ** 2), (3.0, lambda t: 0.5 + 0.5 * (t - 0.6) ** 2)),
          ((0.3, lambda t: 2.0 * (t - 0.6)), (3.0, lambda t: t - 0.6))),
     ], ids=["flat", "curved"])
     def test_no_sign_change_ends_in_the_golden_fallback(self, humps, rates):
-        from recshrink.minimax import _equalize, _Search, _fixed_grid, _solve
+        from recshrink.minimax import _DOMAIN, _Search, _fixed_grid, _solve
+        from recshrink.optim import golden_section_max
 
-        # reg_L stays above reg_U at every level: the solve is _equalize's
-        # golden fallback, as if _equalize ran on a search of its own
+        # reg_L stays above reg_U at every level, the ends of _DOMAIN
+        # included: the solve is the golden fallback that minimizes the
+        # larger height, as if it ran on a search of its own
         regret, slope = self._humps(humps), self._humps(rates)
         grid = _fixed_grid(1.0)
 
@@ -532,20 +585,19 @@ class TestSolve:
 
         solved, alone = search(), search()
         sol = _solve(solved, solved.polished_sups, "no sign change")
-        t, fallback = _equalize(alone.grid_sups)
-        assert sol.fallback and fallback
+        t = golden_section_max(lambda t: -max(alone.grid_sups(t)), *_DOMAIN)[0]
+        assert sol.fallback
         assert sol.tuned_value == t
         assert (sol.delta_L, sol.regret_at_L, sol.delta_U, sol.regret_at_U) == \
             alone.polished_sups(t)
 
     def test_certified_span_finds_a_planted_far_hump(self):
-        from recshrink.minimax import _SCAN, _Search, _fixed_grid, _solve
+        from recshrink.minimax import _Search, _fixed_grid, _solve
 
         # the two humps above plus a third of height 0.75 at 1e3 times the
         # edge: the upper sup is max(1 - t, 0.75), which ties 0.2 + t at 0.55
         humps = ((0.3, lambda t: 0.2 + t), (3.0, lambda t: 1.0 - t), (1e3, lambda t: 0.75))
         regret = self._humps(humps)
-        assert min(abs(t - 0.55) for t in _SCAN) > 1e-3
 
         grid = _fixed_grid(1.0)
 
@@ -983,6 +1035,15 @@ class TestLargeDesigns:
         sol = optimal_k(DesignPair(3000, 3000, variant), 0.16)
         assert not sol.fallback
         assert abs(sol.regret_at_L - sol.regret_at_U) <= 1e-5 * sol.regret_at_U
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_alpha_star_equalizes_at_5000(self, variant):
+        # the grid misses the narrow upper hump by 2.4 %, so the first Newton
+        # step on the polished residual leaves about 2e-4 relative; a second
+        # step brings it to about 1.5e-8
+        sol = optimal_alpha(DesignPair(5000, 5000, variant))
+        assert not sol.fallback
+        assert abs(sol.regret_at_L - sol.regret_at_U) <= 1e-7 * sol.regret_at_U
 
     def test_k_star_sups_are_the_exact_regret(self):
         from fractions import Fraction
