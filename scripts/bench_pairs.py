@@ -45,16 +45,22 @@ import sys
 from pathlib import Path
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, float]:
-    """({metric: value}, failed share) from one ``perfbench/run.py`` run inside ``tree``."""
+def perfbench_lines(tree: Path, workload: str, seed: int, seconds: float,
+                    trace: int) -> list[str]:
+    """The output lines of one ``perfbench/run.py`` run inside ``tree``; a failed run raises."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}: "
                            f"{done.stderr.strip()}")
-    last = json.loads(lines[-1])
+    return lines
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, float]:
+    """({metric: value}, failed share) from one ``perfbench/run.py --trace 0`` run in ``tree``."""
+    last = json.loads(perfbench_lines(tree, workload, seed, seconds, 0)[-1])
     if not last.get("correct", False):
         raise RuntimeError(f"run in {tree} reported correct = false")
     metrics = {name: m["value"] for name, m in last["metrics"].items()}

@@ -21,7 +21,7 @@ side's record: a gain is claimed from paired runs of
 ``scripts/bench_pairs.py``, never from one file.  Run it on a copy without
 ``.git`` to record another commit, since perfbench writes into the tree.
 
-Uses the standard library only.
+Uses the standard library and the run helper of ``bench_pairs.py`` beside it.
 """
 
 import argparse
@@ -33,6 +33,8 @@ import sys
 import time
 from pathlib import Path
 
+from bench_pairs import perfbench_lines
+
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 _COUNT = re.compile(r"(\d+) (passed|failed|xfailed)\b")
 _KEPT = ("metrics", "correct", "attempted", "failed", "failures", "problems", "detail")
@@ -40,13 +42,7 @@ _KEPT = ("metrics", "correct", "attempted", "failed", "failures", "problems", "d
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The kept parts of the report of one ``perfbench/run.py`` run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}: "
-                           f"{done.stderr.strip()}")
+    lines = perfbench_lines(tree, workload, seed, seconds, trace)
     path = next(line.split(" report: ", 1)[1] for line in lines
                 if line.startswith(f"{workload} report: "))
     report = json.loads((tree / path).read_text(encoding="utf-8"))

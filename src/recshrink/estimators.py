@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .records import DesignPair
+from .records import DesignPair, check_positive
 from .special import f_quantile
 
 
@@ -29,11 +29,8 @@ class EstimationInput:
     design: DesignPair
 
     def __post_init__(self):
-        if not (0.0 < self.theta1_hat < math.inf and 0.0 < self.theta2_hat < math.inf):
-            raise ValueError(
-                f"scale estimates must be positive and finite, got "
-                f"({self.theta1_hat}, {self.theta2_hat})"
-            )
+        check_positive("theta1_hat", self.theta1_hat)
+        check_positive("theta2_hat", self.theta2_hat)
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,7 @@ def critical_values(design: DesignPair, alpha: float) -> tuple[float, float]:
     Within ~1e-14 of alpha = 1 the two quantiles can cross by rounding; the
     region is then collapsed to c1 as well.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     if 0.5 * alpha == 0.0:
         raise ValueError(f"alpha/2 underflows to 0 at alpha={alpha}")
     d1, d2 = design.df
@@ -89,6 +85,12 @@ def check_k(k: float) -> None:
     """Reject a shrinkage coefficient outside [0, 1]; NaN fails too."""
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"k must lie in [0, 1], got {k}")
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a pre-test level outside (0, 1]; NaN fails too."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def check_level(alpha: float) -> None:

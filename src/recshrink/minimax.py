@@ -113,6 +113,7 @@ _ROOT_XTOL = 3e-5           # Newton stops at this step on the grid residual
 _NEWTON_START = 0.25        # the Newton search's first level
 _MAX_NEWTON = 50            # levels a Newton search reads at most
 _LADDER = tuple(2.0 ** (j / 4) for j in range(121))  # crossing rungs up from delta = 1
+_CROSSING_XTOL = 1e-9       # Brent's step tolerance on a crossing between two rungs
 
 
 class SearchError(RuntimeError):
@@ -320,6 +321,7 @@ class _Search:
             sides = [_side_scan(values, part, lo, hi) for part in (segments[:-1], segments[-1:])]
             for ends, (_, top, node), end, upper in ((self._starts, sides[0], lo, False),
                                                      (self._stops, sides[1], hi - 1, True)):
+                # node == end stays: the end's float regret can be noise above the bound
                 if len(ends) > 1 and (node == end
                                       or self.bound(t, float(deltas[end]), upper) > top):
                     del ends[0]
@@ -415,7 +417,7 @@ def sup_regret_pt(
     return search.polished_sups(alpha)
 
 
-def _first_root(f, ladder, xtol: float) -> float | None:
+def _first_root(f, ladder) -> float | None:
     """Brent's root of f in the first pair of consecutive ladder points where f changes sign.
 
     An exact 0 counts as a change; None if no pair changes sign.  f is read
@@ -425,7 +427,7 @@ def _first_root(f, ladder, xtol: float) -> float | None:
     """
     for (t0, f0), (t1, f1) in itertools.pairwise((t, f(t)) for t in ladder):
         if min(f0, f1) <= 0.0 <= max(f0, f1):
-            return brent_root(f, t0, t1, xtol=xtol)
+            return brent_root(f, t0, t1, xtol=_CROSSING_XTOL)
     return None
 
 
@@ -567,10 +569,10 @@ def pt_risk_crossings(design: DesignPair, alpha: float) -> tuple[float, float]:
         h2, h1, _ = risk_k_coefficients(design, d, alpha)
         return h2 + h1
 
-    upper = _first_root(excess, _LADDER, 1e-9)
+    upper = _first_root(excess, _LADDER)
     if upper is None:
         raise SearchError(f"pre-test risk never re-crosses 1/n1 above the dip for {design}")
-    return _first_root(excess, (1.0 / d for d in _LADDER), 1e-9) or 0.0, upper
+    return _first_root(excess, (1.0 / d for d in _LADDER)) or 0.0, upper
 
 
 def _shrink_search(design: DesignPair, alpha: float) -> _Search:

@@ -30,6 +30,20 @@ class Variant(enum.Enum):
 _KNOWN = Variant.KNOWN_LOCATION
 
 
+def check_positive(name: str, x) -> None:
+    """Reject a scale, a scale ratio or a record x that is not positive and finite; NaN too.
+
+    x is a float or, checked elementwise, an ndarray.  A float takes a plain
+    comparison: ``np.all`` on it would cost more than some callers' whole
+    evaluation, such as ``risk.d_bounds`` or ``risk.boundary_risks``.
+    """
+    if isinstance(x, np.ndarray):
+        if not np.all((x > 0.0) & (x < np.inf)):  # NaN fails both comparisons
+            raise ValueError(f"{name} must be positive and finite")
+    elif not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
 @dataclass(frozen=True)
 class RecordSample:
     """An ordered sequence of upper record values under one model variant."""
@@ -46,8 +60,8 @@ class RecordSample:
             raise ValueError("record values must be finite")
         if any(nxt <= cur for cur, nxt in zip(vals, vals[1:])):
             raise ValueError("record values must be strictly increasing")
-        if self.variant is Variant.KNOWN_LOCATION and vals[0] <= 0.0:
-            raise ValueError("known-location record values must be positive")
+        if self.variant is Variant.KNOWN_LOCATION:
+            check_positive("the first known-location record", vals[0])
         if self.variant is Variant.LOCATION_SCALE and len(vals) < 2:
             raise ValueError("location-scale inference needs at least 2 records")
 
@@ -138,8 +152,7 @@ def sample_exponential_records(
     """
     if n < 1:
         raise ValueError(f"need n >= 1 records, got {n}")
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     gaps = -scale * np.log1p(-rng.random(n))
     values = location + np.cumsum(gaps)
     if variant is None:

@@ -54,8 +54,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import check_k, critical_values
-from .records import DesignPair
+from .estimators import check_alpha, check_k, critical_values
+from .records import DesignPair, check_positive
 from .special import _front, beta_front, log_beta, reg_inc_beta, reg_inc_beta_grid
 
 
@@ -75,13 +75,10 @@ class RiskParams:
     theta1: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        check_positive("delta", self.delta)
+        check_alpha(self.alpha)
         check_k(self.k)
-        if not 0.0 < self.theta1 < math.inf:
-            raise ValueError(f"theta1 must be positive and finite, got {self.theta1}")
+        check_positive("theta1", self.theta1)
 
 
 def _beta_bound(c, n1: int, n2: int, delta: np.ndarray) -> np.ndarray:
@@ -105,9 +102,7 @@ def d_bounds(design: DesignPair, delta: float, c1: float, c2: float) -> tuple[fl
     ``_beta_bound``'s formula in plain float arithmetic, which gives its
     bits at a fraction of the cost of the numpy ufuncs.
     """
-    # a plain comparison: np.all on a float would cost more than the bounds
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    check_positive("delta", delta)
     if not 0.0 <= c1 <= c2:  # NaN fails it too
         raise ValueError(f"need 0 <= c1 <= c2, got ({c1}, {c2})")
     n1 = design.n1
@@ -261,8 +256,7 @@ def risk_k_coefficients(
 def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
     """Vectorized risk_k_coefficients over an array of delta values."""
     dv = np.asarray(deltas, dtype=float)
-    if not np.all((dv > 0.0) & (dv < np.inf)):  # NaN fails both comparisons
-        raise ValueError("delta must be positive and finite")
+    check_positive("delta", dv)
     c1, c2 = critical_values(design, alpha)
     n1, n2 = design.n1, design.n2
     consts = _quadratic_constants(design)
@@ -375,11 +369,7 @@ def boundary_risks(design: DesignPair, delta):
     exactly.  r1 = 1/n1 under both variants (the location-scale MLE trades
     bias for variance at no MSE cost); it is the risk quadratic's h0.
     """
-    if isinstance(delta, np.ndarray):
-        if not np.all((delta > 0.0) & (delta < np.inf)):  # NaN fails both comparisons
-            raise ValueError("delta must be positive and finite")
-    elif not 0.0 < delta < math.inf:  # np.all on a float would cost more than r0
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    check_positive("delta", delta)
     n = design.n1 + design.n2
     m1, m2 = design.shapes
     bias = m2 * delta + (m1 - n)

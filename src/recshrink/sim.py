@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimators import critical_values
-from .records import DesignPair, Variant
+from .records import DesignPair, Variant, check_positive
 from .risk import RiskParams, coefficients_at_bounds, shrink_risk
 
 CSV_COLUMNS = ("n1", "n2", "theta2", "bias_mle", "bias_pt", "bias_s", "eff_pt", "eff_s")
@@ -63,8 +63,8 @@ class SimConfig:
         object.__setattr__(self, "theta2_grid", tuple(float(t) for t in self.theta2_grid))
         if not self.theta2_grid:
             raise ValueError("theta2_grid is empty")
-        if not all(0.0 < t < math.inf for t in self.theta2_grid):
-            raise ValueError("theta2 values must be positive and finite")
+        for theta2 in self.theta2_grid:
+            check_positive("theta2", theta2)
         # the closed forms' own alpha, k and theta1 checks
         RiskParams(self.design, 1.0, self.alpha, self.k, self.theta1)
         _check_replicates(self.replicates)

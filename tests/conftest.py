@@ -1,8 +1,9 @@
-import importlib.util
 import json
 import pathlib
 
 import pytest
+
+import compare_tables
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 # `recshrink tables ... --format json` cells, keyed by their arguments
@@ -21,10 +22,6 @@ def frozen_table():
     This is the "same behaviour" gate of tables 2 and 3: a change that moves
     a cell on purpose rewrites the file and says why.
     """
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "compare_tables.py"
-    spec = importlib.util.spec_from_file_location("compare_tables", path)
-    compare_tables = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_tables)
     frozen = json.loads(FROZEN_TABLES.read_text())
 
     def check(key, cells):

@@ -1,15 +1,10 @@
 """scripts/compare_tables.py: the per-cell gate between two table outputs."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
-_PATH = pathlib.Path(__file__).parents[1] / "scripts" / "compare_tables.py"
-_spec = importlib.util.spec_from_file_location("compare_tables", _PATH)
-compare_tables = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_tables)
+import compare_tables
 
 
 def _cell(n1, n2, alpha=0.3, k=0.2, regret=0.05, error=None):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from recshrink.estimators import critical_values
+from recshrink.estimators import EstimationInput, critical_values
 from recshrink.records import (
     DesignPair,
     RecordSample,
@@ -24,6 +24,8 @@ from recshrink.records import (
     mle_scale,
     sample_exponential_records,
 )
+from recshrink.risk import RiskParams, boundary_risks, d_bounds, risk_k_coefficients_grid
+from recshrink.sim import SimConfig
 
 X_RECORDS = (3.105, 6.158, 6.296, 6.824, 7.282, 10.200, 10.240, 11.669)
 Y_RECORDS = (1.177, 2.430, 4.090, 4.349, 4.624, 5.655, 6.021, 6.987)
@@ -77,8 +79,11 @@ class TestRecordSample:
             RecordSample((1.0, 1.0, 2.0))
 
     def test_known_location_requires_positive(self):
-        with pytest.raises(ValueError):
-            RecordSample((-1.0, 2.0), Variant.KNOWN_LOCATION)
+        for first in (0.0, -1.0):
+            with pytest.raises(ValueError) as error:
+                RecordSample((first, 2.0), Variant.KNOWN_LOCATION)
+            assert str(error.value) == (
+                f"the first known-location record must be positive and finite, got {first}")
         RecordSample((-1.0, 2.0), Variant.LOCATION_SCALE)  # fine without known location
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -266,3 +271,45 @@ def test_import_leaves_numpy_random_unloaded():
                           text=True, check=True, timeout=60)
     before, after = done.stdout.split()
     assert after == before, done.stdout
+
+
+_D56 = DesignPair(5, 6)
+# every site of records.check_positive, called with one scale or delta x:
+# (id, the name it reports, call)
+_SCALAR_SITES = [
+    ("sampler", "scale", lambda x: sample_exponential_records(
+        3, x, rng=np.random.default_rng(0))),
+    ("estimation-theta1_hat", "theta1_hat", lambda x: EstimationInput(x, 1.0, _D56)),
+    ("estimation-theta2_hat", "theta2_hat", lambda x: EstimationInput(1.0, x, _D56)),
+    ("risk-params-delta", "delta", lambda x: RiskParams(_D56, x, 0.16)),
+    ("risk-params-theta1", "theta1", lambda x: RiskParams(_D56, 1.5, 0.16, theta1=x)),
+    ("d_bounds", "delta", lambda x: d_bounds(_D56, x, 0.5, 2.0)),
+    ("boundary_risks", "delta", lambda x: boundary_risks(_D56, x)),
+    ("sim-config-theta2", "theta2", lambda x: SimConfig(_D56, (1.0, x), seed=0)),
+]
+# the array sites, called with an array of delta values
+_ARRAY_SITES = [
+    ("risk_k_coefficients_grid", lambda x: risk_k_coefficients_grid(_D56, x, 0.16)),
+    ("boundary_risks", lambda x: boundary_risks(_D56, x)),
+]
+_NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE_AND_FINITE)
+@pytest.mark.parametrize("name, call", [site[1:] for site in _SCALAR_SITES],
+                         ids=[site[0] for site in _SCALAR_SITES])
+def test_every_scale_and_delta_follows_one_rule(name, call, bad):
+    with pytest.raises(ValueError) as error:
+        call(bad)
+    assert str(error.value) == f"{name} must be positive and finite, got {bad}"
+    call(1.25)  # a positive, finite value passes the same site
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE_AND_FINITE)
+@pytest.mark.parametrize("call", [site[1] for site in _ARRAY_SITES],
+                         ids=[site[0] for site in _ARRAY_SITES])
+def test_one_bad_delta_fails_an_array(call, bad):
+    with pytest.raises(ValueError) as error:
+        call(np.array([0.5, 1.0, bad, 2.0]))
+    assert str(error.value) == "delta must be positive and finite"
+    call(np.array([0.5, 1.0, 2.0]))

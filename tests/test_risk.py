@@ -342,24 +342,6 @@ def _mirrored_risk(design, delta, alpha, k):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 1 and 12: above the crossing at large n the float "
-                          "h2 + h1 keeps absolute but not relative accuracy, until the "
-                          "upper-tail brackets are mirrored")
-def test_crossing_residual_keeps_relative_accuracy_at_large_n():
-    # at (400, 400) the float h2 + h1 has the wrong sign at both points:
-    # -8.25e-18 against +1.57e-18 at delta = 2, -1.9e-69 against +8.4e-71 at 4
-    design, alpha = DesignPair(400, 400), 0.16
-    c1, c2 = critical_values(design, alpha)
-    misses = []
-    for delta in (2.0, 4.0):
-        h2, h1, _ = exact_coefficients(400, 400, True, c1, c2, delta)
-        g2, g1, _ = risk_k_coefficients(design, delta, alpha)
-        if not abs(Fraction(g2 + g1) - (h2 + h1)) <= Fraction(1e-10) * abs(h2 + h1):
-            misses.append((delta, g2 + g1, float(h2 + h1)))
-    assert not misses, misses
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: brackets lose all precision at large delta")
 def test_risk_is_exact_at_every_delta():
     # one item over every design, variant and delta, so it cannot half-pass

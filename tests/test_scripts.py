@@ -2,20 +2,16 @@
 code_lines."""
 
 import csv
-import importlib.util
 import json
 import pathlib
 import shutil
 
+import bench_pairs
+import bench_record
+import code_lines
+import run_simulation
+import same_output
 from recshrink.sim import CSV_COLUMNS
-
-
-def _load(name):
-    path = pathlib.Path(__file__).parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _rows(path):
@@ -25,12 +21,11 @@ def _rows(path):
 
 def test_run_simulation(tmp_path, capsys):
     out = tmp_path / "sim.csv"
-    script = _load("run_simulation")
-    assert script.main(["--reps", "2000", "--out", str(out)]) == 0
+    assert run_simulation.main(["--reps", "2000", "--out", str(out)]) == 0
     rows = _rows(out)
     assert rows[0] == list(CSV_COLUMNS) + ["alpha", "k"]
     # one row per design and theta2 value
-    assert len(rows) == 1 + len(script.DESIGNS) * len(script.THETA2_GRID) == 81
+    assert len(rows) == 1 + len(run_simulation.DESIGNS) * len(run_simulation.THETA2_GRID) == 81
     assert {row[-2] for row in rows[1:]} == {"0.16"}
 
 
@@ -75,7 +70,7 @@ def _bench_pairs(tmp_path, plans, workload="w", rounds=10):
         (tree / "perfbench" / "plan.json").write_text(json.dumps(plan))
         (tree / "BENCHMARK.json").write_text(json.dumps(_STUB_BENCH))
         argv += [f"--{name}", str(tree)]
-    assert _load("bench_pairs").main(argv) == 0
+    assert bench_pairs.main(argv) == 0
     return argv
 
 
@@ -190,15 +185,14 @@ def _same_output(tmp_path, plans):
         (package / "cli.py").write_text(_STUB_CLI)
         (package / "plan.json").write_text(json.dumps(plan))
         argv += [f"--{name}", str(tmp_path / name)]
-    return _load("same_output").main(argv)
+    return same_output.main(argv)
 
 
 def test_same_output_identical_trees(tmp_path, capsys):
     failing = {"optimal-k --n1 5 --n2 6 --alpha 1e-30": ["", "error: no\n", 2]}
     assert _same_output(tmp_path, {"parent": failing, "change": failing}) == 0
     lines = capsys.readouterr().out.splitlines()
-    script = _load("same_output")
-    assert len(lines) == len(script.COMMANDS) + 1 == 22
+    assert len(lines) == len(same_output.COMMANDS) + 1 == 22
     assert lines[0] == "same (exit 0): recshrink tables 1 --format json --variant known"
     assert "same (exit 2): recshrink optimal-k --n1 5 --n2 6 --alpha 1e-30" in lines
     assert lines[-1] == "0 of 21 commands differ"
@@ -241,7 +235,7 @@ def test_bench_record_copies_the_reports(tmp_path, capsys):
     tree = _bench_tree(tmp_path)
     argv = ["--tag", "t", "--tree", str(tree), "--workload", "tables-locscale",
             "--seconds", "0.1", "--no-tier1"]
-    assert _load("bench_record").main(argv) == 0
+    assert bench_record.main(argv) == 0
     record = json.loads((tree / "BENCH_t.json").read_text(encoding="utf-8"))
     assert record["tier1"] is None and record["seconds"] == 0.1
     runs = record["workloads"]["tables-locscale"]
@@ -256,7 +250,7 @@ def test_bench_record_copies_the_reports(tmp_path, capsys):
 
 
 def test_bench_record_reads_the_tier1_summary():
-    outcomes = _load("bench_record").outcomes
+    outcomes = bench_record.outcomes
     assert outcomes("1 failed, 738 passed, 3 xfailed in 35.82s") == dict(
         passed=738, failed=1, xfailed=3)
     assert outcomes("=== 12 passed, 1 xpassed in 0.5s ===") == dict(passed=12, failed=0, xfailed=0)
@@ -287,10 +281,9 @@ class C:
 
 
 def test_code_lines(tmp_path, capsys):
-    script = _load("code_lines")
-    assert script.count_code_lines(_FIXTURE) == 7
+    assert code_lines.count_code_lines(_FIXTURE) == 7
     module = tmp_path / "pkg" / "mod.py"
     module.parent.mkdir()
     module.write_text(_FIXTURE, encoding="utf-8")
-    assert script.main([str(tmp_path)]) == 0
+    assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [f"      7  {module}", "      7  total"]
