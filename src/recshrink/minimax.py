@@ -28,7 +28,8 @@ no reference depends on alpha, and the K* regret's is 2 h2 k + h1, wherever
 the regret is positive.  When Newton fails before two levels differ in
 sign, the residual at the two ends of the domain (0.01, 0.99) decides:
 ends of opposite signs bracket the root, and ends of one sign mean there
-is none, so golden-section search minimizes the larger height instead.
+is none, so golden-section search with parabolic steps minimizes the
+larger height instead.
 The only other roots, the K* window's crossings with 1/n1, follow
 ``_first_root``: Brent's (1973) root in the first pair of rungs
 delta = 2^(+-j/4), j = 0..120, read from 1 out, where the residual changes
@@ -45,20 +46,21 @@ reg_L and reg_U, and the slope at each side's argmax node; the end test
 and the golden fallback read only the heights.  For K* they are array
 arithmetic on one table of (h2, h1, h0 - rmin), since no coefficient
 depends on k; for alpha* each level costs one grid evaluation.  The
-golden-section polish with the scalar regret runs only at the root, which
-then takes one Newton step on the polished residual, with the slopes at
-the two polished peaks, and a second if the first leaves the polished sups
-apart by more than the equalization check allows.  The polished sups at
-the last corrected root are the reported solution: the peak positions
-delta_L and delta_U come from the polish alone.  Each solve, alpha* or K*,
-holds one search state: its window, grid, grid regret, scalar regret, tail
-bound, slope, and the two heights, node values, span and argmax nodes of
-every level it has read, so no level is tabulated twice; only the polish
-looks for peaks, at the two levels it reads.  A K* state also keeps the
-table of (h2, h1, h0 - rmin) and the scalar (h2, h1, h0) of every delta a
-polish has visited, so its two polishes build nothing twice; its slope
-reads h2 and h1 off the table at a grid node and off those coefficients
-at a polished peak.
+polish with the scalar regret, Brent's golden-section search with
+parabolic steps to sqrt(machine eps) relative in delta, runs only at the
+root, which then takes one Newton step on the polished residual, with the
+slopes at the two polished peaks, and a second if the first leaves the
+polished sups apart by more than the equalization check allows.  The
+polished sups at the last corrected root are the reported solution: the
+peak positions delta_L and delta_U come from the polish alone.  Each
+solve, alpha* or K*, holds one search state: its window, grid, grid
+regret, scalar regret, tail bound, slope, and the two heights, node
+values, span and argmax nodes of every level it has read, so no level is
+tabulated twice; only the polish looks for peaks, at the two levels it
+reads.  A K* state also keeps the table of (h2, h1, h0 - rmin) and the
+scalar (h2, h1, h0) of every delta a polish has visited, so its two
+polishes build nothing twice; its slope reads h2 and h1 off the table at
+a grid node and off those coefficients at a polished peak.
 
 A level reads only the part of the grid that a closed-form tail bound
 certifies (``risk._tail_bound``), for alpha* and K* alike.  Outside the
@@ -334,7 +336,7 @@ class _Search:
         return heights
 
     def polished_sups(self, t: float) -> tuple[float, float, float, float]:
-        """Golden-section polish of each side's grid maxima with the scalar regret.
+        """Polish of each side's grid maxima with the scalar regret.
 
         A side's peaks are the local maxima of its segments, clipped to the
         level's span, within _TIE_MARGIN of its argmax node; a segment end
@@ -342,7 +344,11 @@ class _Search:
         kinked hump can sit below its true height on the grid; usually that
         is the argmax alone.  A polish brackets its node by its neighbours
         inside its segment, and the node itself wins if the polish finds
-        nothing higher.
+        nothing higher.  Each polish is ``golden_section_max``, golden-section
+        search with parabolic steps: about 10 scalar regrets on a smooth
+        hump, more at a kink, and a position to sqrt(machine eps) relative in
+        delta, which is as close as the regret's rounding lets a flat hump's
+        argmax be told apart.
         """
         self.grid_sups(t)
         _, values, (lo, hi), argmaxes = self.levels[t]

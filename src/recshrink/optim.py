@@ -1,40 +1,74 @@
-"""Scalar golden-section maximization and Brent root finding."""
+"""Scalar maximization by golden-section search with parabolic steps, and Brent root finding.
+
+Both are Brent's (1973): ``golden_section_max`` is his ``localmin`` (ch. 5)
+run on -f, and ``brent_root`` his ``zero`` (ch. 4).
+"""
 
 import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MACHEPS = 2.220446049250313e-16
 _MAXITER = 200
-_GOLDEN_XTOL = 1e-6
+_SQRT_EPS = math.sqrt(_MACHEPS)  # the maximizer's step tolerance, relative to x
+_XTOL_FLOOR = 1e-20             # its absolute floor, so a bracket at 0 still ends
 
 
 def golden_section_max(f, lo: float, hi: float):
     """Maximize f on [lo, hi]; returns (x, f(x)).
 
-    Narrows to a local maximum inside the bracket, to a width of
-    ``_GOLDEN_XTOL``; the endpoints are also checked so monotone humps
-    resolve to the better edge.
+    Brent's golden-section search with successive parabolic steps: each
+    step fits a parabola through the best three points so far and takes its
+    vertex when it lies well inside the bracket and moves less than half
+    the step before last, else takes a golden step into the larger part.
+    It narrows to a local maximum inside the bracket, to a tolerance of
+    sqrt(machine eps)*|x| plus ``_XTOL_FLOOR``; the endpoints are also
+    checked so monotone humps resolve to the better edge.
     """
     if not hi >= lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while (b - a) > _GOLDEN_XTOL and it < _MAXITER:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
+    x = w = v = a + (1.0 - _INVPHI) * (b - a)
+    fx = fw = fv = -f(x)
+    d = e = 0.0
+    for _ in range(_MAXITER):
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + _XTOL_FLOOR
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol:  # the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q, r, e = abs(q), e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:  # no vertex next to an end
+                d = tol if x < m else -tol
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        it += 1
-    xm = 0.5 * (a + b)
-    cands = [(f(xm), xm), (f(lo), lo), (f(hi), hi)]
-    fbest, xbest = max(cands)
+            e = (b if x < m else a) - x
+            d = (1.0 - _INVPHI) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    fbest, xbest = max((-fx, x), (f(lo), lo), (f(hi), hi))
     return xbest, fbest
 
 

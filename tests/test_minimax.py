@@ -1007,6 +1007,82 @@ class TestDenseScan:
             _assert_sups_dominate_scan(sol_k, shrink_regret)
 
 
+def _ternary_max(f, lo, hi, steps=100):
+    """Argmax of a unimodal f on [lo, hi] by ternary search, to (2/3)^steps of the width."""
+    for _ in range(steps):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if f(a) < f(b):
+            lo = a
+        else:
+            hi = b
+    return 0.5 * (lo + hi)
+
+
+class TestPeakPositions:
+    """Each reported peak position is the regret's argmax to 1e-7 relative.
+
+    The cells' peaks are interior to their segment of the delta axis and curved
+    enough for the regret's rounding to leave the argmax clear at that width: on
+    the flattest humps of the 6x6 grids the rounding alone blurs it by about 2e-7.
+    """
+
+    @pytest.mark.parametrize("variant, n1, n2, tuning", [
+        (Variant.KNOWN_LOCATION, 5, 10, "alpha*"),
+        (Variant.KNOWN_LOCATION, 3, 4, "K*"),
+        (Variant.KNOWN_LOCATION, 10, 4, "K*"),
+        (Variant.LOCATION_SCALE, 7, 2, "alpha*"),
+        (Variant.LOCATION_SCALE, 4, 7, "alpha*"),
+        (Variant.LOCATION_SCALE, 3, 10, "K*"),
+        (Variant.LOCATION_SCALE, 7, 7, "K*"),
+    ])
+    def test_peaks_lie_within_1e_7_of_the_argmax(self, variant, n1, n2, tuning):
+        from recshrink.minimax import _PER_DECADE
+
+        step = 10.0 ** (1 / _PER_DECADE)
+        d = DesignPair(n1, n2, variant)
+        if tuning == "alpha*":
+            sol = optimal_alpha(d)
+            regret = lambda delta: regret_pt(d, delta, sol.tuned_value)
+            # the lower side is cut at delta1, where the alpha regret jumps
+            cuts = (sol.delta1, sol.delta2)
+        else:
+            sol = optimal_k(d, 0.16)
+            regret = lambda delta: regret_shrink(d, delta, 0.16, sol.tuned_value)
+            cuts = (sol.delta2,)
+        assert not sol.fallback
+        for peak in (sol.delta_L, sol.delta_U):
+            # two grid steps either side, inside the peak's segment
+            lo, hi = peak / step**2, peak * step**2
+            assert not any(lo <= cut <= hi for cut in cuts)
+            ref = _ternary_max(regret, lo, hi)
+            assert lo * step < ref < hi / step
+            assert abs(peak - ref) <= 1e-7 * ref
+
+
+def test_a_polish_reads_at_most_16_scalar_regrets_on_average(monkeypatch):
+    """Over one table-3 pass on the {2, 3} grid, each polish of a regret peak averages
+    at most 16 scalar regret evaluations (golden section alone takes about 27)."""
+    import recshrink.minimax as mm
+
+    golden, evals = mm.golden_section_max, []
+
+    def counted(f, lo, hi):
+        evals.append(0)
+
+        def g(x):
+            evals[-1] += 1
+            return f(x)
+
+        return golden(g, lo, hi)
+
+    monkeypatch.setattr(mm, "golden_section_max", counted)
+    cells = generate_tables(TableCase.K_OPTIMAL_ALPHA,
+                            [DesignPair(a, b) for b in (2, 3) for a in (2, 3)])
+    # no cell falls back, so every maximization is a polish
+    assert [c.fallback for c in cells] == [None] * 4
+    assert sum(evals) / len(evals) <= 16.0
+
+
 LARGE_GRID = (400, 600, 1000)
 
 
