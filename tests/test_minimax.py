@@ -1061,7 +1061,7 @@ class TestPeakPositions:
 
 def test_a_polish_reads_at_most_16_scalar_regrets_on_average(monkeypatch):
     """Over one table-3 pass on the {2, 3} grid, each polish of a regret peak averages
-    at most 16 scalar regret evaluations (golden section alone takes about 27)."""
+    at most 16 scalar regret evaluations (golden section alone took about 27)."""
     import recshrink.minimax as mm
 
     golden, evals = mm.golden_section_max, []
