@@ -29,7 +29,7 @@ the regret is positive.  When Newton fails before two levels differ in
 sign, the residual at the two ends of the domain (0.01, 0.99) decides:
 ends of opposite signs bracket the root, and ends of one sign mean there
 is none, so golden-section search with parabolic steps minimizes the
-larger height instead.
+larger height instead, and an end of the domain wins where it is lower.
 The only other roots, the K* window's crossings with 1/n1, follow
 ``_first_root``: Brent's (1973) root in the first pair of rungs
 delta = 2^(+-j/4), j = 0..120, read from 1 out, where the residual changes
@@ -416,7 +416,10 @@ def sup_regret_pt(
     regret jumps up as its reference switches from 1/n1 to r0.  ``search``
     is the state of an alpha* solve at this design, so a level it has read
     is polished without being tabulated again; without one, a fresh state
-    is built.  The result is the same either way.
+    is built.  The result is the same either way unless an earlier level of
+    the solve widened a side's span: a level starts at the span the last
+    one reached, so it can read nodes, and a peak of rounding noise above
+    the tail bound on them, that a fresh state certifies without reading.
     """
     if search is None:
         search = _alpha_search(design)
@@ -450,8 +453,9 @@ def _newton(sups, slope) -> tuple[float, bool]:
     residual at the two ends of _DOMAIN decides.  An exact 0 there is the
     root, ends of opposite signs bracket it with the last level read, and
     ends of one sign mean there is no root: the golden fallback minimizes
-    the larger height over _DOMAIN.  The root is the last level read, once
-    the next step falls below _ROOT_XTOL.
+    the larger height inside _DOMAIN, and an end of _DOMAIN, read already,
+    replaces golden's point only where its larger height is lower.  The
+    root is the last level read, once the next step falls below _ROOT_XTOL.
     """
 
     def residual(t):
@@ -468,7 +472,8 @@ def _newton(sups, slope) -> tuple[float, bool]:
             if 0.0 in at_ends:
                 return _DOMAIN[at_ends.index(0.0)], False
             if (at_ends[0] > 0.0) == (at_ends[1] > 0.0):
-                return golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0], True
+                t = golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0]
+                return min((t, *_DOMAIN), key=lambda t: max(sups(t))), True
             # the end of the other sign joins t, which stays on its side
             last = {g_end > 0.0: end for end, g_end in zip(_DOMAIN, at_ends)} | last
         if len(last) == 2 and not (halved and min(last.values()) <= t + step <= max(last.values())):
@@ -486,10 +491,10 @@ def _solve(search: _Search, sup, what: str) -> RegretSolution:
     Safeguarded Newton (``_newton``) finds the root of the two grid heights
     or, with none over _DOMAIN, the golden fallback.  A root then takes a
     Newton step on the polished sups ``sup``, their residual over the slope
-    at the two polished peaks, and a second only if the first leaves them
-    not ``_tied``.  The polish runs only at the grid root and at each
-    corrected root; the last polished sups are the reported solution.
-    ``what`` names the inputs in a SearchError.
+    at the two polished peaks, clamped into _DOMAIN, and a second only if
+    the first leaves them not ``_tied``.  The polish runs only at the grid
+    root and at each corrected root; the last polished sups are the
+    reported solution.  ``what`` names the inputs in a SearchError.
     """
     try:
         t, fallback = _newton(search.grid_sups, search.residual_slope)
@@ -498,7 +503,7 @@ def _solve(search: _Search, sup, what: str) -> RegretSolution:
             dg = search.residual_slope(t, ((d_lo, r_lo), (d_hi, r_hi)))
             if dg == 0.0:
                 break
-            t -= (r_lo - r_hi) / dg
+            t = min(max(t - (r_lo - r_hi) / dg, _DOMAIN[0]), _DOMAIN[1])
             d_lo, r_lo, d_hi, r_hi = sup(t)
             if _tied(r_lo, r_hi):
                 break
@@ -635,7 +640,11 @@ def sup_regret_shrink(
 
     ``search`` is the state of a K* solve at this design and alpha, so its
     two polishes share one grid table and each delta's coefficients;
-    without one, a fresh state is built.  The result is the same either way.
+    without one, a fresh state is built.  The result is the same either way
+    unless an earlier level of the solve widened a side's span, as at
+    ``sup_regret_pt``: at (5, 3) known, alpha = 0.9, the solve's state
+    reads an upper peak of rounding noise at delta = 5.4e5 that a fresh
+    state, stopped at 1.7e5, does not.
     """
     check_k(k)  # a NaN table has no hump for the polish to check k in
     if search is None:

@@ -1,7 +1,9 @@
 """Scalar maximization by golden-section search with parabolic steps, and Brent root finding.
 
 Both are Brent's (1973): ``golden_section_max`` is his ``localmin`` (ch. 5)
-run on -f, and ``brent_root`` his ``zero`` (ch. 4).
+run on -f, and ``brent_root`` his ``zero`` (ch. 4).  The maximizer searches
+only inside its bracket; a caller whose maximum may sit at an end compares
+that end itself, as ``minimax._newton``'s fallback does.
 """
 
 import math
@@ -21,8 +23,9 @@ def golden_section_max(f, lo: float, hi: float):
     vertex when it lies well inside the bracket and moves less than half
     the step before last, else takes a golden step into the larger part.
     It narrows to a local maximum inside the bracket, to a tolerance of
-    sqrt(machine eps)*|x| plus ``_XTOL_FLOOR``; the endpoints are also
-    checked so monotone humps resolve to the better edge.
+    sqrt(machine eps)*|x| plus ``_XTOL_FLOOR``, and returns the best point
+    it evaluated.  It reads neither end of the bracket, so on a monotone f
+    that point lies within twice the tolerance of the higher end.
     """
     if not hi >= lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
@@ -68,8 +71,7 @@ def golden_section_max(f, lo: float, hi: float):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v in (x, w):
                 v, fv = u, fu
-    fbest, xbest = max((-fx, x), (f(lo), lo), (f(hi), hi))
-    return xbest, fbest
+    return x, -fx
 
 
 def brent_root(f, a: float, b: float, xtol: float = 1e-12) -> float:

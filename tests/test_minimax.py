@@ -433,6 +433,19 @@ class TestEqualize:
         assert root == golden_section_max(lambda t: -max(sups(t)), *_DOMAIN)[0]
         assert root == pytest.approx(0.3, abs=1e-4)
 
+    @pytest.mark.parametrize("sign, end", [(-1.0, 0.99), (1.0, 0.01)], ids=["upper", "lower"])
+    def test_a_monotone_fallback_returns_the_end_exactly(self, sign, end):
+        from recshrink.minimax import _DOMAIN
+
+        # reg_L - reg_U = 1 at every level and the larger height falls toward
+        # one end: golden stops short of that end, and the fallback, which
+        # compares both ends, returns it
+        sups = lambda t: (2.0 + sign * t, 1.0 + sign * t)
+        (root, fallback), seen = self._newton(sups, lambda t: 0.0)
+        assert fallback
+        assert root == end
+        assert set(_DOMAIN) <= set(seen)
+
     def test_running_out_of_levels_raises(self, monkeypatch):
         import recshrink.minimax as mm
 
@@ -462,6 +475,26 @@ def test_the_domain_ends_decide_whether_a_root_exists(variant):
             fallbacks += sol.fallback
     # both sides of the rule occur: the location-scale K* at (7, 2) and (10, 2) fall back
     assert fallbacks == (2 if variant is Variant.LOCATION_SCALE else 0)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_fresh_search_reads_the_solution_at_its_tuned_value(variant):
+    """On the 6x6 grid, alpha* and K*(0.16) report the sups a fresh search finds at the
+    tuned value: no earlier level of the solve widened a span that the fresh search
+    would not.  (At (5, 3) known, K*(0.9), one did, and the two disagree.)"""
+    import itertools
+
+    from recshrink.minimax import TABLE_GRID
+
+    def sups(sol):
+        return sol.delta_L, sol.regret_at_L, sol.delta_U, sol.regret_at_U
+
+    for n1, n2 in itertools.product(TABLE_GRID, repeat=2):
+        design = DesignPair(n1, n2, variant)
+        sol = optimal_alpha(design)
+        assert sup_regret_pt(design, sol.tuned_value) == sups(sol), design
+        sol = optimal_k(design, 0.16)
+        assert sup_regret_shrink(design, 0.16, sol.tuned_value) == sups(sol), design
 
 
 class TestSolve:
@@ -1162,6 +1195,23 @@ class TestSearchErrorsNameInputs:
         with pytest.raises(SearchError, match=r"K\* at design \(5, 6\) known, alpha=0\.16: "
                                               r"regret maxima not equalized"):
             mm.optimal_k(D56, 0.16)
+
+    def test_a_correction_stays_in_the_domain(self, monkeypatch):
+        import recshrink.minimax as mm
+
+        # the Newton step on the polished sups at (2, 2) location-scale,
+        # alpha = 0.99, points below k = 0; clamped to _DOMAIN, the solve
+        # ends in a SearchError that names the design, not in check_k's
+        # ValueError
+        sup, levels = mm.sup_regret_shrink, []
+        monkeypatch.setattr(mm, "sup_regret_shrink",
+                            lambda design, alpha, k, search: levels.append(k)
+                            or sup(design, alpha, k, search))
+        with pytest.raises(SearchError, match=r"K\* at design \(2, 2\) locscale, alpha=0\.99: "
+                                              r"regret maxima not equalized"):
+            mm.optimal_k(DesignPair(2, 2, Variant.LOCATION_SCALE), 0.99)
+        assert len(levels) == 3
+        assert all(mm._DOMAIN[0] <= k <= mm._DOMAIN[1] for k in levels)
 
     def test_optimal_alpha_error_names_design(self, monkeypatch):
         import recshrink.minimax as mm

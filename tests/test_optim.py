@@ -12,9 +12,15 @@ class TestGoldenSectionMax:
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_resolves_to_edge(self):
-        x, fx = golden_section_max(lambda t: t, 0.0, 3.0)
-        assert x == 3.0
-        assert fx == 3.0
+        from recshrink.optim import _SQRT_EPS, _XTOL_FLOOR
+
+        # the search reads neither end, so it stops within twice its
+        # stopping tolerance of the higher one
+        seen = []
+        x, fx = golden_section_max(lambda t: seen.append(t) or t, 0.0, 3.0)
+        assert 0.0 < 3.0 - x <= 2.0 * (_SQRT_EPS * x + _XTOL_FLOOR)
+        assert fx == x
+        assert all(0.0 < t < 3.0 for t in seen)
 
     def test_flat_function(self):
         x, fx = golden_section_max(lambda t: 0.0, 1.0, 2.0)
@@ -85,12 +91,14 @@ class TestParabolicSteps:
         assert abs(x - peak) <= 1e-7 * peak
 
     def test_a_bracket_at_zero_ends(self):
-        from recshrink.optim import _MAXITER
+        from recshrink.optim import _MAXITER, _XTOL_FLOOR
 
         # the tolerance is relative to x, so near 0 only its absolute floor
-        # stops the search
+        # stops the search, within twice that floor of the higher end
         f, calls = self._counted(lambda t: -t)
-        assert golden_section_max(f, 0.0, 1.0) == (0.0, 0.0)
+        x, fx = golden_section_max(f, 0.0, 1.0)
+        assert 0.0 < x <= 2.0 * _XTOL_FLOOR
+        assert fx == -x
         assert len(calls) < _MAXITER
         f, calls = self._counted(lambda t: -((t - 1e-9) ** 2))
         x, _ = golden_section_max(f, 0.0, 1e-3)
