@@ -8,13 +8,15 @@ A and B are checkouts of the repository.  Each command runs as
 CLI outputs a change that claims the same bits must leave alone: tables 1-3
 under both variants, table 2 as CSV, table 3 on the {40, 150} and the
 {400, 600, 1000} grids under both variants, two alpha* solves (at (5, 6)
-and at (5000, 5000)) and three K* solves (one of them a fallback at
-alpha = 1e-30, and one at (2, 2) location-scale, alpha = 0.99, whose
+and at (5000, 5000)) and five K* solves (one of them a fallback at
+alpha = 1e-30, one at (2, 2) location-scale, alpha = 0.99, whose
 corrected root is clamped into the search interval and which then fails
-to equalize), a seeded Monte Carlo comparison, three risk curves on the
-grid route, the estimator on the example records, the seeded convention
-validation, and two argument errors: table 2 at a level outside (0, 1)
-and a one-replicate Monte Carlo run.
+to equalize, and two at alpha = 0.9, at (5, 3) and (12, 2), whose upper
+sides reach the far grid, where the regret's rounding noise lies), a
+seeded Monte Carlo comparison, three risk curves on the grid route, the
+estimator on the example records, the seeded convention validation, and
+two argument errors: table 2 at a level outside (0, 1) and a
+one-replicate Monte Carlo run.
 
 One line per command says whether its stdout, stderr and exit code are
 the same on both sides, and names those that differ.  The exit status is 1
@@ -41,6 +43,8 @@ COMMANDS = (
      "--format", "json"),
     ("optimal-k", "--n1", "5", "--n2", "6", "--alpha", "1e-30"),
     ("optimal-k", "--n1", "2", "--n2", "2", "--variant", "locscale", "--alpha", "0.99"),
+    *(("optimal-k", "--n1", n1, "--n2", n2, "--alpha", "0.9", "--format", "json")
+      for n1, n2 in (("5", "3"), ("12", "2"))),
     ("simulate", "--n1", "2", "--n2", "2", "--seed", "1", "--format", "json"),
     ("risk-curve", "--n1", "5", "--n2", "6", "--alpha", "0.16", "--k", "0", "--k", "0.21",
      "--k", "1", "--format", "json"),

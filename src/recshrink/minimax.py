@@ -68,14 +68,15 @@ alpha window the regret is max(0, h2 + h1), and the K* regret is at most
 |h2| + |h1| at every delta; the bound caps |h2| + |h1| at every delta
 beyond a given one from power-law tails of the five brackets: it falls
 like delta^-m2 above the edge and like delta^(m1+i+j) below it, with no
-incomplete beta.  Each side starts at 1e2 times the edge (the lower one
-also below delta1) and widens a decade at a time, up to the whole grid,
-while its argmax sits on its end node or the bound at that node exceeds its
-largest node value.  Once the bound is at or below that value, nothing
-beyond the end can exceed it, so a lesser peak on the end node cannot
-change the side's polished sup.  Every node read is a node of the whole
-grid, so a certified level has the whole grid's sups and the solution its
-bits.  A K* level reads its nodes off the table built once per solve; the
+incomplete beta.  Each level reads each side first to 1e2 times the edge
+(the lower one also below delta1), and a side reads the rest of its side
+of the grid if its argmax sits on its end node or the bound at that node
+exceeds its largest node value.  Once the bound is at or below that value,
+nothing beyond the end can exceed it, so a lesser peak on the end node
+cannot change the side's polished sup.  Every node read is a node of the
+whole grid, so a certified level has the whole grid's sups and the
+solution its bits; and no level's span depends on the levels read before
+it.  A K* level reads its nodes off the table built once per solve; the
 bound does not depend on k, so each solve evaluates it once per node it is
 asked at.
 
@@ -106,7 +107,7 @@ from .risk import (
 )
 
 _SPAN = 1e4                 # each side's grid spans this factor from the edge
-_START_SPAN = 1e2           # a certified side's first span; it widens a decade at a time
+_START_SPAN = 1e2           # each level's first span; a side it does not certify reads on
 _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
@@ -273,19 +274,19 @@ class _Search:
     grid around delta2; ``table(t, nodes)`` is the regret at tuned value t
     over ``grid[0][nodes]`` and ``regret(delta, t)`` the scalar regret the
     polish reads.  ``bound(t, delta, upper)`` bounds the regret at every
-    delta' beyond delta (above it if ``upper``), and each side starts at
-    _START_SPAN from the edge, the lower one also no higher than delta1.
-    A side widens by a decade, up to the whole grid, while its argmax sits
-    on its end node or the bound at that node exceeds its largest node
-    value; the next level starts at the span the last one reached.  A
-    side's nodes are thus a run of the whole grid's ending at the edge,
-    read the same at any span.  ``levels`` holds, for every level read so
-    far, its two heights (reg_L, reg_U), its node values, its span (lo, hi)
-    and each side's argmax node, so Newton, the end test, the golden
-    fallback and the polish tabulate each level once.  ``slope(t, delta)``
-    is the regret's slope in t at delta, which ``residual_slope`` reads at
-    each side's peak.  The state belongs to one solve: the next solve starts
-    empty, as a fresh process would.
+    delta' beyond delta (above it if ``upper``).  Every level first reads
+    each side to _START_SPAN from the edge, the lower one also no higher
+    than delta1, and a side reads the rest of its side of the grid if its
+    argmax sits on its end node or the bound at that node exceeds its
+    largest node value.  A side's nodes are thus a run of the whole grid's
+    ending at the edge, read the same at any span, and a level reads the
+    same whatever levels were read before it.  ``levels`` holds, for every
+    level read so far, its two heights (reg_L, reg_U), its node values, its
+    span (lo, hi) and each side's argmax node, so Newton, the end test, the
+    golden fallback and the polish tabulate each level once.
+    ``slope(t, delta)`` is the regret's slope in t at delta, which
+    ``residual_slope`` reads at each side's peak.  The state belongs to one
+    solve: the next solve starts empty, as a fresh process would.
     """
 
     window: tuple[float, float]
@@ -295,20 +296,17 @@ class _Search:
     bound: Callable[[float, float, bool], float]
     slope: Callable[[float, float], float]
     levels: dict = field(default_factory=dict, init=False)
-    # start (lower side) and stop (upper side) indices of the spans not yet
-    # outgrown, narrowest first: the first of each is the current span
-    _starts: list = field(init=False)
-    _stops: list = field(init=False)
+    _span: tuple = field(init=False)  # (start, stop) indices of each level's first span
 
     def __post_init__(self):
         deltas, segments = self.grid
         cut, edge = self.window
-        # the spans short of the whole grid: _START_SPAN and each decade above it
+        # the lower side starts at the first of edge/_START_SPAN, edge/(10 _START_SPAN), ...
+        # at or below delta1, else at the grid's start; the upper side stops at _START_SPAN*edge
         spans = _START_SPAN * 10.0 ** np.arange(round(math.log10(_SPAN / _START_SPAN)))
         starts = np.searchsorted(deltas[:segments[-1][0]], edge / spans).tolist()
-        stops = np.searchsorted(deltas, edge * spans * (1.0 + _JUMP), side="right").tolist()
-        self._starts = [i for i in starts if deltas[i] <= cut] + [0]
-        self._stops = stops + [len(deltas)]
+        stop = np.searchsorted(deltas, edge * _START_SPAN * (1.0 + _JUMP), side="right")
+        self._span = (next((i for i in starts if deltas[i] <= cut), 0), int(stop))
 
     def grid_sups(self, t: float) -> tuple[float, float]:
         """(reg_L, reg_U): each side's height on the grid at level t, tabulated once."""
@@ -316,23 +314,22 @@ class _Search:
             return self.levels[t][0]
         deltas, segments = self.grid
         values = np.empty(len(deltas))  # a side's nodes sit at their grid indices
-        lo, hi = self._starts[0], self._stops[0]
-        nodes = slice(lo, hi)
-        while True:
-            values[nodes] = self.table(t, nodes)
-            sides = [_side_scan(values, part, lo, hi) for part in (segments[:-1], segments[-1:])]
-            for ends, (_, top, node), end, upper in ((self._starts, sides[0], lo, False),
-                                                     (self._stops, sides[1], hi - 1, True)):
-                # node == end stays: the end's float regret can be noise above the bound
-                if len(ends) > 1 and (node == end
-                                      or self.bound(t, float(deltas[end]), upper) > top):
-                    del ends[0]
-            if (lo, hi) == (self._starts[0], self._stops[0]):
-                break
-            nodes = np.r_[self._starts[0]:lo, hi:self._stops[0]]
-            lo, hi = self._starts[0], self._stops[0]
+        span = list(self._span)
+        values[slice(*span)] = self.table(t, slice(*span))
+        sides = []
+        for part, cap, end, upper in ((segments[:-1], 0, span[0], False),
+                                      (segments[-1:], len(deltas), span[1] - 1, True)):
+            _, top, node = side = _side_scan(values, part, *span)
+            # node == end stays: the end's float regret can be noise above the bound
+            if span[upper] != cap and (node == end
+                                       or self.bound(t, float(deltas[end]), upper) > top):
+                rest = slice(*sorted((span[upper], cap)))  # the rest of this side of the grid
+                values[rest] = self.table(t, rest)
+                span[upper] = cap
+                side = _side_scan(values, part, *span)
+            sides.append(side)
         heights, _, argmaxes = zip(*sides)
-        self.levels[t] = (heights, values, (lo, hi), argmaxes)
+        self.levels[t] = (heights, values, tuple(span), argmaxes)
         return heights
 
     def polished_sups(self, t: float) -> tuple[float, float, float, float]:
@@ -416,10 +413,7 @@ def sup_regret_pt(
     regret jumps up as its reference switches from 1/n1 to r0.  ``search``
     is the state of an alpha* solve at this design, so a level it has read
     is polished without being tabulated again; without one, a fresh state
-    is built.  The result is the same either way unless an earlier level of
-    the solve widened a side's span: a level starts at the span the last
-    one reached, so it can read nodes, and a peak of rounding noise above
-    the tail bound on them, that a fresh state certifies without reading.
+    is built.  The result is the same either way.
     """
     if search is None:
         search = _alpha_search(design)
@@ -640,11 +634,8 @@ def sup_regret_shrink(
 
     ``search`` is the state of a K* solve at this design and alpha, so its
     two polishes share one grid table and each delta's coefficients;
-    without one, a fresh state is built.  The result is the same either way
-    unless an earlier level of the solve widened a side's span, as at
-    ``sup_regret_pt``: at (5, 3) known, alpha = 0.9, the solve's state
-    reads an upper peak of rounding noise at delta = 5.4e5 that a fresh
-    state, stopped at 1.7e5, does not.
+    without one, a fresh state is built.  The result is the same either
+    way.
     """
     check_k(k)  # a NaN table has no hump for the polish to check k in
     if search is None:

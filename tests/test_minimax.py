@@ -479,22 +479,31 @@ def test_the_domain_ends_decide_whether_a_root_exists(variant):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_fresh_search_reads_the_solution_at_its_tuned_value(variant):
-    """On the 6x6 grid, alpha* and K*(0.16) report the sups a fresh search finds at the
-    tuned value: no earlier level of the solve widened a span that the fresh search
-    would not.  (At (5, 3) known, K*(0.9), one did, and the two disagree.)"""
+    """On the 6x6 grid, alpha*, K*(0.16) and K*(0.9) report the sups a fresh search finds
+    at the tuned value: no level the solve read before it changes what a level reads.
+    At alpha = 0.9 the designs without a pooling advantage at delta = 1 have no K*."""
     import itertools
 
-    from recshrink.minimax import TABLE_GRID
+    from recshrink.minimax import TABLE_GRID, SearchError
 
     def sups(sol):
         return sol.delta_L, sol.regret_at_L, sol.delta_U, sol.regret_at_U
 
+    solved = 0
     for n1, n2 in itertools.product(TABLE_GRID, repeat=2):
         design = DesignPair(n1, n2, variant)
         sol = optimal_alpha(design)
         assert sup_regret_pt(design, sol.tuned_value) == sups(sol), design
-        sol = optimal_k(design, 0.16)
-        assert sup_regret_shrink(design, 0.16, sol.tuned_value) == sups(sol), design
+        for alpha in (0.16, 0.9):
+            try:
+                sol = optimal_k(design, alpha)
+            except SearchError as exc:
+                assert alpha == 0.9 and "no pooling advantage at delta=1" in str(exc)
+                continue
+            assert sup_regret_shrink(design, alpha, sol.tuned_value) == sups(sol), (design, alpha)
+            solved += 1
+    # K*(0.9) solves at 21 known and 21 location-scale designs, (5, 3) known among them
+    assert solved == 36 + 21
 
 
 class TestSolve:
@@ -743,6 +752,38 @@ class TestSolve:
                 self._slope(humps)).grid_sups(0.5)
         assert 1e-3 <= min(read) < 1.02e-3
         assert 1e2 / 1.02 < max(read) <= 1e2 * (1 + 1e-9)
+
+    def test_a_level_does_not_depend_on_the_levels_read_before_it(self):
+        from recshrink.minimax import _START_SPAN, _Search, _fixed_grid
+
+        # a far upper hump at 1e3 times the edge that stands at t = 0.9 alone:
+        # there the upper side must widen, while at t = 0.2 the first span
+        # certifies, so the level at 0.2 reads the same after 0.9 as alone
+        humps = ((0.3, lambda t: 0.5), (3.0, lambda t: 0.5),
+                 (1e3, lambda t: 2.0 if t == 0.9 else 0.0))
+        regret = self._humps(humps)
+        grid = _fixed_grid(1.0)
+
+        def search():
+            reads = {}
+
+            def table(t, nodes):
+                reads.setdefault(t, []).extend(grid[0][nodes].tolist())
+                return regret(grid[0][nodes], t)
+
+            return _Search((0.1, 1.0), grid, table, regret, self._honest(humps),
+                           self._slope(humps)), reads
+
+        after, reads = search()
+        after.grid_sups(0.9)
+        assert max(reads[0.9]) > 1e3
+        after.grid_sups(0.2)
+        assert max(reads[0.2]) <= _START_SPAN * (1 + 1e-9)
+        fresh, _ = search()
+        fresh.grid_sups(0.2)
+        (heights, values, (lo, hi), argmaxes), want = after.levels[0.2], fresh.levels[0.2]
+        assert (heights, (lo, hi), argmaxes) == (want[0], want[2], want[3])
+        assert values[lo:hi].tolist() == want[1][lo:hi].tolist()
 
 
 DESIGN_SETS = pytest.mark.parametrize("designs", [
