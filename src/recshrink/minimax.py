@@ -52,15 +52,22 @@ root, which then takes one Newton step on the polished residual, with the
 slopes at the two polished peaks, and a second if the first leaves the
 polished sups apart by more than the equalization check allows.  The
 polished sups at the last corrected root are the reported solution: the
-peak positions delta_L and delta_U come from the polish alone.  Each
+peak positions delta_L and delta_U come from the polish alone.  A peak on
+a segment's end node from which the regret falls into the segment, by
+the sign of its slope in delta, is that node and is not polished: a
+polish there would only close in on the node.  That slope is closed-form:
+d(h2 + h1)/d delta (``risk.coefficients_delta_slope``), less r0'(delta)
+inside the window, for alpha*, and for K*, by Danskin's theorem on the
+inner minimum over weights, dh2 (k^2 - k'^2) + dh1 (k - k'), with k' the
+best weight at that delta.  Each
 solve, alpha* or K*, holds one search state: its window, grid, grid
-regret, scalar regret, tail bound, slope, and the two heights, node
+regret, scalar regret, tail bound, both slopes, and the two heights, node
 values, span and argmax nodes of every level it has read, so no level is
 tabulated twice; only the polish looks for peaks, at the two levels it
 reads.  A K* state also keeps the table of (h2, h1, h0 - rmin) and the
 scalar (h2, h1, h0) of every delta a polish has visited, so its two
-polishes build nothing twice; its slope reads h2 and h1 off the table at
-a grid node and off those coefficients at a polished peak.
+polishes build nothing twice; its slopes read the coefficients off the
+table at a grid node and off those coefficients at a polished peak.
 
 A level reads only the part of the grid that a closed-form tail bound
 certifies (``risk._tail_bound``), for alpha* and K* alike.  Outside the
@@ -99,6 +106,7 @@ from .records import DesignPair
 from .risk import (
     _tail_bound,
     boundary_risks,
+    coefficients_delta_slope,
     pooled_risk_quadratic,
     pt_risk,
     pt_risk_alpha_slope,
@@ -285,8 +293,10 @@ class _Search:
     span (lo, hi) and each side's argmax node, so Newton, the end test, the
     golden fallback and the polish tabulate each level once.
     ``slope(t, delta)`` is the regret's slope in t at delta, which
-    ``residual_slope`` reads at each side's peak.  The state belongs to one
-    solve: the next solve starts empty, as a fresh process would.
+    ``residual_slope`` reads at each side's peak, and
+    ``delta_slope(t, delta)`` its slope in delta, which the polish reads at
+    a peak on a segment's end node.  The state belongs to one solve: the
+    next solve starts empty, as a fresh process would.
     """
 
     window: tuple[float, float]
@@ -295,6 +305,7 @@ class _Search:
     regret: Callable[[float, float], float]
     bound: Callable[[float, float, bool], float]
     slope: Callable[[float, float], float]
+    delta_slope: Callable[[float, float], float]
     levels: dict = field(default_factory=dict, init=False)
     _span: tuple = field(init=False)  # (start, stop) indices of each level's first span
 
@@ -337,15 +348,20 @@ class _Search:
 
         A side's peaks are the local maxima of its segments, clipped to the
         level's span, within _TIE_MARGIN of its argmax node; a segment end
-        counts its missing side as lower.  Every peak is polished, since a
-        kinked hump can sit below its true height on the grid; usually that
-        is the argmax alone.  A polish brackets its node by its neighbours
-        inside its segment, and the node itself wins if the polish finds
-        nothing higher.  Each polish is ``golden_section_max``, golden-section
-        search with parabolic steps: about 10 scalar regrets on a smooth
-        hump, more at a kink, and a position to sqrt(machine eps) relative in
-        delta, which is as close as the regret's rounding lets a flat hump's
-        argmax be told apart.
+        counts its missing side as lower.  A peak on the first node of its
+        clipped segment whose ``delta_slope`` is <= 0, or on the last whose
+        slope is >= 0, is that node with its grid value: the regret falls
+        from it into the segment, where a polish would only return toward
+        it (the alpha* lower peak on delta1's jump, most often).  Every
+        other peak is polished, since a kinked hump can sit below its true
+        height on the grid; usually that is the argmax alone.  A polish
+        brackets its node by its neighbours inside its segment, and the
+        node itself wins if the polish finds nothing higher.  Each polish
+        is ``golden_section_max``, golden-section search with parabolic
+        steps: about 10 scalar regrets on a smooth hump, more at a kink,
+        and a position to sqrt(machine eps) relative in delta, which is as
+        close as the regret's rounding lets a flat hump's argmax be told
+        apart.
         """
         self.grid_sups(t)
         _, values, (lo, hi), argmaxes = self.levels[t]
@@ -353,13 +369,19 @@ class _Search:
         out = []
         for part, node in zip((segments[:-1], segments[-1:]), argmaxes):
             floor = float(values[node]) * (1.0 - _TIE_MARGIN)
-            found = []  # each peak's polish, then its node
+            found = []  # each peak's polish, if it has one, then its node
             for start, stop in part:
                 start, stop = max(start, lo), min(stop, hi)
                 seg = values[start:stop].tolist()
                 for j in (values[start:stop] >= floor).nonzero()[0].tolist():
                     v, i = seg[j], start + j
-                    if (j == 0 or v > seg[j - 1]) and (j == len(seg) - 1 or v >= seg[j + 1]):
+                    first, last = j == 0, j == len(seg) - 1
+                    if (first or v > seg[j - 1]) and (last or v >= seg[j + 1]):
+                        if first or last:  # an end node the regret falls away from stays
+                            dr = self.delta_slope(t, float(deltas[i]))
+                            if (first and dr <= 0.0) or (last and dr >= 0.0):
+                                found.append((deltas[i], v))
+                                continue
                         found += [golden_section_max(lambda d: self.regret(d, t),
                                                      float(deltas[max(i - 1, start)]),
                                                      float(deltas[min(i + 1, stop - 1)])),
@@ -399,9 +421,16 @@ def _alpha_search(design: DesignPair) -> _Search:
         h2, h1, h0 = risk_k_coefficients_grid(design, deltas[nodes], a)
         return np.maximum(0.0, h2 + h1 + h0 - ref[nodes])
 
+    a0, b0, _ = pooled_risk_quadratic(design)
+
+    def delta_slope(a, d):
+        # d(h2 + h1)/d delta, less r0'(delta) = 2 a0 delta + b0 inside the window
+        dh2, dh1 = coefficients_delta_slope(design, d, a)
+        return dh2 + dh1 - (2.0 * a0 * d + b0 if lo < d < hi else 0.0)
+
     return _Search(region, grid, table, lambda d, a: _regret_pt(design, d, a, region),
                    functools.partial(_tail_bound, design),
-                   lambda a, d: pt_risk_alpha_slope(design, d, a))
+                   lambda a, d: pt_risk_alpha_slope(design, d, a), delta_slope)
 
 
 def sup_regret_pt(
@@ -614,14 +643,24 @@ def _shrink_search(design: DesignPair, alpha: float) -> _Search:
         check_k(k)
         return _shrink_regret(*coefficients(delta), k)
 
-    def slope(k, delta):
-        # 2 h2 k + h1: off the table at a grid node, else from a polish's coefficients
+    def at(delta):
+        # (h2, h1, h0): off the table at a grid node, else from a polish's coefficients
         i = min(int(np.searchsorted(grid[0], delta)), len(grid[0]) - 1)
-        a, b = (h2[i], h1[i]) if grid[0][i] == delta else coefficients(delta)[:2]
+        return (h2[i], h1[i], h0) if grid[0][i] == delta else coefficients(delta)
+
+    def slope(k, delta):
+        a, b, _ = at(delta)
         return 2.0 * a * k + b
 
+    def delta_slope(k, delta):
+        # Danskin: the inner minimum at its minimizer k' moves as dh2 k'^2 + dh1 k'
+        k_min, _ = _inf_quadratic(*at(delta))
+        dh2, dh1 = coefficients_delta_slope(design, delta, alpha)
+        return dh2 * (k * k - k_min * k_min) + dh1 * (k - k_min)
+
     tail = functools.cache(functools.partial(_tail_bound, design, alpha))
-    return _Search(crossings, grid, table, regret, lambda k, d, upper: tail(d, upper), slope)
+    return _Search(crossings, grid, table, regret, lambda k, d, upper: tail(d, upper), slope,
+                   delta_slope)
 
 
 def sup_regret_shrink(

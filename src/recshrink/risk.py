@@ -46,6 +46,9 @@ per-design constants that ``_quadratic_constants`` caches.
 ``pt_risk_alpha_slope`` is d pt_risk/d alpha in closed form, with no
 incomplete beta: each bound moves with its critical value, and the risk
 moves with a bound by the Beta density there times a conditional moment.
+``coefficients_delta_slope`` is d(h2, h1)/d delta at a float delta: the
+brackets' own delta weights, from the five brackets, plus the same
+bound terms, each bound moving with delta.
 """
 
 import functools
@@ -264,25 +267,61 @@ def risk_k_coefficients_grid(design: DesignPair, deltas, alpha: float):
                                      _beta_bound(c2, n1, n2, dv)))
 
 
-def _bound_slope(design: DesignPair, delta: float, c: float) -> float:
-    """d(1 - d) times d(h2 + h1)/dd2 at the upper bound d2 = d of the finite critical value c.
+def _bound_terms(design: DesignPair, delta: float, c: float) -> tuple[float, float, float, int]:
+    """(w, lam u, 2 d/n1, M + 1) at the bound d of the finite critical value c.
 
-    The lower bound enters every bracket with the opposite sign, so this is
-    also -d(1 - d) d(h2 + h1)/dd1 at d1 = d.  Given B = G1/(G1 + G2) = d, the
-    pivots are (d S, (1 - d) S) with S ~ Gamma(M), M = m1 + m2, independent
-    of B, and Y = delta G2/n2 - G1/n1 is S u with u = delta (1 - c)/(c n1
-    delta + n2); so the slope is the Beta density at d times the conditional
-    mean of lam^2 Y^2 + 2 lam (G1/n1 - 1) Y, and d(1 - d) times the density
-    is the front factor.  u is read off 1 - c, which the bound itself would
-    lose to cancellation near c = 1.
+    Given B = G1/(G1 + G2) = d, the pivots are (d S, (1 - d) S) with
+    S ~ Gamma(M), M = m1 + m2, independent of B, and Y = delta G2/n2 - G1/n1
+    is S u with u = delta (1 - c)/(c n1 delta + n2).  So d(h2, h1)/dd2 at the
+    upper bound d2 = d is the Beta density at d times the conditional means
+    of lam^2 Y^2 and 2 lam (G1/n1 - 1) Y, and d(1 - d) times the density is
+    the front factor t(d).  With w = t(d) lam u M, d(1 - d) dh2/dd2 is
+    w lam u (M + 1) and d(1 - d) dh1/dd2 is w (2 d (M + 1)/n1 - 2).  The
+    lower bound enters every bracket with the opposite sign.  u is read off
+    1 - c, which the bound itself would lose to cancellation near c = 1.
     """
     m1, m2, log_b = _quadratic_constants(design)[:3]
     n1, lam, big_m = design.n1, design.lam, m1 + m2
     small, far = min(delta, 1.0), design.n2 / max(delta, 1.0)  # as in d_bounds
     t = c * n1 * small
     d, u = t / (t + far), (1.0 - c) * small / (t + far)
-    return _front(d, m1, m2, log_b) * lam * u * big_m * (
-        (lam * u + 2.0 * d / n1) * (big_m + 1) - 2.0)
+    return _front(d, m1, m2, log_b) * lam * u * big_m, lam * u, 2.0 * d / n1, big_m + 1
+
+
+def _bound_slope(design: DesignPair, delta: float, c: float) -> float:
+    """d(1 - d) times d(h2 + h1)/dd2 at the upper bound d2 = d of the finite critical value c.
+
+    The sum of the two parts ``_bound_terms`` describes; it is also
+    -d(1 - d) d(h2 + h1)/dd1 at d1 = d.
+    """
+    w, lam_u, two_d, m_1 = _bound_terms(design, delta, c)
+    return w * ((lam_u + two_d) * m_1 - 2.0)
+
+
+def coefficients_delta_slope(
+    design: DesignPair, delta: float, alpha: float
+) -> tuple[float, float]:
+    """(dh2/d delta, dh1/d delta): the slopes in delta of the risk quadratic at a float delta.
+
+    Between the bounds, delta enters the brackets ``_brackets`` weights by
+    it (b01 and b11) and by its square (b02), which gives
+    lam^2 (2 q2 b02 - 2 q12 b11)/delta and 2 lam (q12 b11 - v2 b01)/delta.
+    Each bound moves as dd_j/d delta = d_j (1 - d_j)/delta, which turns
+    ``_bound_terms``' two parts at d_j into its terms, with the lower
+    bound's opposite sign.  A zero c1 or an infinite c2 leaves its bound at
+    0 or 1, where the front factor vanishes, and contributes 0.
+    """
+    c1, c2 = critical_values(design, alpha)
+    consts = _quadratic_constants(design)
+    _, b01, _, b02, b11 = _brackets(consts, delta, *d_bounds(design, delta, c1, c2))
+    lam2, lam_2, _, q12, q12_2, q2, _, v2, _ = consts[6:]
+    dh2, dh1 = lam2 * (2.0 * q2 * b02 - q12_2 * b11), lam_2 * (q12 * b11 - v2 * b01)
+    for sign, c in ((-1.0, c1), (1.0, c2)):
+        if 0.0 < c < math.inf:
+            w, lam_u, two_d, m_1 = _bound_terms(design, delta, c)
+            dh2 += sign * (w * lam_u * m_1)
+            dh1 += sign * (w * (two_d * m_1 - 2.0))
+    return dh2 / delta, dh1 / delta
 
 
 def _quantile_fronts(design: DesignPair, alpha: float) -> list[float]:

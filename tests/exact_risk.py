@@ -22,7 +22,8 @@ theta1 (G1/n1 + k lam 1_A (delta G2/n2 - G1/n1)) with lam = n2/(n1 + n2).
 
 A bound enters h2 + h1 only through the brackets, and dI_d(a, b)/dd is the
 Beta(a, b) density d^(a-1) (1 - d)^(b-1) (a + b - 1)!/((a - 1)! (b - 1)!), a
-rational at a rational d, so ``exact_bound_slope`` is exact too.
+rational at a rational d, so ``exact_bound_slope`` and the slopes in delta,
+``exact_delta_slope_terms``, are exact too.
 """
 
 import math
@@ -51,47 +52,54 @@ def _tail_sum(p: int, q: int, a: int, b: int) -> int:
     return p**a * inner
 
 
-def exact_bound_slope(n1: int, n2: int, known: bool, c: float, delta: float) -> Fraction:
-    """d(h2 + h1)/dd2 at the upper bound d2 = d(c), exactly, at this delta.
+def _bound_parts(n1: int, n2: int, known: bool, c: float,
+                 delta: float) -> tuple[Fraction, Fraction]:
+    """(dh2/dd2, dh1/dd2) at the upper bound d2 = d(c), exactly, at this delta.
 
-    h2 + h1 = lam^2 E[Y^2 1_A] + 2 lam E[(X - 1) Y 1_A], the k^2 and k terms
-    of the risk at k = 1 with X and Y as in ``exact_coefficients``, so each
-    bracket enters with its rising factorials over n1^i n2^j times its
-    coefficient there, and its slope is the Beta density at the bound.  The
-    lower bound enters every bracket with the opposite sign, so d(h2 + h1)/dd1
-    at d1 = d(c) is the negative of this.  c must be finite.
+    h2 = lam^2 E[Y^2 1_A] and h1 = 2 lam E[(X - 1) Y 1_A], with X and Y as in
+    ``exact_coefficients``, so each bracket enters with its rising factorials
+    over n1^i n2^j times its coefficient there, and its slope is the Beta
+    density at the bound.  The lower bound enters every bracket with the
+    opposite sign.  c must be finite.
     """
     m1, m2 = (n1, n2) if known else (n1 - 1, n2 - 1)
     d, t, lam = Fraction(*_bound(c, n1, n2, delta)), Fraction(delta), Fraction(n2, n1 + n2)
-    coefficient = {(2, 0): lam * lam - 2 * lam, (1, 1): 2 * lam * t * (1 - lam),
-                   (0, 2): lam * lam * t * t, (1, 0): 2 * lam, (0, 1): -2 * lam * t}
-    total = Fraction(0)
-    for (i, j), w in coefficient.items():
+    coefficients = {  # (i, j): (in h2, in h1)
+        (2, 0): (lam * lam, -2 * lam), (1, 1): (-2 * lam * lam * t, 2 * lam * t),
+        (0, 2): (lam * lam * t * t, 0), (1, 0): (0, 2 * lam), (0, 1): (0, -2 * lam * t)}
+    parts = [Fraction(0), Fraction(0)]
+    for (i, j), weights in coefficients.items():
         a, b = m1 + i, m2 + j
         rising = math.prod(range(m1, a)) * math.prod(range(m2, b))
         density = (d ** (a - 1) * (1 - d) ** (b - 1) * math.factorial(a + b - 1)
                    / (math.factorial(a - 1) * math.factorial(b - 1)))
-        total += w * rising / (n1**i * n2**j) * density
-    return total
+        for k, w in enumerate(weights):
+            parts[k] += w * Fraction(rising, n1**i * n2**j) * density
+    return parts[0], parts[1]
 
 
-def exact_coefficients(n1: int, n2: int, known: bool, c1: float, c2: float,
-                       delta: float) -> tuple[Fraction, Fraction, Fraction]:
-    """(h2, h1, h0) of the weighted-loss shrinkage risk, exactly, at these c1, c2 and delta.
+def exact_bound_slope(n1: int, n2: int, known: bool, c: float, delta: float) -> Fraction:
+    """d(h2 + h1)/dd2 at the upper bound d2 = d(c), exactly, at this delta.
 
-    ``known`` is a known location (shapes m_i = n_i) rather than a
-    location-scale model (m_i = n_i - 1).  Every bracket is carried as an
-    integer times one common denominator, so the only gcds of big numbers
-    are the three of the results.
+    The sum of ``_bound_parts``; d(h2 + h1)/dd1 at d1 = d(c) is its
+    negative.  c must be finite.
+    """
+    return sum(_bound_parts(n1, n2, known, c, delta))
+
+
+def _moments(n1: int, n2: int, known: bool, c1: float, c2: float, delta: float) -> tuple:
+    """(e, scale): e[i, j] is scale * E[G1^i G2^j 1_A]/(n1^i n2^j) for each shift (i, j).
+
+    Every bracket is carried as an integer times one common denominator,
+    ``scale``, so a caller divides only its results by it.
     """
     m1, m2 = (n1, n2) if known else (n1 - 1, n2 - 1)
     (p1, q1), (p2, q2) = _bound(c1, n1, n2, delta), _bound(c2, n1, n2, delta)
     top = m1 + m2 + 1  # the largest n = a + b - 1 of the five shifted shapes
     q1_top, q2_top = q1**top, q2**top
-    scale = q1_top * q2_top
 
     def moment(i, j):
-        """scale * E[G1^i G2^j 1_A] / (n1^i n2^j): a bracket times rising factorials."""
+        """A bracket times rising factorials, over n1^i n2^j, times scale."""
         a, b = m1 + i, m2 + j
         extra = top - (a + b - 1)
         bracket = (_tail_sum(p2, q2, a, b) * q2**extra * q1_top
@@ -99,7 +107,36 @@ def exact_coefficients(n1: int, n2: int, known: bool, c1: float, c2: float,
         rising = math.prod(range(m1, a)) * math.prod(range(m2, b))
         return Fraction(bracket * rising, n1**i * n2**j)
 
-    e = {ij: moment(*ij) for ij in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))}
+    return ({ij: moment(*ij) for ij in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))},
+            q1_top * q2_top)
+
+
+def exact_brackets(n1: int, n2: int, known: bool, c1: float, c2: float,
+                   delta: float) -> list[Fraction]:
+    """The five brackets I_{d2} - I_{d1} at (m1 + i, m2 + j), times delta^j, exactly.
+
+    In ``risk._SHIFTS`` order, (1, 0), (0, 1), (2, 0), (0, 2), (1, 1): the
+    float ``risk._brackets`` these are the exact values of.
+    """
+    m1, m2 = (n1, n2) if known else (n1 - 1, n2 - 1)
+    e, scale = _moments(n1, n2, known, c1, c2, delta)
+    d = Fraction(delta)
+    return [e[i, j] * n1**i * n2**j * d**j
+            / (math.prod(range(m1, m1 + i)) * math.prod(range(m2, m2 + j)) * scale)
+            for i, j in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))]
+
+
+def exact_coefficients(n1: int, n2: int, known: bool, c1: float, c2: float,
+                       delta: float) -> tuple[Fraction, Fraction, Fraction]:
+    """(h2, h1, h0) of the weighted-loss shrinkage risk, exactly, at these c1, c2 and delta.
+
+    ``known`` is a known location (shapes m_i = n_i) rather than a
+    location-scale model (m_i = n_i - 1).  The moments share one common
+    denominator, so the only gcds of big numbers are the three of the
+    results.
+    """
+    m1 = n1 if known else n1 - 1
+    e, scale = _moments(n1, n2, known, c1, c2, delta)
     d = Fraction(delta)
     lam = Fraction(n2, n1 + n2)
     # the estimate over theta1 is X + k lam 1_A Y with X = G1/n1, Y = delta G2/n2 - G1/n1;
@@ -110,3 +147,27 @@ def exact_coefficients(n1: int, n2: int, known: bool, c1: float, c2: float,
     h0 = Fraction(m1 * (m1 + 1), n1 * n1) - Fraction(2 * m1, n1) + 1   # E[(X - 1)^2]
     return lam * lam * yy / scale, 2 * lam * (xy - y) / scale, h0
 
+
+def exact_delta_slope_terms(n1: int, n2: int, known: bool, c1: float, c2: float,
+                            delta: float) -> tuple[list[Fraction], list[Fraction]]:
+    """The terms of dh2/d delta and of dh1/d delta, exactly: each slope is the sum of its list.
+
+    First the interior term, delta moving inside the acceptance event:
+    h2 = lam^2 E[Y^2 1_A] moves by 2 lam^2 E[Y G2/n2 1_A] and
+    h1 = 2 lam E[(X - 1) Y 1_A] by 2 lam E[(X - 1) G2/n2 1_A].  Then one
+    term per bound with a finite, nonzero c: ``_bound_parts`` times
+    dd/d delta = d (1 - d)/delta, negated at the lower bound.  A bound at 0
+    or 1 has no term.
+    """
+    e, scale = _moments(n1, n2, known, c1, c2, delta)
+    d, lam = Fraction(delta), Fraction(n2, n1 + n2)
+    dh2 = [2 * lam * lam * (d * e[0, 2] - e[1, 1]) / scale]
+    dh1 = [2 * lam * (e[1, 1] - e[0, 1]) / scale]
+    for sign, c in ((-1, c1), (1, c2)):
+        if 0.0 < c < math.inf:
+            p, q = _bound(c, n1, n2, delta)
+            moves = Fraction(p * (q - p), q * q) / d
+            part2, part1 = _bound_parts(n1, n2, known, c, delta)
+            dh2.append(sign * part2 * moves)
+            dh1.append(sign * part1 * moves)
+    return dh2, dh1

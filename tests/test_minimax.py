@@ -543,6 +543,17 @@ class TestSolve:
         rates = cls._humps([(c, lambda t, h=h: h(t + 0.5) - h(t - 0.5)) for c, h in humps])
         return lambda t, delta: rates(delta, t)
 
+    @classmethod
+    def _delta_slope(cls, humps):
+        """delta_slope(t, delta): the regret's slope in delta, in closed form."""
+
+        def delta_slope(t, delta):
+            z = np.log(delta)
+            return sum(-h(t) * np.exp(-0.5 * ((z - np.log(c)) / cls.WIDTH) ** 2)
+                       * (z - np.log(c)) / (cls.WIDTH**2 * delta) for c, h in humps)
+
+        return delta_slope
+
     def test_equalizes_two_analytic_humps(self):
         from collections import Counter
 
@@ -561,7 +572,8 @@ class TestSolve:
             levels.append(t)
             return regret(grid[0][nodes], t)
 
-        search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps), self._slope(humps))
+        search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps), self._slope(humps),
+                         self._delta_slope(humps))
 
         def sup(t):
             polished.append(t)
@@ -596,7 +608,7 @@ class TestSolve:
             return regret(grid[0][nodes], t)
 
         search = _Search((0.1, 1.0), grid, table, regret, self._honest(humps),
-                         lambda t, delta: rates(delta, t))
+                         lambda t, delta: rates(delta, t), self._delta_slope(humps))
         sol = _solve(search, search.polished_sups, "first step out of the domain")
         assert levels[:3] == [_NEWTON_START, *_DOMAIN]
         assert not sol.fallback
@@ -623,7 +635,8 @@ class TestSolve:
 
         def search():
             return _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                           regret, self._honest(humps), lambda t, delta: slope(delta, t))
+                           regret, self._honest(humps), lambda t, delta: slope(delta, t),
+                           self._delta_slope(humps))
 
         solved, alone = search(), search()
         sol = _solve(solved, solved.polished_sups, "no sign change")
@@ -645,7 +658,7 @@ class TestSolve:
 
         def solve(bound):
             search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                             regret, bound, self._slope(humps))
+                             regret, bound, self._slope(humps), self._delta_slope(humps))
             return _solve(search, search.polished_sups, "planted hump")
 
         full = solve(lambda t, delta, upper: np.inf)  # the whole grid, out to 1e4 times the edge
@@ -670,7 +683,7 @@ class TestSolve:
 
         def solve(bound):
             search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                             regret, bound, self._slope(humps))
+                             regret, bound, self._slope(humps), self._delta_slope(humps))
             return _solve(search, search.polished_sups, "hump past the span end")
 
         full = solve(lambda t, delta, upper: np.inf)  # the whole grid
@@ -689,7 +702,7 @@ class TestSolve:
 
         def solve(bound):
             search = _Search((0.1, 1.0), grid, lambda t, nodes: regret(grid[0][nodes], t),
-                             regret, bound, self._slope(humps))
+                             regret, bound, self._slope(humps), self._delta_slope(humps))
             return _solve(search, search.polished_sups, "hump past the lower span end")
 
         full = solve(lambda t, delta, upper: np.inf)  # the whole grid
@@ -716,7 +729,8 @@ class TestSolve:
                 reads.setdefault(t, []).extend(grid[0][nodes].tolist())
                 return regret(grid[0][nodes], t)
 
-            search = _Search((0.1, 1.0), grid, table, regret, bound, self._slope(humps))
+            search = _Search((0.1, 1.0), grid, table, regret, bound, self._slope(humps),
+                             self._delta_slope(humps))
 
             def sup(t):
                 polished.append(t)
@@ -749,7 +763,7 @@ class TestSolve:
             return regret(grid[0][nodes], t)
 
         _Search((0.005, 1.0), grid, table, regret, lambda t, delta, upper: 0.0,
-                self._slope(humps)).grid_sups(0.5)
+                self._slope(humps), self._delta_slope(humps)).grid_sups(0.5)
         assert 1e-3 <= min(read) < 1.02e-3
         assert 1e2 / 1.02 < max(read) <= 1e2 * (1 + 1e-9)
 
@@ -772,7 +786,7 @@ class TestSolve:
                 return regret(grid[0][nodes], t)
 
             return _Search((0.1, 1.0), grid, table, regret, self._honest(humps),
-                           self._slope(humps)), reads
+                           self._slope(humps), self._delta_slope(humps)), reads
 
         after, reads = search()
         after.grid_sups(0.9)
@@ -1133,28 +1147,138 @@ class TestPeakPositions:
             assert abs(peak - ref) <= 1e-7 * ref
 
 
-def test_a_polish_reads_at_most_16_scalar_regrets_on_average(monkeypatch):
-    """Over one table-3 pass on the {2, 3} grid, each polish of a regret peak averages
-    at most 16 scalar regret evaluations (golden section alone took about 27)."""
+def _count_polishes(monkeypatch):
+    """Wrap the polish's golden-section search to record each call's bracket and evaluations."""
     import recshrink.minimax as mm
 
-    golden, evals = mm.golden_section_max, []
+    golden, calls = mm.golden_section_max, []
 
     def counted(f, lo, hi):
-        evals.append(0)
+        calls.append([lo, hi, 0])
 
         def g(x):
-            evals[-1] += 1
+            calls[-1][2] += 1
             return f(x)
 
         return golden(g, lo, hi)
 
     monkeypatch.setattr(mm, "golden_section_max", counted)
+    return calls
+
+
+def test_a_polish_reads_at_most_12_scalar_regrets_on_average(monkeypatch):
+    """Over one table-3 pass on the {2, 3} grid, each polish of a regret peak averages
+    at most 12 scalar regret evaluations (golden section alone took about 27)."""
+    calls = _count_polishes(monkeypatch)
     cells = generate_tables(TableCase.K_OPTIMAL_ALPHA,
                             [DesignPair(a, b) for b in (2, 3) for a in (2, 3)])
     # no cell falls back, so every maximization is a polish
     assert [c.fallback for c in cells] == [None] * 4
-    assert sum(evals) / len(evals) <= 16.0
+    assert sum(n for _, _, n in calls) / len(calls) <= 12.0
+
+
+def test_an_alpha_peak_on_the_jump_is_its_node_unpolished(monkeypatch):
+    """On the {2, 3} grid the alpha* lower peaks of (2, 2), (3, 2) and (3, 3) sit on the
+    first node past delta1, where the regret falls away from its jump: each is that
+    node, and no polish brackets it."""
+    import recshrink.minimax as mm
+
+    calls = _count_polishes(monkeypatch)
+    solve, solutions = mm.optimal_alpha, {}
+
+    def recorded(design):
+        solutions[design.n1, design.n2] = sol = solve(design)
+        return sol
+
+    monkeypatch.setattr(mm, "optimal_alpha", recorded)
+    generate_tables(TableCase.K_OPTIMAL_ALPHA, [DesignPair(a, b) for b in (2, 3) for a in (2, 3)])
+    for n1, n2 in ((2, 2), (3, 2), (3, 3)):
+        sol = solutions[n1, n2]
+        node = sol.delta1 * (1.0 + 1e-9)
+        assert sol.delta_L == node
+        assert sol.regret_at_L == regret_pt(DesignPair(n1, n2), node, sol.tuned_value)
+        assert not any(lo <= node <= hi for lo, hi, _ in calls), (n1, n2)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_the_regret_slope_in_delta_matches_central_differences(variant):
+    """Each search's delta_slope is the slope of its own scalar regret, inside the alpha
+    window and out of it, wherever the regret is positive and smooth."""
+    from recshrink.minimax import _alpha_search, _inf_quadratic, _shrink_search
+    from recshrink.risk import risk_k_coefficients
+
+    design = DesignPair(5, 6, variant)
+    alpha = _alpha_search(design)
+    shrink = _shrink_search(design, 0.16)
+
+    def smooth(search, t, lo, hi):
+        # no window edge between the two points, and for K* one inner minimizer
+        if any(lo <= edge <= hi for edge in search.window):
+            return False
+        return search is alpha or len({_inf_quadratic(*risk_k_coefficients(design, d, 0.16))[0]
+                                       for d in (lo, hi)}) == 1
+
+    checked = 0
+    for search, t in ((alpha, 0.16), (alpha, 0.5), (shrink, 0.2), (shrink, 0.6)):
+        for delta in np.geomspace(search.window[1] / 30, search.window[1] * 30, 17).tolist():
+            h = 1e-6 * delta
+            up, down = search.regret(delta + h, t), search.regret(delta - h, t)
+            if min(up, down) > 1e-6 and smooth(search, t, delta - h, delta + h):
+                assert search.delta_slope(t, delta) == \
+                    pytest.approx((up - down) / (2.0 * h), rel=1e-5, abs=1e-9), (t, delta)
+                checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_kept_segment_end_beats_its_old_polish(monkeypatch, variant):
+    """Every segment end a polish keeps for its slope in delta is at least as high as
+    golden-section search finds over the bracket it would have polished, for alpha*
+    and K*(0.16) on the 6x6 grid."""
+    import recshrink.minimax as mm
+    from recshrink.minimax import TABLE_GRID
+    from recshrink.optim import golden_section_max
+
+    kept = []
+
+    def recording(build):
+        def wrapped(*args):
+            search = build(*args)
+            deltas, segments = search.grid
+            inner = search.delta_slope
+
+            def delta_slope(t, delta):
+                dr = inner(t, delta)
+                _, values, (lo, hi), _ = search.levels[t]
+                i = int(np.searchsorted(deltas, delta))
+                start, stop = next((max(a, lo), min(b, hi)) for a, b in segments if a <= i < b)
+                # the bracket its polish took: the node and its neighbour inside the segment
+                if i == start and dr <= 0.0:
+                    bracket = deltas[i], deltas[min(i + 1, stop - 1)]
+                elif i == stop - 1 and dr >= 0.0:
+                    bracket = deltas[max(i - 1, start)], deltas[i]
+                else:
+                    return dr
+                kept.append((search.regret, t, *bracket, values[i]))
+                return dr
+
+            search.delta_slope = delta_slope
+            return search
+
+        return wrapped
+
+    monkeypatch.setattr(mm, "_alpha_search", recording(mm._alpha_search))
+    monkeypatch.setattr(mm, "_shrink_search", recording(mm._shrink_search))
+    for n1 in TABLE_GRID:
+        for n2 in TABLE_GRID:
+            design = DesignPair(n1, n2, variant)
+            optimal_alpha(design)
+            optimal_k(design, 0.16)
+    # 38 nodes at known location, all of them alpha* lower peaks on delta1's jump;
+    # under location-scale one K* upper peak on the first node past delta2
+    assert len(kept) >= (38 if variant is Variant.KNOWN_LOCATION else 1)
+    for regret, t, lo, hi, value in kept:
+        assert golden_section_max(lambda d: regret(d, t), lo, hi)[1] <= value, (t, lo, hi)
 
 
 LARGE_GRID = (400, 600, 1000)

@@ -33,7 +33,13 @@ from recshrink.risk import (
 )
 from recshrink.sim import _linear_bounds, mc_oracle_risk
 
-from exact_risk import _bound, exact_bound_slope, exact_coefficients
+from exact_risk import (
+    _bound,
+    exact_bound_slope,
+    exact_brackets,
+    exact_coefficients,
+    exact_delta_slope_terms,
+)
 
 D56 = DesignPair(5, 6)
 
@@ -579,6 +585,69 @@ class TestAlphaSlope:
         assert critical_values(design, alpha)[1] == math.inf
         assert _quantile_fronts(design, alpha)[1] == 0.0
         assert not math.isnan(pt_risk_alpha_slope(design, 1.0, alpha))
+
+
+class TestDeltaSlope:
+    """d(h2, h1)/d delta: the interior moments plus each bound's front-factor terms."""
+
+    GRID = (2, 3, 4, 5, 7, 10)
+    ALPHAS = (0.05, 0.16, 0.5)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n1", GRID)
+    def test_delta_slope_is_exact(self, n1, variant):
+        from recshrink.risk import coefficients_delta_slope
+
+        # Each slope to 1e-12 relative over delta in [1e-3, 40], on top of the error
+        # its float brackets carry in through the interior terms: above delta ~ 10
+        # the brackets themselves lose digits (ROADMAP item 1).  Near a zero of the
+        # slope, where its terms cancel, 1e-12 of the sum of their magnitudes.
+        known = variant is Variant.KNOWN_LOCATION
+        checked = 0
+        for n2 in self.GRID:
+            design = DesignPair(n1, n2, variant)
+            consts = _quadratic_constants(design)
+            lam2, lam_2, _, q12, q12_2, q2, _, v2, _ = consts[6:]
+            for alpha in self.ALPHAS:
+                c1, c2 = critical_values(design, alpha)
+                for delta in np.geomspace(1e-3, 40.0, 9).tolist():
+                    floats = _brackets(consts, delta, *d_bounds(design, delta, c1, c2))
+                    exact = exact_brackets(n1, n2, known, c1, c2, delta)
+                    _, e01, _, e02, e11 = (abs(Fraction(f) - x) for f, x in zip(floats, exact))
+                    carried = ((2.0 * lam2 * q2 * e02 + lam2 * q12_2 * e11) / Fraction(delta),
+                               (lam_2 * q12 * e11 + lam_2 * v2 * e01) / Fraction(delta))
+                    got = coefficients_delta_slope(design, delta, alpha)
+                    terms = exact_delta_slope_terms(n1, n2, known, c1, c2, delta)
+                    for g, ts, allowed in zip(got, terms, carried):
+                        err, want = abs(Fraction(g) - sum(ts)), sum(ts)
+                        if err > allowed + 1e-12 * abs(want):
+                            assert err <= allowed + 1e-12 * sum(abs(x) for x in ts), \
+                                (n2, alpha, delta, float(err / abs(want)))
+                        checked += 1
+        assert checked == 6 * 3 * 9 * 2
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_delta_slope_matches_central_differences(self, variant):
+        from recshrink.risk import coefficients_delta_slope
+
+        # where the risk keeps its digits: the dip and both sides of the crossing
+        design = DesignPair(5, 6, variant)
+        for alpha in self.ALPHAS:
+            for delta in (0.2, 0.7, 1.0, 1.6, 3.0):
+                h = 1e-6 * delta
+                up = risk_k_coefficients(design, delta + h, alpha)
+                down = risk_k_coefficients(design, delta - h, alpha)
+                for got, hi, lo in zip(coefficients_delta_slope(design, delta, alpha), up, down):
+                    assert got == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6, abs=1e-9), \
+                        (alpha, delta)
+
+    def test_a_bound_at_0_or_1_contributes_nothing(self):
+        from recshrink.risk import coefficients_delta_slope
+
+        # c2 = inf puts d2 at 1, where its front-factor term would be NaN
+        design, alpha = DesignPair(1, 1), 1e-310
+        assert critical_values(design, alpha)[1] == math.inf
+        assert not any(math.isnan(x) for x in coefficients_delta_slope(design, 1.0, alpha))
 
 
 class TestMomentsAgainstOracle:
