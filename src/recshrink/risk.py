@@ -47,8 +47,8 @@ per-design constants that ``_quadratic_constants`` caches.
 incomplete beta: each bound moves with its critical value, and the risk
 moves with a bound by the Beta density there times a conditional moment.
 ``coefficients_delta_slope`` is d(h2, h1)/d delta at a float delta: the
-brackets' own delta weights, from the five brackets, plus the same
-bound terms, each bound moving with delta.
+delta weights of the brackets, plus the same bound terms, since each
+bound moves with delta too.
 """
 
 import functools
@@ -303,13 +303,13 @@ def coefficients_delta_slope(
 ) -> tuple[float, float]:
     """(dh2/d delta, dh1/d delta): the slopes in delta of the risk quadratic at a float delta.
 
-    Between the bounds, delta enters the brackets ``_brackets`` weights by
-    it (b01 and b11) and by its square (b02), which gives
+    With the bounds held, delta moves only the weights ``_brackets`` puts
+    on b01 and b11 (delta) and on b02 (delta^2), which gives
     lam^2 (2 q2 b02 - 2 q12 b11)/delta and 2 lam (q12 b11 - v2 b01)/delta.
-    Each bound moves as dd_j/d delta = d_j (1 - d_j)/delta, which turns
-    ``_bound_terms``' two parts at d_j into its terms, with the lower
-    bound's opposite sign.  A zero c1 or an infinite c2 leaves its bound at
-    0 or 1, where the front factor vanishes, and contributes 0.
+    Each bound moves as dd_j/d delta = d_j (1 - d_j)/delta, so it adds
+    ``_bound_terms``' two parts at d_j over delta, with the lower bound's
+    opposite sign.  A zero c1 or an infinite c2 leaves its bound at 0 or 1,
+    where the front factor vanishes, and contributes 0.
     """
     c1, c2 = critical_values(design, alpha)
     consts = _quadratic_constants(design)
