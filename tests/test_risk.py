@@ -613,9 +613,10 @@ class TestDeltaSlope:
                 for delta in np.geomspace(1e-3, 40.0, 9).tolist():
                     floats = _brackets(consts, delta, *d_bounds(design, delta, c1, c2))
                     exact = exact_brackets(n1, n2, known, c1, c2, delta)
-                    _, e01, _, e02, e11 = (abs(Fraction(f) - x) for f, x in zip(floats, exact))
-                    carried = ((2.0 * lam2 * q2 * e02 + lam2 * q12_2 * e11) / Fraction(delta),
-                               (lam_2 * q12 * e11 + lam_2 * v2 * e01) / Fraction(delta))
+                    _, off01, _, off02, off11 = (abs(Fraction(f) - x)
+                                                 for f, x in zip(floats, exact))
+                    carried = ((2.0 * lam2 * q2 * off02 + lam2 * q12_2 * off11) / Fraction(delta),
+                               (lam_2 * q12 * off11 + lam_2 * v2 * off01) / Fraction(delta))
                     got = coefficients_delta_slope(design, delta, alpha)
                     terms = exact_delta_slope_terms(n1, n2, known, c1, c2, delta)
                     for g, ts, allowed in zip(got, terms, carried):
