@@ -8,11 +8,15 @@ A and B are checkouts of the repository.  Each command runs as
 CLI outputs a change that claims the same bits must leave alone: tables 1-3
 under both variants, table 2 as CSV, table 3 on the {40, 150} and the
 {400, 600, 1000} grids under both variants, two alpha* solves (at (5, 6)
-and at (5000, 5000)) and five K* solves (one of them a fallback at
+and at (5000, 5000)) and eight K* solves (one of them a fallback at
 alpha = 1e-30, one at (2, 2) location-scale, alpha = 0.99, whose
 corrected root is clamped into the search interval and which then fails
-to equalize, and two at alpha = 0.9, at (5, 3) and (12, 2), whose upper
-sides reach the far grid, where the regret's rounding noise lies), a
+to equalize, two at alpha = 0.9, at (5, 3) and (12, 2), whose upper
+sides reach the far grid, where the regret's rounding noise lies, and
+three whose lower crossing delta1 lies far below the upper one or does
+not exist: (6, 4) at alpha = 0.9, delta1 = 0.75 against an upper crossing
+of 609, (2, 39) at alpha = 0.5, delta1 = 7.4e-4 against 1.31, and (2, 5)
+location-scale at alpha = 0.5, with no lower crossing), a
 seeded Monte Carlo comparison, three risk curves on the grid route, the
 estimator on the example records, the seeded convention validation, and
 two argument errors: table 2 at a level outside (0, 1) and a
@@ -44,7 +48,10 @@ COMMANDS = (
     ("optimal-k", "--n1", "5", "--n2", "6", "--alpha", "1e-30"),
     ("optimal-k", "--n1", "2", "--n2", "2", "--variant", "locscale", "--alpha", "0.99"),
     *(("optimal-k", "--n1", n1, "--n2", n2, "--alpha", "0.9", "--format", "json")
-      for n1, n2 in (("5", "3"), ("12", "2"))),
+      for n1, n2 in (("5", "3"), ("12", "2"), ("6", "4"))),
+    ("optimal-k", "--n1", "2", "--n2", "39", "--alpha", "0.5", "--format", "json"),
+    ("optimal-k", "--n1", "2", "--n2", "5", "--alpha", "0.5", "--variant", "locscale",
+     "--format", "json"),
     ("simulate", "--n1", "2", "--n2", "2", "--seed", "1", "--format", "json"),
     ("risk-curve", "--n1", "5", "--n2", "6", "--alpha", "0.16", "--k", "0", "--k", "0.21",
      "--k", "1", "--format", "json"),

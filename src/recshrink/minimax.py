@@ -75,17 +75,19 @@ alpha window the regret is max(0, h2 + h1), and the K* regret is at most
 |h2| + |h1| at every delta; the bound caps |h2| + |h1| at every delta
 beyond a given one from power-law tails of the five brackets: it falls
 like delta^-m2 above the edge and like delta^(m1+i+j) below it, with no
-incomplete beta.  Each level reads each side first to 1e2 times the edge
-(the lower one also below delta1), and a side reads the rest of its side
-of the grid if its argmax sits on its end node or the bound at that node
-exceeds its largest node value.  Once the bound is at or below that value,
-nothing beyond the end can exceed it, so a lesser peak on the end node
-cannot change the side's polished sup.  Every node read is a node of the
-whole grid, so a certified level has the whole grid's sups and the
-solution its bits; and no level's span depends on the levels read before
-it.  A K* level reads its nodes off the table built once per solve; the
-bound does not depend on k, so each solve evaluates it once per node it is
-asked at.
+incomplete beta.  The grid sets the span each level reads first: each side
+to 1e2 times the edge, and the alpha* lower side at least to delta1, since
+inside the window the bound says nothing.  The K* bound holds at every
+delta, so the K* search reads only the window's upper edge.  A side reads
+the rest of its side of the grid if its argmax sits on its end node or the
+bound at that node exceeds its largest node value.  Once the bound is at
+or below that value, nothing beyond the end can exceed it, so a lesser
+peak on the end node cannot change the side's polished sup.  Every node
+read is a node of the whole grid, so a certified level has the whole
+grid's sups and the solution its bits; and no level's span depends on the
+levels read before it.  A K* level reads its nodes off the table built
+once per solve; the bound does not depend on k, so each solve evaluates it
+once per node it is asked at.
 
 Every risk here uses the ratio form of the acceptance bounds, the one the
 Monte Carlo validation selects (see ``risk``); tuning has no other.
@@ -115,7 +117,7 @@ from .risk import (
 )
 
 _SPAN = 1e4                 # each side's grid spans this factor from the edge
-_START_SPAN = 1e2           # each level's first span; a side it does not certify reads on
+_START_SPAN = 1e2           # each side's first span from the edge; alpha*'s lower reaches delta1
 _PER_DECADE = 200           # grid nodes per decade of delta
 _JUMP = 1e-9                # first node past a window edge: edge * (1 + _JUMP)
 _TIE_MARGIN = 1e-2          # polish every grid hump this close to the best one
@@ -227,13 +229,17 @@ def _regret_pt(design, delta, alpha, region):
 
 
 def _fixed_grid(edge: float, split: float | None = None):
-    """(deltas, segments): both sides' log-spaced nodes around ``edge``.
+    """(deltas, segments, span): both sides' log-spaced nodes around ``edge``.
 
     ``segments`` holds (start, stop) index ranges into ``deltas``; the last
     one is the upper side (edge, _SPAN*edge], the others make up the lower
     side [edge/_SPAN, edge].  A cut at ``split`` (delta1) ends one segment
     there and starts the next at delta1*(1 + _JUMP), the right-hand limit
     of the alpha regret's jump.  Nothing interpolates across a segment end.
+    ``span`` is the (start, stop) index range every level reads first: from
+    the first node at or above min(split, edge/_START_SPAN), so a side cut
+    at delta1 starts at or below it, to the last node at or below
+    _START_SPAN*edge*(1 + _JUMP).
     """
     ends = [(edge / _SPAN, edge)]
     if split is not None and ends[0][0] < split < edge:
@@ -243,8 +249,12 @@ def _fixed_grid(edge: float, split: float | None = None):
         np.geomspace(a, b, max(3, math.ceil(_PER_DECADE * math.log10(b / a)) + 1))
         for a, b in ends
     ]
+    deltas = np.concatenate(pieces)
     stops = np.cumsum([len(p) for p in pieces]).tolist()
-    return np.concatenate(pieces), tuple(zip([0] + stops[:-1], stops))
+    low = edge / _START_SPAN if split is None else min(split, edge / _START_SPAN)
+    span = (int(np.searchsorted(deltas, low)),
+            int(np.searchsorted(deltas, edge * _START_SPAN * (1.0 + _JUMP), side="right")))
+    return deltas, tuple(zip([0] + stops[:-1], stops)), span
 
 
 def _side_scan(values, segments, lo, hi):
@@ -279,13 +289,13 @@ class _Search:
     """What one solve of alpha* or K* at a fixed design reads, built once.
 
     ``window`` is the solution's (delta1, delta2) and ``grid`` the fixed
-    grid around delta2; ``table(t, nodes)`` is the regret at tuned value t
-    over ``grid[0][nodes]`` and ``regret(delta, t)`` the scalar regret the
+    grid around delta2, (deltas, segments, span) from ``_fixed_grid``;
+    ``table(t, nodes)`` is the regret at tuned value t over
+    ``grid[0][nodes]`` and ``regret(delta, t)`` the scalar regret the
     polish reads.  ``bound(t, delta, upper)`` bounds the regret at every
     delta' beyond delta (above it if ``upper``).  Every level first reads
-    each side to _START_SPAN from the edge, the lower one also no higher
-    than delta1, and a side reads the rest of its side of the grid if its
-    argmax sits on its end node or the bound at that node exceeds its
+    the grid's span, and a side reads the rest of its side of the grid if
+    its argmax sits on its end node or the bound at that node exceeds its
     largest node value.  A side's nodes are thus a run of the whole grid's
     ending at the edge, read the same at any span, and a level reads the
     same whatever levels were read before it.  ``levels`` holds, for every
@@ -307,25 +317,14 @@ class _Search:
     slope: Callable[[float, float], float]
     delta_slope: Callable[[float, float], float]
     levels: dict = field(default_factory=dict, init=False)
-    _span: tuple = field(init=False)  # (start, stop) indices of each level's first span
-
-    def __post_init__(self):
-        deltas, segments = self.grid
-        cut, edge = self.window
-        # the lower side starts at the first of edge/_START_SPAN, edge/(10 _START_SPAN), ...
-        # at or below delta1, else at the grid's start; the upper side stops at _START_SPAN*edge
-        spans = _START_SPAN * 10.0 ** np.arange(round(math.log10(_SPAN / _START_SPAN)))
-        starts = np.searchsorted(deltas[:segments[-1][0]], edge / spans).tolist()
-        stop = np.searchsorted(deltas, edge * _START_SPAN * (1.0 + _JUMP), side="right")
-        self._span = (next((i for i in starts if deltas[i] <= cut), 0), int(stop))
 
     def grid_sups(self, t: float) -> tuple[float, float]:
         """(reg_L, reg_U): each side's height on the grid at level t, tabulated once."""
         if t in self.levels:
             return self.levels[t][0]
-        deltas, segments = self.grid
+        deltas, segments, span = self.grid
         values = np.empty(len(deltas))  # a side's nodes sit at their grid indices
-        span = list(self._span)
+        span = list(span)
         values[slice(*span)] = self.table(t, slice(*span))
         sides = []
         for part, cap, end, upper in ((segments[:-1], 0, span[0], False),
@@ -365,7 +364,7 @@ class _Search:
         """
         self.grid_sups(t)
         _, values, (lo, hi), argmaxes = self.levels[t]
-        deltas, segments = self.grid
+        deltas, segments, _ = self.grid
         out = []
         for part, node in zip((segments[:-1], segments[-1:]), argmaxes):
             floor = float(values[node]) * (1.0 - _TIE_MARGIN)

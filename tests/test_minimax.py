@@ -751,8 +751,8 @@ class TestSolve:
         from recshrink.minimax import _Search, _fixed_grid
 
         # with delta1 = 0.005 the lower side cannot end at edge/1e2 = 0.01,
-        # inside the window, where the tail bound says nothing; it starts a
-        # decade wider, although the bound certifies everything
+        # inside the window, where the tail bound says nothing; it starts at
+        # delta1's own node, the cut's end, and the bound certifies the rest
         humps = ((0.3, lambda t: 0.5), (3.0, lambda t: 0.5))
         regret = self._humps(humps)
         grid = _fixed_grid(1.0, split=0.005)
@@ -764,7 +764,7 @@ class TestSolve:
 
         _Search((0.005, 1.0), grid, table, regret, lambda t, delta, upper: 0.0,
                 self._slope(humps), self._delta_slope(humps)).grid_sups(0.5)
-        assert 1e-3 <= min(read) < 1.02e-3
+        assert min(read) == 0.005
         assert 1e2 / 1.02 < max(read) <= 1e2 * (1 + 1e-9)
 
     def test_a_level_does_not_depend_on_the_levels_read_before_it(self):
@@ -837,17 +837,55 @@ class TestCertifiedSpans:
         monkeypatch.setattr(mm, name, recording)
         return searches
 
+    @DESIGN_SETS
+    def test_the_grid_sets_each_levels_first_span(self, designs):
+        """``_fixed_grid``'s span: the lower side from the first node at or above
+        min(delta1, edge/1e2) for alpha* and edge/1e2 for K*, the upper side to the last
+        node at or below 1e2 times the edge; an alpha* lower side starts at or below delta1."""
+        from recshrink.minimax import _alpha_search, _shrink_search
+
+        for design in designs:
+            for search, cut in ((_alpha_search(design), True),
+                                (_shrink_search(design, 0.16), False)):
+                deltas, _, (start, stop) = search.grid
+                delta1, edge = search.window
+                low = min(delta1, edge / 1e2) if cut else edge / 1e2
+                assert start == np.flatnonzero(deltas >= low)[0], design
+                assert stop == np.flatnonzero(deltas <= edge * 1e2 * (1 + 1e-9))[-1] + 1, design
+                if cut:
+                    assert deltas[start] <= delta1, design
+
+    @pytest.mark.parametrize("design, alpha", [
+        (DesignPair(6, 4), 0.9),                          # delta1 0.75, delta2 609
+        (DesignPair(2, 39), 0.5),                         # delta1 7.4e-4, delta2 1.31
+        (DesignPair(2, 5, Variant.LOCATION_SCALE), 0.5),  # no lower crossing: delta1 0
+    ])
+    def test_a_k_search_does_not_read_its_lower_crossing(self, design, alpha):
+        """A K* grid is uncut and its first span starts at the first node at or above
+        edge/1e2, even where the lower crossing delta1 lies further out."""
+        from recshrink.minimax import _shrink_search
+
+        search = _shrink_search(design, alpha)
+        deltas, segments, (start, _) = search.grid
+        delta1, edge = search.window
+        assert delta1 < edge / 1e2
+        assert len(segments) == 2
+        assert start == np.flatnonzero(deltas >= edge / 1e2)[0]
+
     @staticmethod
-    def _check(search, reads, bound):
+    def _check(search, reads, bound, cut):
         """Assert each level's reads are one run of nodes, certified by ``bound`` or at the cap.
 
         Every segment of both sides must also keep a node under the level's
-        span, since ``_side_scan`` has no branch for an empty one.
+        span, since ``_side_scan`` has no branch for an empty one.  With a
+        ``cut`` at delta1 (alpha*) a lower side that keeps its span ends at
+        or below delta1, since inside the window the bound says nothing;
+        without one (K*) it starts at the first node at or above edge/1e2.
 
         Returns (levels, narrow): how many levels were read, and how many
         of them stopped both sides at 1e2 times the edge.
         """
-        deltas, segments = search.grid
+        deltas, segments, _ = search.grid
         delta1, edge = search.window
         first_upper, last = segments[-1][0], len(deltas) - 1
         levels = narrow = 0
@@ -866,8 +904,10 @@ class TestCertifiedSpans:
                 top = max(values)
                 assert bound(t, float(deltas[end]), is_upper) <= top
                 assert side[int(np.argmax(values))] != end
-                if not is_upper:
+                if not is_upper and cut:
                     assert deltas[end] <= delta1
+                elif not is_upper:
+                    assert end == np.flatnonzero(deltas >= edge / 1e2)[0]
             levels += 1
             narrow += (lower[0] > 0 and deltas[lower[0]] >= edge / 1e2 / (1 + 1e-9)
                        and upper[-1] < last and deltas[upper[-1]] <= edge * 1e2 * (1 + 1e-9))
@@ -887,7 +927,8 @@ class TestCertifiedSpans:
         levels = narrow = 0
         for (design,), search, reads in searches:
             counts = self._check(search, reads,
-                                 lambda a, delta, upper: _tail_bound(design, a, delta, upper))
+                                 lambda a, delta, upper: _tail_bound(design, a, delta, upper),
+                                 cut=True)
             levels, narrow = levels + counts[0], narrow + counts[1]
         # most levels stop both sides at 1e2 times the edge, so the checks
         # above do not just read the whole grid
@@ -909,7 +950,8 @@ class TestCertifiedSpans:
         levels = narrow = 0
         for (design, alpha), search, reads in searches:
             counts = self._check(search, reads,
-                                 lambda k, delta, upper: _tail_bound(design, alpha, delta, upper))
+                                 lambda k, delta, upper: _tail_bound(design, alpha, delta, upper),
+                                 cut=False)
             levels, narrow = levels + counts[0], narrow + counts[1]
         assert narrow > levels / 2
 
@@ -1244,7 +1286,7 @@ def test_a_kept_segment_end_beats_its_old_polish(monkeypatch, variant):
     def recording(build):
         def wrapped(*args):
             search = build(*args)
-            deltas, segments = search.grid
+            deltas, segments, _ = search.grid
             inner = search.delta_slope
 
             def delta_slope(t, delta):

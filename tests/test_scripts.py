@@ -192,10 +192,10 @@ def test_same_output_identical_trees(tmp_path, capsys):
     failing = {"optimal-k --n1 5 --n2 6 --alpha 1e-30": ["", "error: no\n", 2]}
     assert _same_output(tmp_path, {"parent": failing, "change": failing}) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(same_output.COMMANDS) + 1 == 25
+    assert len(lines) == len(same_output.COMMANDS) + 1 == 28
     assert lines[0] == "same (exit 0): recshrink tables 1 --format json --variant known"
     assert "same (exit 2): recshrink optimal-k --n1 5 --n2 6 --alpha 1e-30" in lines
-    assert lines[-1] == "0 of 24 commands differ"
+    assert lines[-1] == "0 of 27 commands differ"
 
 
 def test_same_output_names_each_difference(tmp_path, capsys):
@@ -216,8 +216,8 @@ def test_same_output_names_each_difference(tmp_path, capsys):
             "recshrink tables 3 --grid 40,150 --format json --variant locscale\n") not in out
     assert ("DIFFERS in stdout, stderr, exit code: "
             "recshrink tables 3 --grid 40,150 --format json --variant known\n") in out
-    assert out.count("same (exit 0)") == 20
-    assert out.endswith("4 of 24 commands differ\n")
+    assert out.count("same (exit 0)") == 23
+    assert out.endswith("4 of 27 commands differ\n")
 
 
 def _bench_tree(tmp_path):
